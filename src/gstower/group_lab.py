@@ -17,6 +17,7 @@ import numpy as np
 
 from .gs_check import RelationProfile
 from .jennings import DimensionSequence, InvalidPrimeError, is_prime
+from .validity import defect_recursion
 
 DEFAULT_SIZE_LIMIT = 343
 
@@ -209,10 +210,6 @@ class FiniteGroupTable:
                         members.add(y)
                         frontier.append(y)
         return frozenset(members)
-
-    def power_set_closure(self, subgroup: Iterable[int], q: int) -> frozenset[int]:
-        """Subgroup generated by the q-th powers of the given elements."""
-        return self.subgroup_closure({self.power(x, q) for x in subgroup})
 
     def word_to_element(self, word: Sequence[int], images: Sequence[int]) -> int:
         acc = 0
@@ -863,12 +860,7 @@ def verify_recursion(pres: PresentationData) -> RecursionReport:
     horizon = (M - 1) + max_lag + 1
     images = _fox_images(pres)
     e_direct = tuple(e_n_direct(pres, n, _images=images) for n in range(1, horizon + 1))
-    e_expected = []
-    for n in range(1, horizon + 1):
-        v = c(n) - pres.d * c(n - 1) - 1
-        for lvl in pres.levels:
-            v += c(n - lvl)
-        e_expected.append(v)
+    e_expected = defect_recursion(c, pres.d, pres.levels, horizon)
     mismatches = tuple(
         n for n, (x, y) in enumerate(zip(e_direct, e_expected), start=1) if x != y
     )
@@ -879,7 +871,7 @@ def verify_recursion(pres: PresentationData) -> RecursionReport:
         profile=pres.profile(),
         c=c_list,
         e_direct=e_direct,
-        e_expected=tuple(e_expected),
+        e_expected=e_expected,
         horizon=horizon,
         mismatches=mismatches,
         identity_ok=not mismatches,

@@ -1,24 +1,25 @@
-"""Exact rational polynomials, truncated power series, and a decision
-procedure for strict positivity on the open unit interval.
+"""Exact polynomials and a decision procedure for strict positivity on the
+open unit interval.
 
-Everything here is integer/Fraction arithmetic; no floats are ever
-consulted for a verdict.
+Every polynomial is a dense list of integer coefficients, low degree
+first, over one positive common denominator.  The denominator is 1 for
+everything the package builds except the strict slack term.  Polynomial
+arithmetic and the Sturm decider share the integer-list helpers below;
+Fraction appears only for evaluation points, witnesses, bisection
+midpoints and returned values.  No floats are ever consulted for a
+verdict.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
 class ZeroPolynomialError(ValueError):
     """The zero polynomial has no sign on any interval."""
-
-
-class ZeroConstantTermError(ValueError):
-    """A power series with f(0) = 0 is not invertible."""
 
 
 class NoRationalWitnessError(ArithmeticError):
@@ -28,29 +29,156 @@ class NoRationalWitnessError(ArithmeticError):
     caller is never handed a fake witness."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+# Integer polynomial helpers (dense int lists, low degree first, no
+# trailing zeros unless noted).  The Sturm chain is kept primitive: every
+# element is rescaled by a positive factor to coprime integer
+# coefficients, which keeps coefficient growth polynomial instead of
+# exponential.
+
+def _num_den(x) -> tuple[int, int]:
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _itrim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _iprimitive(a: list[int]) -> list[int]:
+    """a divided by the (positive) gcd of its coefficients."""
+    g = gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _iadd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Sum of two coefficient lists; may leave trailing zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def _imul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                if cb:
+                    out[j] += ca * cb
+    return out
+
+
+def _iderivative(a: Sequence[int]) -> list[int]:
+    return _itrim([i * c for i, c in enumerate(a)][1:])
+
+
+def _ieval_scaled(a: Sequence[int], t) -> int:
+    """den^deg(a) * a(t) for t = num/den with den > 0: an integer with
+    the sign of a(t), by Horner's rule without fractions."""
+    num, den = t.numerator, t.denominator
+    acc = 0
+    power = 1
+    for c in reversed(a):
+        acc = acc * num + c * power
+        power *= den
+    return acc
+
+
+def _irem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive remainder of a mod b, rescaled by a positive factor.
+
+    Fraction-free: the divisor's leading coefficient is made positive
+    first (the remainder mod -b equals the remainder mod b), so every
+    elimination step multiplies the running remainder by a positive
+    integer and the result has the signs of the rational remainder.
+    """
+    if b[-1] < 0:
+        b = [-c for c in b]
+    lb = b[-1]
+    db = len(b) - 1
+    r = list(a)
+    while len(r) - 1 >= db and r:
+        g = gcd(r[-1], lb)
+        m, q = lb // g, r[-1] // g
+        if m != 1:
+            r = [m * c for c in r]
+        shift = len(r) - 1 - db
+        for i, c in enumerate(b):
+            r[shift + i] -= q * c
+        _itrim(r)
+    return _iprimitive(r)
+
+
+def _igcd_poly(a: list[int], b: list[int]) -> list[int]:
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _irem(a, b)
+    if a and a[-1] < 0:
+        a = [-c for c in a]
+    return a
+
+
+def _idiv_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Exact quotient a / b, primitive-normalized.  Raises unless b
+    divides a.
+
+    b is made primitive first, a positive rescaling; by Gauss's lemma the
+    quotient then has integer coefficients, so every step divides exactly.
+    """
+    b = _iprimitive(list(b))
+    lb = b[-1]
+    r = list(a)
+    out = [0] * (len(a) - len(b) + 1)
+    while len(r) >= len(b) and r:
+        q, rest = divmod(r[-1], lb)
+        if rest:
+            break
+        shift = len(r) - len(b)
+        out[shift] = q
+        for i, c in enumerate(b):
+            r[shift + i] -= q * c
+        _itrim(r)
+    if r:
+        raise ArithmeticError("exact polynomial division left a remainder")
+    return _iprimitive(out)
 
 
 @dataclass(frozen=True)
 class ExactPoly:
-    """Dense polynomial with Fraction coefficients, low degree first.
+    """Dense polynomial nums / den with integer numerators, low degree
+    first, over one positive common denominator.
 
-    The zero polynomial is represented by an empty coefficient tuple.
+    The form is normalized: no trailing zero numerator, den coprime to
+    the numerators, and the zero polynomial is ((), 1).  So equal
+    polynomials compare equal.
     """
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
+
+    @classmethod
+    def _normalized(cls, nums: list[int], den: int = 1) -> "ExactPoly":
+        _itrim(nums)
+        if den != 1:
+            g = gcd(den, *nums)
+            if g > 1:
+                nums = [c // g for c in nums]
+                den //= g
+        return cls(tuple(nums), den)
 
     @classmethod
     def from_coeffs(cls, cs: Iterable) -> "ExactPoly":
-        lst = [_as_fraction(c) for c in cs]
-        while lst and lst[-1] == 0:
-            lst.pop()
-        return cls(tuple(lst))
+        """The polynomial with the given int or Fraction coefficients."""
+        pairs = [_num_den(c) for c in cs]
+        den = lcm(*(d for _, d in pairs))
+        return cls._normalized([n * (den // d) for n, d in pairs], den)
 
     @classmethod
     def zero(cls) -> "ExactPoly":
@@ -58,40 +186,37 @@ class ExactPoly:
 
     @classmethod
     def one(cls) -> "ExactPoly":
-        return cls((Fraction(1),))
+        return cls((1,))
 
     @classmethod
     def monomial(cls, n: int, c=1) -> "ExactPoly":
-        c = _as_fraction(c)
-        if c == 0:
+        num, den = _num_den(c)
+        if num == 0:
             return cls(())
-        return cls(tuple([Fraction(0)] * n + [c]))
+        return cls((0,) * n + (num,), den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The exact coefficients, low degree first."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def degree(self) -> int:
         """Degree, with the convention degree(0) = -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, n: int) -> Fraction:
-        if 0 <= n < len(self.coeffs):
-            return self.coeffs[n]
-        return Fraction(0)
+        return not self.nums
 
     def __add__(self, other: "ExactPoly") -> "ExactPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return ExactPoly.from_coeffs(out)
+        den = lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.nums]
+        b = [c * (den // other.den) for c in other.nums]
+        return ExactPoly._normalized(_iadd(a, b), den)
 
     def __neg__(self) -> "ExactPoly":
-        return ExactPoly(tuple(-c for c in self.coeffs))
+        return ExactPoly(tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other: "ExactPoly") -> "ExactPoly":
         return self + (-other)
@@ -99,52 +224,38 @@ class ExactPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ExactPoly(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-        return ExactPoly.from_coeffs(out)
+        return ExactPoly._normalized(_imul(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, s) -> "ExactPoly":
-        s = _as_fraction(s)
-        if s == 0:
-            return ExactPoly(())
-        return ExactPoly(tuple(c * s for c in self.coeffs))
+        num, den = _num_den(s)
+        return ExactPoly._normalized([c * num for c in self.nums], self.den * den)
 
     def __pow__(self, e: int) -> "ExactPoly":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        out = ExactPoly.one()
-        base = self
+        den = self.den ** e
+        out, base = [1], list(self.nums)
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = _imul(out, base)
             e >>= 1
-        return out
+            if e:
+                base = _imul(base, base)
+        return ExactPoly._normalized(out, den)
 
     def __call__(self, t) -> Fraction:
-        t = _as_fraction(t)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        _, den = _num_den(t)
+        if not self.nums:
+            return Fraction(0)
+        return Fraction(_ieval_scaled(self.nums, t), self.den * den ** self.degree)
 
     def derivative(self) -> "ExactPoly":
-        return ExactPoly.from_coeffs(
-            [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
+        return ExactPoly._normalized(_iderivative(self.nums), self.den)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -161,87 +272,6 @@ class ExactPoly:
             else:
                 parts.append(("+ " if c > 0 else "- ") + term)
         return " ".join(parts)
-
-
-def poly_mul(f: ExactPoly, g: ExactPoly) -> ExactPoly:
-    """Product of two exact polynomials."""
-    return f * g
-
-
-def eval_rational(f: ExactPoly, t) -> Fraction:
-    """Evaluate f at a rational point, exactly."""
-    return f(t)
-
-
-@dataclass(frozen=True)
-class TruncSeries:
-    """Power series known modulo t^(trunc_degree+1)."""
-
-    coeffs: tuple[Fraction, ...]
-    trunc_degree: int
-
-    @classmethod
-    def from_coeffs(cls, cs: Iterable, trunc_degree: int) -> "TruncSeries":
-        lst = [_as_fraction(c) for c in cs][: trunc_degree + 1]
-        while len(lst) < trunc_degree + 1:
-            lst.append(Fraction(0))
-        return cls(tuple(lst), trunc_degree)
-
-    @classmethod
-    def from_poly(cls, f: ExactPoly, trunc_degree: int) -> "TruncSeries":
-        return cls.from_coeffs(f.coeffs, trunc_degree)
-
-    def coeff(self, n: int) -> Fraction:
-        if n > self.trunc_degree:
-            raise IndexError(f"coefficient {n} beyond truncation order")
-        return self.coeffs[n]
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        d = min(self.trunc_degree, other.trunc_degree)
-        return TruncSeries.from_coeffs(
-            [self.coeffs[i] + other.coeffs[i] for i in range(d + 1)], d
-        )
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        d = min(self.trunc_degree, other.trunc_degree)
-        return TruncSeries.from_coeffs(
-            [self.coeffs[i] - other.coeffs[i] for i in range(d + 1)], d
-        )
-
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        d = min(self.trunc_degree, other.trunc_degree)
-        out = [Fraction(0)] * (d + 1)
-        for i, ca in enumerate(self.coeffs[: d + 1]):
-            if ca == 0:
-                continue
-            for j in range(d + 1 - i):
-                cb = other.coeffs[j]
-                if cb:
-                    out[i + j] += ca * cb
-        return TruncSeries(tuple(out), d)
-
-    def as_poly(self) -> ExactPoly:
-        return ExactPoly.from_coeffs(self.coeffs)
-
-
-def series_inverse(f: TruncSeries) -> TruncSeries:
-    """Multiplicative inverse of a truncated series with f(0) != 0.
-
-    Computed by back substitution: the defining relation f * g = 1 gives
-    g_n = -(1/f_0) * sum_{k=1..n} f_k g_{n-k}.
-    """
-    if f.coeffs[0] == 0:
-        raise ZeroConstantTermError("series has zero constant term")
-    d = f.trunc_degree
-    inv0 = 1 / f.coeffs[0]
-    out = [inv0] + [Fraction(0)] * d
-    for n in range(1, d + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            if f.coeffs[k]:
-                acc += f.coeffs[k] * out[n - k]
-        out[n] = -inv0 * acc
-    return TruncSeries(tuple(out), d)
 
 
 # ---------------------------------------------------------------------------
@@ -283,83 +313,6 @@ class PositivityReport:
         return self.verdict is Verdict.HOLDS
 
 
-# Integer polynomial helpers (dense int lists, low degree first, no
-# trailing zeros).  The Sturm chain is kept primitive: every element is
-# rescaled by a positive rational to coprime integer coefficients, which
-# keeps coefficient growth polynomial instead of exponential.
-
-def _itrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _primitive_from_fractions(cs: Sequence[Fraction]) -> list[int]:
-    den = 1
-    for c in cs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in cs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return _itrim(ints)
-
-
-def _ieval(a: Sequence[int], t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * t + c
-    return acc
-
-
-def _irem(a: list[int], b: list[int]) -> list[int]:
-    """Primitive remainder of a mod b, rescaled by a positive rational."""
-    r = [Fraction(c) for c in a]
-    db = len(b) - 1
-    lb = Fraction(b[-1])
-    while len(r) - 1 >= db and r:
-        q = r[-1] / lb
-        shift = len(r) - 1 - db
-        for i, c in enumerate(b):
-            r[shift + i] -= q * c
-        while r and r[-1] == 0:
-            r.pop()
-    return _primitive_from_fractions(r)
-
-
-def _iderivative(a: Sequence[int]) -> list[int]:
-    return _itrim([i * c for i, c in enumerate(a)][1:])
-
-
-def _igcd_poly(a: list[int], b: list[int]) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _irem(a, b)
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
-
-
-def _idiv_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Exact quotient a / b, primitive-normalized.  Asserts divisibility."""
-    r = [Fraction(c) for c in a]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    lb = Fraction(b[-1])
-    while len(r) >= len(b) and r:
-        q = r[-1] / lb
-        shift = len(r) - len(b)
-        out[shift] = q
-        for i, c in enumerate(b):
-            r[shift + i] -= q * c
-        while r and r[-1] == 0:
-            r.pop()
-    if r:
-        raise ArithmeticError("exact polynomial division left a remainder")
-    return _primitive_from_fractions(out)
-
-
 def _sturm_chain(h: list[int]) -> list[list[int]]:
     chain = [list(h)]
     d = _iderivative(h)
@@ -386,12 +339,10 @@ def _count_roots_01(chain: list[list[int]]) -> tuple[int, int, int]:
 
 def _strip_unit_interval_roots(f: ExactPoly) -> tuple[list[int], int, int]:
     """Write f = t^k0 (1-t)^k1 h with h(0) != 0 != h(1); return primitive h."""
-    cs = list(f.coeffs)
     k0 = 0
-    while cs[0] == 0:
-        cs.pop(0)
+    while f.nums[k0] == 0:
         k0 += 1
-    h = _primitive_from_fractions(cs)
+    h = _iprimitive(list(f.nums[k0:]))
     k1 = 0
     while sum(h) == 0:
         # h = (1-t) q with q_i = sum of h_0..h_i
@@ -412,7 +363,7 @@ def _small_denominator_scan(h: Sequence[int], max_den: int = 24) -> Fraction | N
             if gcd(num, q) != 1:
                 continue
             t = Fraction(num, q)
-            if _ieval(h, t) <= 0:
+            if _ieval_scaled(h, t) <= 0:
                 return t
     return None
 
@@ -426,8 +377,8 @@ def _isolate_sign_change_roots(
     if count == 1:
         return [(lo, hi)]
     mid = (lo + hi) / 2
-    vm = _sign_changes(_ieval(p, mid) for p in chain)
-    vl = _sign_changes(_ieval(p, lo) for p in chain)
+    vm = _sign_changes(_ieval_scaled(p, mid) for p in chain)
+    vl = _sign_changes(_ieval_scaled(p, lo) for p in chain)
     left = vl - vm
     return _isolate_sign_change_roots(chain, lo, mid, left) + \
         _isolate_sign_change_roots(chain, mid, hi, count - left)
@@ -451,7 +402,7 @@ def _rational_roots_in(h_sf: list[int], lo: Fraction, hi: Fraction) -> Fraction 
     for den in divisors(alead):
         for num in divisors(a0):
             cand = Fraction(num, den)
-            if lo < cand < hi and _ieval(h_sf, cand) == 0:
+            if lo < cand < hi and _ieval_scaled(h_sf, cand) == 0:
                 return cand
     return None
 
@@ -468,7 +419,7 @@ def _refine_witness(
     """
     for _ in range(max_iter):
         mid = (lo + hi) / 2
-        if _ieval(h, mid) <= 0:
+        if _ieval_scaled(h, mid) <= 0:
             return mid
         if lo_positive:
             lo = mid
@@ -531,7 +482,7 @@ def positive_on_open_unit_interval(f: ExactPoly) -> PositivityReport:
     # Interior roots exist, so strict positivity fails; produce a witness.
     intervals = _isolate_sign_change_roots(chain, Fraction(0), Fraction(1), count)
     for lo, hi in intervals:
-        vlo, vhi = _ieval(h, lo), _ieval(h, hi)
+        vlo, vhi = _ieval_scaled(h, lo), _ieval_scaled(h, hi)
         if 0 < lo < 1 and vlo <= 0:
             return PositivityReport(Verdict.VIOLATED, witness=lo, witness_value=f(lo))
         if 0 < hi < 1 and vhi <= 0:

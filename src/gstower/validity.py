@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from .bounds import upper_caps
 from .gs_check import RelationProfile, gs_lhs_poly
@@ -43,12 +44,19 @@ def e_sequence(
         raise ValueError("horizon must be >= 1")
     if data is None:
         data = jennings_transform(a)
-    c = data.c_at
+    return defect_recursion(data.c_at, profile.d, profile.levels, horizon)
+
+
+def defect_recursion(
+    c_at: Callable[[int], int], d: int, levels: Iterable[int], horizon: int
+) -> tuple[int, ...]:
+    """e_1..e_horizon with 1 + e_n = c_n - d c_(n-1) + sum_k c_(n-k) over
+    the relation degrees k, for any c_at defined on all integers."""
     out = []
     for n in range(1, horizon + 1):
-        v = c(n) - profile.d * c(n - 1) - 1
-        for k in profile.levels:
-            v += c(n - k)
+        v = c_at(n) - d * c_at(n - 1) - 1
+        for k in levels:
+            v += c_at(n - k)
         out.append(v)
     return tuple(out)
 

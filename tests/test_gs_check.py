@@ -18,7 +18,7 @@ from gstower.gs_check import (
     ztype_pair_poly,
 )
 from gstower.jennings import DimensionSequence
-from gstower.series import Verdict
+from gstower.series import SturmCertificate, Verdict
 
 F = Fraction
 
@@ -104,6 +104,19 @@ def test_check_inequality_holds_for_cyclic_data():
     assert check_inequality(profile, a, CheckMode.EXACT).holds
 
 
+def test_exact_holds_certificate_is_pinned():
+    # a 35-member Sturm chain, as the rational decider gave it
+    profile = RelationProfile(2, (3, 7))
+    a = DimensionSequence.from_values(3, [2, 3, 3])
+    report = check_inequality(profile, a, CheckMode.EXACT)
+    assert report.certificate == SturmCertificate(
+        roots_in_interval=0, sign_changes_at_zero=16, sign_changes_at_one=16,
+        chain_length=35, stripped_zero_multiplicity=2,
+        stripped_one_multiplicity=0, sample_point=F(1, 2),
+        sample_value=F(802014546469, 2199023255552),
+    )
+
+
 def test_feasible_sequence_passes_relaxed():
     # the minimal p = 11 sequence found by the search
     profile = RelationProfile(2, (3, 7))
@@ -167,6 +180,18 @@ class TestStrictCorollary:
         a = DimensionSequence.from_values(3, [1])
         with pytest.raises(InvalidHypothesisError):
             strict_corollary_check(profile, a)
+
+    def test_published_certificate_is_pinned(self):
+        # strict --p 3 --d 1 --levels 3 --a 1, as the rational decider gave it
+        report = strict_corollary_check(
+            RelationProfile(1, (3,)), DimensionSequence.from_values(3, [1])
+        )
+        assert report.certificate == SturmCertificate(
+            roots_in_interval=0, sign_changes_at_zero=1, sign_changes_at_one=1,
+            chain_length=3, stripped_zero_multiplicity=4,
+            stripped_one_multiplicity=1, sample_point=F(1, 2),
+            sample_value=F(11, 192),
+        )
 
     def test_explicit_order_exponent_accepted(self):
         profile = RelationProfile(1, (3,))

@@ -11,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 from gstower.series import (
     ExactPoly,
     NoRationalWitnessError,
-    TruncSeries,
     Verdict,
-    ZeroConstantTermError,
     ZeroPolynomialError,
+    _idiv_exact,
+    _ieval_scaled,
+    _imul,
+    _iprimitive,
+    _sturm_chain,
     positive_on_open_unit_interval,
-    series_inverse,
 )
 
 F = Fraction
@@ -88,48 +90,7 @@ def test_arithmetic_commutes_with_evaluation(cs1, cs2, x):
     assert (f + g)(x) == f(x) + g(x)
     assert (f * g)(x) == f(x) * g(x)
     assert (f - g)(x) == f(x) - g(x)
-
-
-# ---------------------------------------------------------------------------
-# truncated series
-# ---------------------------------------------------------------------------
-
-def test_series_inverse_of_geometric_denominator():
-    # 1 / (1 + t + t^2) = 1 - t + t^3 - t^4 + t^6 - ... (period 3)
-    inv = series_inverse(TruncSeries.from_poly(P(1, 1, 1), 6))
-    assert inv.coeffs == (F(1), F(-1), F(0), F(1), F(-1), F(0), F(1))
-
-
-def test_series_inverse_requires_unit_constant_term():
-    with pytest.raises(ZeroConstantTermError):
-        series_inverse(TruncSeries.from_poly(P(0, 1), 4))
-
-
-def test_series_inverse_roundtrip():
-    f = P(1, -2, 0, 5, 1)
-    inv = series_inverse(TruncSeries.from_poly(f, 9))
-    prod = TruncSeries.from_poly(f, 9) * inv
-    assert prod.coeffs[0] == 1
-    assert all(c == 0 for c in prod.coeffs[1:])
-
-
-def test_trunc_series_multiplication_truncates():
-    s = TruncSeries.from_coeffs([F(1), F(1)], 3)
-    sq = s * s
-    assert sq.trunc_degree == 3
-    assert sq.coeffs == (F(1), F(2), F(1), F(0))
-
-
-@given(st.lists(st.fractions(max_denominator=20), min_size=1, max_size=5))
-def test_series_inverse_is_two_sided(cs):
-    cs = [F(1)] + cs
-    f = ExactPoly.from_coeffs(cs)
-    inv = series_inverse(TruncSeries.from_poly(f, 7))
-    left = TruncSeries.from_poly(f, 7) * inv
-    right = inv * TruncSeries.from_poly(f, 7)
-    assert left.coeffs == right.coeffs
-    assert left.coeffs[0] == 1
-    assert all(c == 0 for c in left.coeffs[1:])
+    assert (f + g) - g == f  # the normalized form compares by value
 
 
 # ---------------------------------------------------------------------------
@@ -229,3 +190,73 @@ def test_product_of_positive_is_positive(f, g):
     rg = positive_on_open_unit_interval(g)
     if rf.holds and rg.holds:
         assert positive_on_open_unit_interval(f * g).holds
+
+
+# ---------------------------------------------------------------------------
+# integer core against the rational arithmetic it replaced
+# ---------------------------------------------------------------------------
+
+def _fraction_rem(a, b):
+    """Reference: remainder of a mod b by rational long division."""
+    r = [F(c) for c in a]
+    while r and len(r) >= len(b):
+        q = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        for i, c in enumerate(b):
+            r[shift + i] -= q * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _fraction_sturm_chain(h):
+    chain = [[F(c) for c in h]]
+    d = [i * c for i, c in enumerate(chain[0])][1:]
+    while d and d[-1] == 0:
+        d.pop()
+    if d:
+        chain.append(d)
+        while len(chain[-1]) > 1:
+            rem = _fraction_rem(chain[-2], chain[-1])
+            if not rem:
+                break
+            chain.append([-c for c in rem])
+    return chain
+
+
+def _fraction_eval(a, t):
+    acc = F(0)
+    for c in reversed(a):
+        acc = acc * t + c
+    return acc
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+int_coeff_lists = st.lists(
+    st.integers(min_value=-40, max_value=40), min_size=2, max_size=9
+).filter(lambda cs: cs[-1] != 0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(int_coeff_lists)
+def test_integer_sturm_chain_matches_fraction_signs(h):
+    chain = _sturm_chain(h)
+    reference = _fraction_sturm_chain(h)
+    assert len(chain) == len(reference)
+    for member, ref in zip(chain, reference):
+        assert all(isinstance(c, int) for c in member)
+        for t in (F(0), F(1, 2), F(1)):
+            assert _sign(_ieval_scaled(member, t)) == _sign(_fraction_eval(ref, t))
+
+
+@given(int_coeff_lists, st.fractions(max_denominator=60))
+def test_scaled_evaluation_has_the_sign_of_the_fraction_value(a, t):
+    assert _sign(_ieval_scaled(a, t)) == _sign(_fraction_eval(a, t))
+
+
+@given(int_coeff_lists, int_coeff_lists)
+def test_exact_division_recovers_the_primitive_factor(a, b):
+    assert _idiv_exact(_imul(a, b), b) == _iprimitive(list(a))
