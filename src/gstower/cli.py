@@ -337,10 +337,12 @@ def _cmd_bruteforce(args, fmt: str) -> int:
                 "examined": result.examined,
                 "all_violated": result.all_violated,
                 "holds_examples": [list(s) for s in result.holds_examples],
+                "full_decisions": result.full_decisions,
             }
         )
     else:
         print(f"examined {result.examined} capped sequences with sum <= {args.sumlimit}")
+        print(f"{result.full_decisions} needed the full positivity decision")
         if result.all_violated:
             print("all violated the relaxed inequality")
         else:

@@ -11,8 +11,8 @@ enumeration with exact witnesses.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .bounds import CapProfile, upper_caps
@@ -136,6 +136,9 @@ class BruteForceResult:
     examined: int
     all_violated: bool
     holds_examples: tuple[tuple[int, ...], ...]
+    #: sequences no prepared point confirmed, so the full positivity
+    #: decision ran on them
+    full_decisions: int
 
 
 # Rationals tried first when confirming a violation; 1/2 kills almost
@@ -151,55 +154,112 @@ _FAST_POINTS = (
 )
 
 
+class _ScaledPoint:
+    """The test lhs(t) - prod (1 - t^n)^(a_n) <= 0 at one rational
+    t = u/v, in integers.
+
+    With lhs(t) = L_num / L_den, N = L_den * prod (v^n - u^n)^(a_n) and
+    W = sum n * a_n, the test reads L_num * v^W <= N.  The tables are
+    built on first use, since most points are never reached.
+    """
+
+    def __init__(self, t: Fraction, lhs_value: Fraction, caps: list[int]):
+        self.t = t
+        self.lhs_value = lhs_value
+        self.caps = caps
+
+    @cached_property
+    def factor_pows(self) -> list[list[int]]:
+        """factor_pows[n][e] = (v^n - u^n)^e for e <= cap(n); row 0 unused."""
+        u, v = self.t.numerator, self.t.denominator
+        rows = [[1]]
+        for n, cap in enumerate(self.caps, start=1):
+            base = v ** n - u ** n
+            row = [1]
+            for _ in range(cap):
+                row.append(row[-1] * base)
+            rows.append(row)
+        return rows
+
+    def threshold(self, weight: int) -> int:
+        return self.lhs_value.numerator * self.t.denominator ** weight
+
+    def violated(self, seq: tuple[int, ...]) -> bool:
+        prod = self.lhs_value.denominator
+        weight = 0
+        for n, e in enumerate(seq, start=1):
+            if e:
+                prod *= self.factor_pows[n][e]
+                weight += n * e
+        return self.threshold(weight) <= prod
+
+
 def brute_force_infeasibility(
     p: int, sum_limit: int, n_max: int = 9
 ) -> BruteForceResult:
     """Enumerate every cap-respecting sequence on indices 1..n_max with
     sum <= sum_limit and confirm each violates the relaxed inequality.
 
-    Each violation is confirmed by an exact nonpositive evaluation at a
-    rational point (fast path), falling back to the full positivity
-    decision when no prepared point works.  Any sequence for which the
-    inequality actually holds is reported, and all_violated set False.
+    Sequences are visited in lexicographic order (index 1 slowest),
+    depth first with each branch bounded by the sum still allowed.  Each
+    violation is confirmed by an exact nonpositive evaluation at a
+    rational point (fast path, in integers), falling back to the full
+    positivity decision when no prepared point works.  Any sequence for
+    which the inequality actually holds is reported, and all_violated
+    set False.
     """
     if not is_prime(p) or p <= 7:
         raise ValueError("the cap table requires a prime p >= 11")
+    if sum_limit < 0:
+        raise ValueError(f"the sum limit must be >= 0, got {sum_limit}")
     profile = RelationProfile(2, (3, 7))
-    caps = upper_caps(p, n_max, ztype_37=True)
-    cap_list = caps.as_list()
+    cap_list = upper_caps(p, n_max, ztype_37=True).as_list()
     lhs = gs_lhs_poly(profile)
 
-    points = _FAST_POINTS + tuple(
-        Fraction(k, 20) for k in range(1, 20) if Fraction(k, 20) not in _FAST_POINTS
-    )
-    lhs_at = {t: lhs(t) for t in points}
-    # factor_pow[n][e][t] = (1 - t^n)^e
-    factor_pow: list[list[dict[Fraction, Fraction]]] = [[]]
-    for n in range(1, n_max + 1):
-        col = []
-        for e in range(cap_list[n - 1] + 1):
-            col.append({t: (1 - t ** n) ** e for t in points})
-        factor_pow.append(col)
+    points = [
+        _ScaledPoint(t, lhs(t), cap_list)
+        for t in _FAST_POINTS
+        + tuple(Fraction(k, 20) for k in range(1, 20) if Fraction(k, 20) not in _FAST_POINTS)
+    ]
+    first, rest = points[0], points[1:]
+    factor_pows = first.factor_pows
+    max_weight = sum(n * cap for n, cap in enumerate(cap_list, start=1))
+    thresholds = [first.threshold(w) for w in range(max_weight + 1)]
 
-    def violated_at(seq: tuple[int, ...]) -> bool:
-        for t in points:
-            prod = Fraction(1)
-            for n, e in enumerate(seq, start=1):
-                if e:
-                    prod *= factor_pow[n][e][t]
-            if lhs_at[t] - prod <= 0:
-                return True
-        target = lhs - relaxed_product_poly(DimensionSequence.from_values(p, list(seq)))
-        return not positive_on_open_unit_interval(target).holds
-
+    seq = [0] * n_max
     examined = 0
+    full_decisions = 0
     holds_examples: list[tuple[int, ...]] = []
-    for seq in itertools.product(*(range(c + 1) for c in cap_list)):
-        if sum(seq) > sum_limit:
-            continue
-        examined += 1
-        if not violated_at(seq):
-            holds_examples.append(_trim(list(seq)))
+
+    def confirm_elsewhere() -> None:
+        """Try every other point on a sequence t = 1/2 did not confirm."""
+        nonlocal full_decisions
+        key = tuple(seq)
+        if any(point.violated(key) for point in rest):
+            return
+        full_decisions += 1
+        target = lhs - relaxed_product_poly(DimensionSequence.from_values(p, key))
+        if positive_on_open_unit_interval(target).holds:
+            holds_examples.append(_trim(seq))
+
+    def walk(n: int, budget: int, prod: int, weight: int) -> None:
+        # prod and weight cover indices 1..n-1 at the first point
+        nonlocal examined
+        row = factor_pows[n]
+        top = min(cap_list[n - 1], budget)
+        if n == n_max:
+            examined += top + 1
+            for e in range(top + 1):
+                if thresholds[weight + n * e] > prod * row[e]:
+                    seq[n - 1] = e
+                    confirm_elsewhere()
+        else:
+            for e in range(top + 1):
+                seq[n - 1] = e
+                walk(n + 1, budget - e, prod * row[e], weight + n * e)
+        seq[n - 1] = 0
+
+    walk(1, sum_limit, first.lhs_value.denominator, 0)
     return BruteForceResult(
         prime=p,
         sum_limit=sum_limit,
@@ -207,4 +267,5 @@ def brute_force_infeasibility(
         examined=examined,
         all_violated=not holds_examples,
         holds_examples=tuple(holds_examples),
+        full_decisions=full_decisions,
     )

@@ -385,25 +385,32 @@ def _isolate_sign_change_roots(
 
 
 def _rational_roots_in(h_sf: list[int], lo: Fraction, hi: Fraction) -> Fraction | None:
-    """Rational root of the primitive polynomial h_sf inside (lo, hi)."""
-    a0, alead = h_sf[0], h_sf[-1]
+    """Rational root of the squarefree integer polynomial h_sf inside
+    (lo, hi), which must hold exactly one root of h_sf and no root at
+    either end.
 
-    def divisors(m: int) -> list[int]:
-        m = abs(m)
-        out = []
-        i = 1
-        while i * i <= m:
-            if m % i == 0:
-                out.append(i)
-                out.append(m // i)
-            i += 1
-        return sorted(set(out))
-
-    for den in divisors(alead):
-        for num in divisors(a0):
-            cand = Fraction(num, den)
-            if lo < cand < hi and _ieval_scaled(h_sf, cand) == 0:
-                return cand
+    The root is simple, so h_sf changes sign across it; bisect on that
+    sign until the interval is narrower than 1/lead^2.  A rational root
+    has a denominator dividing lead, and two distinct such rationals lie
+    at least 1/lead^2 apart, so the only candidate is the rational of
+    denominator <= |lead| nearest the midpoint.
+    """
+    lead = abs(h_sf[-1])
+    lo_sign = _ieval_scaled(h_sf, lo) > 0
+    if lo_sign == (_ieval_scaled(h_sf, hi) > 0):
+        raise ArithmeticError("isolating interval without a sign change")
+    while (hi - lo) * lead * lead >= 1:
+        mid = (lo + hi) / 2
+        value = _ieval_scaled(h_sf, mid)
+        if value == 0:
+            return mid
+        if (value > 0) == lo_sign:
+            lo = mid
+        else:
+            hi = mid
+    cand = ((lo + hi) / 2).limit_denominator(lead)
+    if lo < cand < hi and _ieval_scaled(h_sf, cand) == 0:
+        return cand
     return None
 
 

@@ -132,6 +132,20 @@ def test_bruteforce_small(capsys):
     assert code == 0
     assert payload["all_violated"] is True
     assert payload["examined"] == 24  # 3*2*2*2 boxes, all within the sum
+    assert payload["full_decisions"] == 0
+
+
+def test_bruteforce_table_counts_full_decisions(capsys):
+    code, out, _ = run(capsys, "bruteforce", "--p", "11", "--sumlimit", "8", "--nmax", "4")
+    assert code == 0
+    assert "0 needed the full positivity decision" in out
+
+
+def test_negative_sumlimit_is_an_input_error(capsys):
+    code, out, err = run(capsys, "--json", "bruteforce", "--p", "11", "--sumlimit", "-1")
+    assert code == 2
+    assert out == ""
+    assert "sum limit" in err
 
 
 def test_valid_published_example(capsys):

@@ -4,19 +4,27 @@ The target values (sequence, sum 23, the 1/2 and near-0.55 witnesses) are
 the published ones; the exact witness fractions are whatever the decision
 procedure isolates, pinned only by the sign condition.
 """
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gstower.bounds import upper_caps
-from gstower.gs_check import CheckMode, RelationProfile, check_inequality
+from gstower.gs_check import (
+    CheckMode,
+    RelationProfile,
+    check_inequality,
+    gs_lhs_poly,
+    relaxed_product_poly,
+)
 from gstower.jennings import DimensionSequence
 from gstower.search import (
     brute_force_infeasibility,
     greedy_fill,
     min_order_search,
 )
+from gstower.series import positive_on_open_unit_interval
 
 MINIMAL_SEQUENCE = (2, 1, 1, 1, 2, 2, 3, 5, 6)
 
@@ -119,3 +127,111 @@ def test_brute_force_at_the_published_sum_limit():
     res = brute_force_infeasibility(11, 22)
     assert res.examined == 46604
     assert res.all_violated
+
+
+def test_brute_force_reports_where_the_inequality_holds():
+    res = brute_force_infeasibility(11, 26)
+    assert res.examined == 46656
+    assert not res.all_violated
+    assert res.holds_examples == (
+        (2, 1, 1, 1, 2, 2, 3, 4, 7),
+        (2, 1, 1, 1, 2, 2, 3, 4, 8),
+        (2, 1, 1, 1, 2, 2, 3, 5, 6),
+        (2, 1, 1, 1, 2, 2, 3, 5, 7),
+        (2, 1, 1, 1, 2, 2, 3, 5, 8),
+    )
+    # only the holding sequences escape every prepared rational point
+    assert res.full_decisions == 5
+
+
+def test_brute_force_over_the_whole_proven_range_at_p13():
+    # caps are proven for every n <= p - 2; no pruning, every sequence
+    # of sum <= 22 on indices 1..11 is confirmed
+    res = brute_force_infeasibility(13, 22, 11)
+    assert res.examined == 3036321
+    assert res.all_violated
+    assert res.full_decisions == 0
+
+
+def test_negative_sum_limit_rejected():
+    with pytest.raises(ValueError):
+        brute_force_infeasibility(11, -1)
+
+
+# ---------------------------------------------------------------------------
+# the sweep against the box-filter, Fraction-product sweep it replaced
+# ---------------------------------------------------------------------------
+
+_ORACLE_POINTS = (
+    Fraction(1, 2),
+    Fraction(5, 9),
+    Fraction(11, 20),
+    Fraction(4, 7),
+    Fraction(3, 5),
+    Fraction(5, 8),
+    Fraction(2, 3),
+)
+
+
+def _oracle_brute_force(p, sum_limit, n_max):
+    """Reference: filter the full product box by sum, confirm with
+    Fraction products at the prepared points, else decide in full."""
+    profile = RelationProfile(2, (3, 7))
+    cap_list = upper_caps(p, n_max, ztype_37=True).as_list()
+    lhs = gs_lhs_poly(profile)
+    points = _ORACLE_POINTS + tuple(
+        Fraction(k, 20) for k in range(1, 20) if Fraction(k, 20) not in _ORACLE_POINTS
+    )
+    lhs_at = {t: lhs(t) for t in points}
+    factor_pow = [[]]
+    for n in range(1, n_max + 1):
+        factor_pow.append(
+            [{t: (1 - t ** n) ** e for t in points} for e in range(cap_list[n - 1] + 1)]
+        )
+
+    def violated_at(seq):
+        for t in points:
+            prod = Fraction(1)
+            for n, e in enumerate(seq, start=1):
+                if e:
+                    prod *= factor_pow[n][e][t]
+            if lhs_at[t] - prod <= 0:
+                return True
+        target = lhs - relaxed_product_poly(DimensionSequence.from_values(p, list(seq)))
+        return not positive_on_open_unit_interval(target).holds
+
+    examined = 0
+    holds_examples = []
+    for seq in itertools.product(*(range(c + 1) for c in cap_list)):
+        if sum(seq) > sum_limit:
+            continue
+        examined += 1
+        if not violated_at(seq):
+            trimmed = list(seq)
+            while trimmed and trimmed[-1] == 0:
+                trimmed.pop()
+            holds_examples.append(tuple(trimmed))
+    return examined, not holds_examples, tuple(holds_examples)
+
+
+def _summary(res):
+    return res.examined, res.all_violated, res.holds_examples
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    p=st.sampled_from([11, 13]),
+    n_max=st.integers(1, 7),
+    sum_limit=st.integers(0, 30),
+)
+def test_brute_force_matches_the_fraction_oracle(p, n_max, sum_limit):
+    # caps on n <= 7 total 12, so every one of these windows is violated
+    assert _summary(brute_force_infeasibility(p, sum_limit, n_max)) == \
+        _oracle_brute_force(p, sum_limit, n_max)
+
+
+def test_brute_force_matches_the_fraction_oracle_where_it_holds():
+    # n_max = 9 reaches the feasible sequences from sum 23 on
+    res = brute_force_infeasibility(11, 24)
+    assert not res.all_violated
+    assert _summary(res) == _oracle_brute_force(11, 24, 9)

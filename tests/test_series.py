@@ -3,10 +3,12 @@
 Oracle values are worked by hand in the comments; nothing here depends on
 the modules under test for its expected numbers.
 """
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gstower.series import (
     ExactPoly,
@@ -150,6 +152,30 @@ def test_irrational_touch_point_has_no_rational_witness():
     # rational point evaluates positive, so no exact witness can exist.
     with pytest.raises(NoRationalWitnessError):
         positive_on_open_unit_interval(P(1, 0, -4, 0, 4))
+
+
+def test_huge_constant_does_not_slow_the_irrational_touch_point():
+    # (2t^2 - 1)^2 (10^30 + t): the rational-root search must not factor
+    # the 31-digit constant coefficient before giving up.
+    started = time.perf_counter()
+    with pytest.raises(NoRationalWitnessError):
+        positive_on_open_unit_interval(P(-1, 0, 2) ** 2 * P(10 ** 30, 1))
+    assert time.perf_counter() - started < 1.0
+
+
+@settings(deadline=None, max_examples=40)
+@example(a=123456789012345678901234567891, b=987654321098765432109876543211)
+@given(st.integers(1, 10 ** 12), st.integers(2, 10 ** 12))
+def test_touch_point_with_a_large_denominator_is_the_witness(a, b):
+    # (b t - a)^2 (t + 1) is positive on (0, 1) except at a/b, where it
+    # vanishes, so a/b is the only possible witness.
+    assume(a < b and gcd(a, b) == 1)
+    started = time.perf_counter()
+    report = positive_on_open_unit_interval(P(-a, b) ** 2 * P(1, 1))
+    assert time.perf_counter() - started < 1.0
+    assert report.verdict is Verdict.VIOLATED
+    assert report.witness == F(a, b)
+    assert report.witness_value == 0
 
 
 def test_dense_sampling_agrees_with_the_dip_value():
