@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Cross-check every built-in group against the analytic machinery.
+"""Cross-check the built-in groups against the analytic machinery.
 
-For each built-in presentation at the requested primes this measures the
-augmentation-ideal filtration directly from the multiplication table and
-compares it with the transform of the dimension-subgroup sequence, checks
+The groups are cyclic:1-3, elemab:1-3 and heisenberg (orders up to p^3)
+at every requested prime.  For each built-in presentation this measures
+the augmentation-ideal filtration directly from the multiplication table
+and compares it with the transform of the dimension-subgroup sequence, checks
 the central-series product formula, replays the defect recursion against
 directly computed kernel dimensions, and evaluates the strengthened
 inequality on the measured data.  Everything here is computed from the
@@ -28,7 +29,7 @@ from gstower.group_lab import (
 from gstower.gs_check import strict_corollary_check
 from gstower.jennings import jennings_transform
 
-KINDS = ("cyclic:1", "cyclic:2", "elemab:2", "heisenberg")
+KINDS = ("cyclic:1", "cyclic:2", "cyclic:3", "elemab:1", "elemab:2", "elemab:3", "heisenberg")
 
 
 def report_one(kind: str, p: int, size_limit: int) -> bool:

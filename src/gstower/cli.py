@@ -429,11 +429,13 @@ def _cmd_grouplab(args, fmt: str) -> int:
         pres = None
         kind = args.group
     available = ["jennings", "lazard", "recursion", "fox"]
-    if args.verify:
+    if args.verify is not None:
         checks = [tok.strip() for tok in args.verify.split(",") if tok.strip()]
         unknown = [tok for tok in checks if tok not in available]
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
+        if not checks:
+            raise ValueError(f"--verify names no check; choose from {','.join(available)}")
     else:
         checks = available if (pres is not None or not args.input) else ["jennings", "lazard"]
 

@@ -57,29 +57,22 @@ def _rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pr = r + int(nz[0])
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
-        m[r] = (m[r] * pow(int(m[r, col]), p - 2, p)) % p
-        colvals = m[:, col].copy()
-        colvals[r] = 0
-        m = (m - np.outer(colvals, m[r])) % p
+        # row r is zero left of col: earlier columns are pivots or were
+        # empty from row r down
+        m[r, col:] = (m[r, col:] * pow(int(m[r, col]), p - 2, p)) % p
+        hit = np.nonzero(m[:, col])[0]
+        hit = hit[hit != r]
+        m[hit, col:] = (m[hit, col:] - np.outer(m[hit, col], m[r, col:])) % p
         pivots.append(col)
         r += 1
     return m[:r], pivots
 
 
-def _reduce_against(vecs: np.ndarray, basis: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:
-    """Residues of row vectors after eliminating all pivot coordinates."""
-    out = np.array(vecs, dtype=np.int64) % p
-    for row, col in zip(basis, pivots):
-        coef = out[:, col].copy()
-        if coef.any():
-            out = (out - np.outer(coef, row)) % p
-    return out
-
-
-def _rank(rows: np.ndarray, p: int) -> int:
-    if rows.size == 0:
-        return 0
-    return _rref(rows, p)[0].shape[0]
+def _residues(vecs: np.ndarray, basis: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:
+    """Canonical representatives of row vectors modulo the span of a
+    reduced echelon basis: zero in every pivot column."""
+    vecs = np.asarray(vecs, dtype=np.int64) % p
+    return (vecs - vecs[:, pivots] @ basis) % p
 
 
 # ---------------------------------------------------------------------------
@@ -235,23 +228,14 @@ class FiniteGroupTable:
         n, p = self.order, self.prime
         full = np.eye(n, dtype=np.int64)
         filt = [(full, list(range(n)))]
-        rows = np.zeros((n - 1, n), dtype=np.int64)
-        for g in range(1, n):
-            rows[g - 1, g] = 1
-            rows[g - 1, 0] = p - 1
-        basis, pivots = _rref(rows, p)
-        filt.append((basis, pivots))
+        rows = full[1:].copy()  # e_g - e_0 for every g but the identity
+        rows[:, 0] = p - 1
+        filt.append(_rref(rows, p))
         while filt[-1][0].shape[0] > 0:
             basis, _ = filt[-1]
-            prods = []
-            for g in self.generators:
-                translated = np.zeros_like(basis)
-                translated[:, self.mul[:, g]] = basis  # v -> v*g columnwise
-                prods.append((translated - basis) % p)
-            if prods:
-                stacked = np.vstack(prods)
-            else:
-                stacked = np.zeros((0, n), dtype=np.int64)
+            # v*g - v for each generator g; column h*g of v*g holds v[h]
+            stacked = np.vstack([basis[:, self.mul[:, self.inv[g]]] - basis
+                                 for g in self.generators])
             filt.append(_rref(stacked, p))
         self._filtration = filt
         return filt
@@ -266,18 +250,10 @@ def augmentation_powers(G: FiniteGroupTable) -> tuple[int, ...]:
 def _element_membership(G: FiniteGroupTable, level: int) -> np.ndarray:
     """Boolean mask over elements g with g - 1 in I^level."""
     filt = G.ideal_filtration()
-    n = G.order
-    if level >= len(filt):
-        out = np.zeros(n, dtype=bool)
-        out[0] = True
-        return out
-    basis, pivots = filt[level]
-    vecs = np.zeros((n, n), dtype=np.int64)
-    for g in range(n):
-        vecs[g, g] += 1
-        vecs[g, 0] -= 1
-    residues = _reduce_against(vecs, basis, pivots, G.prime)
-    return ~residues.any(axis=1)
+    basis, pivots = filt[min(level, len(filt) - 1)]  # I^level = 0 from there on
+    vecs = np.eye(G.order, dtype=np.int64)
+    vecs[:, 0] -= 1
+    return ~_residues(vecs, basis, pivots, G.prime).any(axis=1)
 
 
 def dimension_subgroups(
@@ -738,85 +714,58 @@ def builtin_presentation(kind: str, p: int) -> PresentationData:
     raise ValueError(f"unknown group kind {kind!r}")
 
 
-def _monomial_vector(G: FiniteGroupTable, images: Sequence[int], word: tuple[int, ...]) -> np.ndarray:
-    """Image of a noncommutative monomial under x_i -> (g_i - 1), as a
-    vector in the group algebra."""
-    vec = np.zeros(G.order, dtype=np.int64)
-    vec[0] = 1
-    for i in word:
-        g = images[i - 1]
-        translated = np.zeros_like(vec)
-        translated[G.mul[:, g]] = vec
-        vec = (translated - vec) % G.prime
-    return vec
+def _fox_images(pres: PresentationData) -> np.ndarray:
+    """W[i, j] = image in F_p[G] of the Fox derivative of relator i by x_j.
 
-
-def _fox_images(pres: PresentationData) -> list[list[np.ndarray]]:
-    """W[i][j] = image in F_p[G] of the j-th derivative of relator i."""
+    Built from w - 1 = sum_j (dw/dx_j)(x_j - 1) letter by letter: with u
+    the prefix read so far, x_j adds u and X_j adds -u g_j^-1."""
     G = pres.target
-    M = len(G.ideal_filtration()) - 1  # I^M = 0
-    out: list[list[np.ndarray]] = []
-    for w, lvl in zip(pres.relators, pres.levels):
-        cap = max(M, lvl)
-        f = magnus_embed(free_reduce(w), pres.d, G.prime, cap)
-        row = []
-        for j in range(1, pres.d + 1):
-            df = fox_derivative(f, j)
-            vec = np.zeros(G.order, dtype=np.int64)
-            for mono, coeff in df.terms.items():
-                vec = (vec + coeff * _monomial_vector(G, pres.generator_images, mono)) % G.prime
-            row.append(vec)
-        out.append(row)
-    return out
+    W = np.zeros((pres.r, pres.d, G.order), dtype=np.int64)
+    for i, w in enumerate(pres.relators):
+        u = 0
+        for letter in w:
+            j = abs(letter) - 1
+            g = pres.generator_images[j]
+            if letter > 0:
+                W[i, j, u] += 1
+                u = G.mul[u, g]
+            else:
+                u = G.mul[u, G.inv[g]]
+                W[i, j, u] -= 1
+    return W % G.prime
 
 
-def _quotient_data(G: FiniteGroupTable, m: int):
-    """(basis, pivots, free coordinates) of I^m, clamped to the zero ideal
-    for m past the vanishing index."""
-    filt = G.ideal_filtration()
-    mm = min(m, len(filt) - 1)
-    basis, pivots = filt[mm]
-    pivset = set(pivots)
-    free = [c for c in range(G.order) if c not in pivset]
-    return basis, pivots, free
-
-
-def e_n_direct(pres: PresentationData, n: int, _images=None) -> int:
+def e_n_direct(pres: PresentationData, n: int) -> int:
     """Defect e_n as the kernel dimension of the relator Jacobian block
     map from the sum of F_p[G]/I^(n - level_i) into d copies of
     F_p[G]/I^(n-1), where block (i, j) right-multiplies by the image of
-    the j-th derivative of relator i."""
+    the j-th derivative of relator i.
+
+    Each quotient is spanned by e_h over the non-pivot columns h of its
+    ideal's echelon basis.  Images are reduced to their residues modulo
+    I^(n-1), which vanish in its pivot columns, so those columns add
+    nothing to the rank."""
     if n < 1:
         raise ValueError("n must be >= 1")
     G = pres.target
     p = G.prime
-    W = _images if _images is not None else _fox_images(pres)
-    cod_basis, cod_pivots, cod_free = _quotient_data(G, n - 1)
-    cod_index = {c: k for k, c in enumerate(cod_free)}
-    rows = []
-    dom_dim = 0
+    filt = G.ideal_filtration()
+    W = _fox_images(pres)
+    cod_basis, cod_pivots = filt[min(n - 1, len(filt) - 1)]
+    blocks = []
     for i, lvl in enumerate(pres.levels):
-        m = n - lvl
-        if m <= 0:
+        if n - lvl <= 0:
             continue
-        _, _, dom_free = _quotient_data(G, m)
-        dom_dim += len(dom_free)
-        for h in dom_free:
-            row = np.zeros(pres.d * len(cod_free), dtype=np.int64)
-            for j in range(pres.d):
-                w = W[i][j]
-                translated = np.zeros_like(w)
-                translated[G.mul[h]] = w  # e_h * w, left translation
-                residue = _reduce_against(
-                    translated[None, :], cod_basis, cod_pivots, p
-                )[0]
-                for c in np.nonzero(residue)[0]:
-                    row[j * len(cod_free) + cod_index[int(c)]] = residue[c]
-            rows.append(row)
-    if not rows:
+        _, dom_pivots = filt[min(n - lvl, len(filt) - 1)]
+        free = np.setdiff1d(np.arange(G.order), dom_pivots)
+        # column x of e_h * W[i, j] holds W[i, j, h^-1 x]; rows (h, j)
+        block = W[i][:, G.mul[G.inv[free]]].transpose(1, 0, 2)
+        residues = _residues(block.reshape(-1, G.order), cod_basis, cod_pivots, p)
+        blocks.append(residues.reshape(len(free), -1))
+    if not blocks:
         return 0
-    mat = np.vstack(rows)
-    return dom_dim - _rank(mat, p)
+    jacobian = np.vstack(blocks)
+    return jacobian.shape[0] - len(_rref(jacobian, p)[1])
 
 
 @dataclass(frozen=True)
@@ -858,8 +807,7 @@ def verify_recursion(pres: PresentationData) -> RecursionReport:
 
     max_lag = max(max(pres.levels) if pres.levels else 1, 1)
     horizon = (M - 1) + max_lag + 1
-    images = _fox_images(pres)
-    e_direct = tuple(e_n_direct(pres, n, _images=images) for n in range(1, horizon + 1))
+    e_direct = tuple(e_n_direct(pres, n) for n in range(1, horizon + 1))
     e_expected = defect_recursion(c, pres.d, pres.levels, horizon)
     mismatches = tuple(
         n for n, (x, y) in enumerate(zip(e_direct, e_expected), start=1) if x != y
@@ -893,7 +841,7 @@ Group file grammar (whitespace-separated, '#' starts a comment):
     r              relator count
     <r words>      one relator per line over x1..xd; capital X means inverse
 
-Element 0 must be the identity.
+Element 0 must be the identity.  Nothing may follow the last relator.
 """
 
 
@@ -929,6 +877,9 @@ def parse_group_text(text: str, size_limit: int = DEFAULT_SIZE_LIMIT):
     G = FiniteGroupTable(p, mul, generators=images or None, size_limit=size_limit)
     r = int(take("relator count"))
     words = [parse_word(take(f"relator {i}"), d) for i in range(r)]
+    extra = next(toks, None)
+    if extra is not None:
+        raise ValueError(f"unexpected token {extra!r} after the {r} declared relator(s)")
     pres = None
     if d > 0:
         pres = make_presentation(G, images, words)

@@ -210,6 +210,24 @@ def test_grouplab_unknown_check(capsys):
     assert "unknown checks" in err
 
 
+@pytest.mark.parametrize("checks", [" , ", ",", ""])
+def test_grouplab_empty_check_list(capsys, checks):
+    code, out, err = run(capsys, "grouplab", "--group", "cyclic:1", "--p", "3",
+                         "--verify", checks)
+    assert code == 2
+    assert out == ""
+    assert "names no check" in err
+
+
+def test_grouplab_file_with_an_undeclared_relator(tmp_path, capsys):
+    pres = builtin_presentation("cyclic:1", 3)
+    path = tmp_path / "c3.grp"
+    path.write_text(format_group_file(pres.target, pres) + "X1X1X1\n")
+    code, out, err = run(capsys, "grouplab", "--input", str(path))
+    assert code == 2
+    assert "'X1X1X1'" in err
+
+
 def test_nonprime_is_an_input_error(capsys):
     code, _, err = run(capsys, "caps", "--p", "9", "--nmax", "4")
     assert code == 2

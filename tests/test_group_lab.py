@@ -14,8 +14,12 @@ from gstower.group_lab import (
     GroupTableError,
     NcTruncPoly,
     NonzeroConstantTermError,
+    PresentationData,
     PresentationError,
     SizeLimitError,
+    _fox_images,
+    _residues,
+    _rref,
     augmentation_powers,
     build_group,
     builtin_presentation,
@@ -33,6 +37,7 @@ from gstower.group_lab import (
     parse_group_text,
     parse_word,
     verify_recursion,
+    word_inverse,
     word_level,
 )
 from gstower.jennings import jennings_transform
@@ -108,6 +113,74 @@ class TestBuildGroup:
         assert G.power(1, 9) == 0
         assert G.power(1, -1) == G.inverse(1)
         assert G.word_to_element((1, 1, 1), (1,)) == 3
+
+
+# ---------------------------------------------------------------------------
+# F_p row reduction
+# ---------------------------------------------------------------------------
+
+def _gauss_jordan(rows, p):
+    """Pure-Python reduced echelon form over F_p: (nonzero rows, pivots)."""
+    m = [[x % p for x in row] for row in rows]
+    pivots, r = [], 0
+    for col in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][col], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+    return m[:r], pivots
+
+
+def _eliminate_pivot_by_pivot(vecs, basis, pivots, p):
+    """Residues by one elimination step per basis row."""
+    out = np.array(vecs, dtype=np.int64) % p
+    for row, col in zip(basis, pivots):
+        out = (out - np.outer(out[:, col], row)) % p
+    return out
+
+
+@st.composite
+def _matrices(draw, max_rows=7, max_cols=7):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    nrows = draw(st.integers(0, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    # entries outside 0..p-1, and low-rank draws, exercise the reduction
+    entries = st.integers(-p, 2 * p - 1) | st.just(0)
+    flat = draw(st.lists(entries, min_size=nrows * ncols, max_size=nrows * ncols))
+    return p, np.array(flat, dtype=np.int64).reshape(nrows, ncols)
+
+
+class TestRowReduction:
+    @settings(max_examples=300)
+    @given(_matrices())
+    def test_rref_matches_gauss_jordan(self, case):
+        # reduced echelon form is unique, so rows and pivots must agree
+        p, m = case
+        rows, pivots = _rref(m, p)
+        want_rows, want_pivots = _gauss_jordan(m.tolist(), p)
+        assert pivots == want_pivots
+        assert rows.tolist() == want_rows
+
+    @settings(max_examples=200)
+    @given(_matrices(), st.data())
+    def test_residues_match_pivot_by_pivot_elimination(self, case, data):
+        p, m = case
+        basis, pivots = _rref(m, p)
+        k = data.draw(st.integers(0, 5))
+        flat = data.draw(st.lists(st.integers(-p, 2 * p - 1), min_size=k * m.shape[1],
+                                  max_size=k * m.shape[1]))
+        vecs = np.array(flat, dtype=np.int64).reshape(k, m.shape[1])
+        res = _residues(vecs, basis, pivots, p)
+        assert np.array_equal(res, _eliminate_pivot_by_pivot(vecs, basis, pivots, p))
+        assert not res[:, pivots].any()
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +366,59 @@ class TestFoxDerivative:
         assert total == f
 
 
+def _monomial_vector(G, images, word):
+    """Image of a noncommutative monomial under x_i -> (g_i - 1)."""
+    vec = np.zeros(G.order, dtype=np.int64)
+    vec[0] = 1
+    for i in word:
+        translated = np.zeros_like(vec)
+        translated[G.mul[:, images[i - 1]]] = vec
+        vec = (translated - vec) % G.prime
+    return vec
+
+
+def _magnus_fox_images(pres):
+    """The Fox images by the Magnus route: expand each relator in the
+    truncated algebra, differentiate, and map every monomial into F_p[G].
+    Monomials of degree M map into I^M = 0, so degree M is enough."""
+    G = pres.target
+    cap = len(G.ideal_filtration()) - 1
+    out = np.zeros((pres.r, pres.d, G.order), dtype=np.int64)
+    for i, w in enumerate(pres.relators):
+        f = magnus_embed(w, pres.d, G.prime, cap)
+        for j in range(pres.d):
+            for mono, coeff in fox_derivative(f, j + 1).terms.items():
+                out[i, j] += coeff * _monomial_vector(G, pres.generator_images, mono)
+    return out % G.prime
+
+
+FOX_GROUPS = tuple((kind, p) for p in (3, 5) for kind in ("cyclic:2", "elemab:2", "heisenberg"))
+
+
+class TestFoxImages:
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(FOX_GROUPS), st.data())
+    def test_product_rule_matches_the_magnus_route(self, case, data):
+        kind, p = case
+        G = build_group(kind, p)
+        d = len(G.generators)
+        letters = st.sampled_from([s * i for i in range(1, d + 1) for s in (1, -1)])
+        words = st.lists(letters, max_size=8).map(tuple)
+        # u u^-1 is freely trivial but not reduced: its images must vanish
+        word = data.draw(words | words.map(lambda u: u + word_inverse(u)))
+        # levels are not read by either route
+        pres = PresentationData(G, G.generators, (word,), ())
+        images = _fox_images(pres)
+        assert np.array_equal(images, _magnus_fox_images(pres))
+        if not free_reduce(word):
+            assert not images.any()
+
+    def test_builtin_relators_match_the_magnus_route(self):
+        for kind in BUILTIN_KINDS:
+            pres = builtin_presentation(kind, 3)
+            assert np.array_equal(_fox_images(pres), _magnus_fox_images(pres)), kind
+
+
 # ---------------------------------------------------------------------------
 # presentations and the recursion cross-check
 # ---------------------------------------------------------------------------
@@ -373,6 +499,22 @@ class TestDirectDefects:
         rep = verify_recursion(builtin_presentation("cyclic:2", 3))
         assert rep.ok
 
+    @settings(deadline=None, max_examples=10)
+    @given(st.sampled_from(["elemab:2", "heisenberg"]), st.randoms(use_true_random=False))
+    def test_recursion_does_not_depend_on_element_labels(self, kind, rnd):
+        pres = builtin_presentation(kind, 3)
+        G = pres.target
+        # sigma[old] = new, fixing the identity
+        sigma = np.array([0] + rnd.sample(range(1, G.order), G.order - 1))
+        mul = np.empty_like(G.mul)
+        mul[np.ix_(sigma, sigma)] = sigma[G.mul]
+        H = FiniteGroupTable(3, mul, generators=sigma[list(G.generators)])
+        images = tuple(int(sigma[g]) for g in pres.generator_images)
+        relabelled = verify_recursion(make_presentation(H, images, pres.relators))
+        builtin = verify_recursion(pres)
+        assert builtin.ok
+        assert (relabelled.e_direct, relabelled.ok) == (builtin.e_direct, builtin.ok)
+
 
 # ---------------------------------------------------------------------------
 # plain-text group files
@@ -412,4 +554,11 @@ class TestGroupFiles:
     def test_element_count_must_match_header(self):
         text = "3 1 1\n4\n" + "0 1 2\n1 2 0\n2 0 1\n" + "1\n1\nx1x1x1\n"
         with pytest.raises(ValueError):
+            parse_group_text(text)
+
+    def test_tokens_after_the_last_relator_rejected(self):
+        # one relator declared, two listed: the second must not be dropped
+        G = build_group("cyclic:1", 3)
+        text = format_group_file(G).replace("\n0\n", "\n1\nx1x1x1\nX1X1X1\n")
+        with pytest.raises(ValueError, match="'X1X1X1'"):
             parse_group_text(text)
