@@ -378,16 +378,15 @@ def _cmd_valid(args, fmt: str) -> int:
             }
         )
     elif fmt == "csv":
-        rows = []
-        for n in range(len(report.c)):
-            rows.append(
-                (
-                    n,
-                    a.get(n) if n >= 1 else None,
-                    report.c[n],
-                    report.e[n - 1] if 1 <= n <= len(report.e) else None,
-                )
+        rows = [
+            (
+                n,
+                a.get(n) if n >= 1 else None,
+                report.c[min(n, len(report.c) - 1)],  # the order past N + 1
+                report.e[n - 1] if n >= 1 else None,
             )
+            for n in range(report.horizon + 1)
+        ]
         _emit_csv(rows, ("n", "a_n", "c_n", "e_n"))
     else:
         print(f"verdict: {report.verdict}")
@@ -425,8 +424,7 @@ def _cmd_grouplab(args, fmt: str) -> int:
         if not args.group or args.p is None:
             raise ValueError("grouplab needs --group and --p, or --input FILE")
         _require_prime(args.p)
-        G = build_group(args.group, args.p)
-        pres = None
+        G = pres = None
         kind = args.group
     available = ["jennings", "lazard", "recursion", "fox"]
     if args.verify is not None:
@@ -439,12 +437,17 @@ def _cmd_grouplab(args, fmt: str) -> int:
     else:
         checks = available if (pres is not None or not args.input) else ["jennings", "lazard"]
 
-    chain, a = dimension_subgroups(G)
-    c_measured = augmentation_powers(G)
     if pres is None and ("recursion" in checks or "fox" in checks):
         if args.input:
             raise ValueError("recursion/fox checks need relators in the input file")
-        pres = builtin_presentation(kind, G.prime)
+        pres = builtin_presentation(kind, args.p)
+    if G is None:
+        # a built-in presentation brings its table, so the group algebra
+        # is filtered once
+        G = pres.target if pres is not None else build_group(kind, args.p)
+
+    chain, a = dimension_subgroups(G)
+    c_measured = augmentation_powers(G)
 
     results: dict[str, bool] = {}
     if "jennings" in checks:

@@ -2,14 +2,22 @@
 relating them to the filtration quotients of the group algebra.
 
 For a sequence (a_n) with a_n the number of cyclic factors of order p in
-the n-th dimension quotient, the product of the inverted factors
-(1 - t^n)/(1 - t^(np)) expands to the polynomial sum b_n t^n whose
+the n-th dimension quotient, Jennings' product over the support of a of
+((1 - t^(pn)) / (1 - t^n))^(a_n) is a polynomial sum b_n t^n whose
 coefficients are the dimensions of the graded pieces of the augmentation
 filtration; partial sums give the codimension sequence c_n.
+
+Each factor 1 + t^n + ... + t^((p-1)n) is palindromic, so b is too, and
+only b_0..b_(N//2) are computed, modulo t^(N//2 + 1), then mirrored.
+Multiplying by 1 - t^(pn) is one shifted subtraction of the coefficient
+list, and dividing by 1 - t^n is a running sum over each residue class
+mod n; both only look back, so the truncation is exact.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Mapping
 
 from .series import ExactPoly
@@ -144,19 +152,19 @@ class JenningsData:
         return self.c[n]
 
 
-def _apply_factor(coeffs: list[int], n: int, p: int) -> list[int]:
-    # multiply by 1 + t^n + ... + t^((p-1)n) using the sliding-window
-    # recurrence out[i] = out[i-n] + in[i] - in[i-pn]
+def _apply_factor(coeffs: list[int], n: int, p: int, a_n: int, length: int) -> list[int]:
+    """coeffs times (1 + t^n + ... + t^((p-1)n))^a_n, modulo t^length."""
+    out = coeffs[:length] + [0] * (length - len(coeffs))
     pn = p * n
-    out_len = len(coeffs) + n * (p - 1)
-    out = [0] * out_len
-    for i in range(out_len):
-        v = out[i - n] if i >= n else 0
-        if i < len(coeffs):
-            v += coeffs[i]
-        if 0 <= i - pn < len(coeffs):
-            v -= coeffs[i - pn]
-        out[i] = v
+    for _ in range(a_n):
+        # times 1 - t^(pn): both slices are copies of the old list
+        out[pn:] = map(sub, out[pn:], out[:-pn])
+    for r in range(min(n, length)):
+        # divided by (1 - t^n)^a_n: running sums in the residue class r
+        column = out[r::n]
+        for _ in range(a_n):
+            column = accumulate(column)
+        out[r::n] = column
     return out
 
 
@@ -168,27 +176,28 @@ def jennings_transform(a: DimensionSequence) -> JenningsData:
     N = (p-1) * sum(n * a_n) and c_(N+1) = p ** sum(a_n).
     """
     p = a.prime
-    coeffs = [1]
+    degree = (p - 1) * a.weighted_degree
+    half, reach = [1], 0
     for n, an in a.entries:
-        for _ in range(an):
-            coeffs = _apply_factor(coeffs, n, p)
-    b = tuple(coeffs)
+        # the partial product has degree reach: no zeros past it are kept
+        reach += (p - 1) * n * an
+        half = _apply_factor(half, n, p, an, min(reach, degree // 2) + 1)
+    # b_(N-i) = b_i: mirror the first ceil(N/2) coefficients
+    b = tuple(half + half[:degree - degree // 2][::-1])
     n_stab = len(b) - 1
-    if n_stab != (p - 1) * a.weighted_degree:
+    if n_stab != degree:
         raise AssertionError("filtration length mismatch")
-    c = [0]
-    for v in b:
-        c.append(c[-1] + v)
+    c = (0, *accumulate(b))
     if c[-1] != p ** a.order_exponent:
         raise AssertionError("coefficient sum does not equal the group order")
-    if any(v < 0 for v in b):
+    if min(half) < 0:
         raise AssertionError("negative graded dimension")
-    poly = ExactPoly.from_coeffs(b)
     return JenningsData(
         prime=p,
-        jennings_poly=poly,
+        # integer coefficients with b_N = 1: already the normalized form
+        jennings_poly=ExactPoly(b),
         b=b,
-        c=tuple(c),
+        c=c,
         stabilization_index=n_stab,
         order_exponent=a.order_exponent,
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le
 from typing import Callable, Iterable
 
 from .bounds import upper_caps
@@ -52,13 +53,19 @@ def defect_recursion(
 ) -> tuple[int, ...]:
     """e_1..e_horizon with 1 + e_n = c_n - d c_(n-1) + sum_k c_(n-k) over
     the relation degrees k, for any c_at defined on all integers."""
-    out = []
-    for n in range(1, horizon + 1):
-        v = c_at(n) - d * c_at(n - 1) - 1
-        for k in levels:
-            v += c_at(n - k)
-        out.append(v)
-    return tuple(out)
+    levels = tuple(levels)
+    lag = max((1, *levels))
+    # c_at read once per index: padded[i] = c_(i + 1 - lag)
+    padded = list(map(c_at, range(1 - lag, horizon + 1)))
+
+    def shifted(k: int) -> list[int]:
+        """c_(n-k) for n = 1..horizon."""
+        return padded[lag - k:lag - k + horizon]
+
+    e = [v - d * w - 1 for v, w in zip(shifted(0), shifted(1))]
+    for k in levels:
+        e = list(map(add, e, shifted(k)))
+    return tuple(e)
 
 
 def stabilized_defect(profile: RelationProfile, order: int) -> int:
@@ -136,11 +143,11 @@ def is_valid(
     if first_failure is None and cap_fail:
         first_failure = cap_fail
 
-    c_monotone = all(x <= y for x, y in zip(data.c, data.c[1:]))
+    c_monotone = all(map(le, data.c, data.c[1:]))
     if first_failure is None and not c_monotone:
         first_failure = "c sequence is not non-decreasing"
 
-    e_nonnegative = all(v >= 0 for v in e)
+    e_nonnegative = min(e) >= 0
     if first_failure is None and not e_nonnegative:
         n_bad = next(n for n, v in enumerate(e, start=1) if v < 0)
         first_failure = f"e_{n_bad} = {e[n_bad - 1]} is negative"

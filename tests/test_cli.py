@@ -1,10 +1,11 @@
 """Command-line interface: output formats, exit codes, round trips."""
+import hashlib
 import json
 
 import pytest
 
 from gstower.cli import main
-from gstower.group_lab import builtin_presentation, format_group_file
+from gstower.group_lab import FiniteGroupTable, builtin_presentation, format_group_file
 
 
 def run(capsys, *argv):
@@ -167,6 +168,29 @@ def test_valid_json_roundtrip_is_stable(capsys):
     assert first == second
 
 
+def test_valid_json_output_is_pinned(capsys):
+    # SHA-256 of the payload printed by the sliding-window transform and
+    # the per-index recursion: the output stays byte-identical
+    code, out, _ = run(
+        capsys, "--json", "valid", "--p", "17", "--a", "2,1,1,1,2,2,3,3,4,4,6,5,7,5,4",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "caeaa944245fc421e183bab8ce3027d485140373a1859ed94a22ecb00bed3bbb"
+    )
+
+
+def test_valid_csv_runs_to_the_horizon(capsys):
+    code, out, _ = run(capsys, "--format", "csv", "valid", "--p", "3", "--a", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "n,a_n,c_n,e_n"
+    assert len(lines) == 1 + 18  # n = 0..17, the JSON horizon
+    assert lines[1] == "0,,0,"
+    assert lines[4] == "3,0,3,-2"
+    assert lines[-1] == "17,0,3,2"
+
+
 def test_invalid_sequence_exits_1(capsys):
     code, payload = run_json(capsys, "valid", "--p", "11", "--a", "2")
     assert code == 1
@@ -191,6 +215,21 @@ def test_grouplab_builtin(capsys):
         "jennings": True, "lazard": True, "recursion": True, "fox": True,
     }
     assert payload["verdict"] == "HOLDS"
+
+
+def test_grouplab_builds_one_table(capsys, monkeypatch):
+    built = []
+    init = FiniteGroupTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroupTable, "__init__", counting_init)
+    code, payload = run_json(capsys, "grouplab", "--group", "heisenberg", "--p", "3")
+    assert code == 0
+    assert payload["checks"]["recursion"] and payload["checks"]["fox"]
+    assert len(built) == 1
 
 
 def test_grouplab_input_file(tmp_path, capsys):

@@ -6,7 +6,7 @@ group-algebra rank computation in group_lab; the values are frozen here
 so this module stands on its own.
 """
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gstower.jennings import (
     DimensionSequence,
@@ -15,6 +15,7 @@ from gstower.jennings import (
     jennings_transform,
     pn_inverse_poly,
 )
+from gstower.series import ExactPoly
 
 CYCLIC3_C = (0, 1, 2, 3)
 HEIS27_C = (0, 1, 3, 7, 11, 16, 20, 24, 26, 27)
@@ -138,3 +139,46 @@ def test_pn_inverse_poly_shape(p, n):
     assert poly.degree == (p - 1) * n
     nonzero = [k for k, c in enumerate(poly.coeffs) if c != 0]
     assert nonzero == [n * j for j in range(p)]
+
+
+def _sliding_window_factor(coeffs, n, p):
+    """Oracle: the full-length product by 1 + t^n + ... + t^((p-1)n), one
+    coefficient at a time, out[i] = out[i-n] + in[i] - in[i-pn]."""
+    pn = p * n
+    out = [0] * (len(coeffs) + n * (p - 1))
+    for i in range(len(out)):
+        v = out[i - n] if i >= n else 0
+        if i < len(coeffs):
+            v += coeffs[i]
+        if 0 <= i - pn < len(coeffs):
+            v -= coeffs[i - pn]
+        out[i] = v
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11, 13, 17]),
+    values=st.lists(st.integers(min_value=0, max_value=6), max_size=6),
+)
+@example(p=2, values=[])
+@example(p=3, values=[])
+@example(p=2, values=[1])  # N = 1, odd
+@example(p=2, values=[0, 0, 1])  # N = 3, odd
+@example(p=2, values=[2, 0, 1])  # N = 5, odd
+@example(p=17, values=[6, 6, 6, 6, 6, 6])
+def test_transform_matches_the_sliding_window_oracle(p, values):
+    a = DimensionSequence.from_values(p, values)
+    coeffs = [1]
+    for n, an in a.entries:
+        for _ in range(an):
+            coeffs = _sliding_window_factor(coeffs, n, p)
+    c = [0]
+    for v in coeffs:
+        c.append(c[-1] + v)
+    data = jennings_transform(a)
+    assert data.b == tuple(coeffs)
+    assert data.c == tuple(c)
+    assert data.jennings_poly == ExactPoly.from_coeffs(coeffs)
+    assert data.jennings_poly == ExactPoly.from_coeffs(data.b)
+    assert data.b == data.b[::-1]

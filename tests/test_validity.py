@@ -8,13 +8,15 @@ verified against the group-algebra kernel computation; the identity value
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from gstower.group_lab import augmentation_powers, build_group
 from gstower.gs_check import RelationProfile
 from gstower.jennings import DimensionSequence, jennings_transform
 from gstower.validity import (
     NotStabilizedError,
     default_profile,
+    defect_recursion,
     e_sequence,
     gs_equality_eval,
     is_valid,
@@ -180,3 +182,68 @@ class TestMildness:
     def test_relator_profile_shifts_defects(self):
         defects = mildness_defect(CYCLIC3_A, CYCLIC3_PROFILE, horizon=8)
         assert defects == (0, 0, 0, 0, 1, 2, 2, 2)
+
+
+def _per_index_recursion(c_at, d, levels, horizon):
+    """Oracle: e_n from c_at calls for every n and every level."""
+    out = []
+    for n in range(1, horizon + 1):
+        v = c_at(n) - d * c_at(n - 1) - 1
+        for k in levels:
+            v += c_at(n - k)
+        out.append(v)
+    return tuple(out)
+
+
+def _measured_c_at(kind, p):
+    """c_at as verify_recursion builds it, over a measured filtration."""
+    c_list = augmentation_powers(build_group(kind, p))
+    m = len(c_list) - 1
+
+    def c(n):
+        if n <= 0:
+            return 0
+        if n >= m:
+            return c_list[-1]
+        return c_list[n]
+
+    return c
+
+
+_MEASURED = {
+    (kind, p): _measured_c_at(kind, p)
+    for kind, p in (("cyclic:2", 2), ("heisenberg", 3), ("elemab:2", 3))
+}
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    source=st.one_of(
+        st.sampled_from(sorted(_MEASURED)),
+        st.tuples(
+            st.sampled_from([2, 3, 5, 7]),
+            st.lists(st.integers(min_value=0, max_value=3), max_size=5),
+        ),
+    ),
+    d=st.integers(min_value=0, max_value=3),
+    levels=st.one_of(
+        st.just(()),
+        st.just((3, 3, 3)),
+        st.lists(st.integers(min_value=2, max_value=60), max_size=4).map(tuple),
+    ),
+    horizon=st.integers(min_value=-5, max_value=40),
+)
+@example(source=(3, [1]), d=2, levels=(50,), horizon=10)
+@example(source=(3, [1]), d=2, levels=(3, 3, 3), horizon=10)
+@example(source=("heisenberg", 3), d=2, levels=(2, 45, 45), horizon=10)
+@example(source=(3, [1]), d=2, levels=(), horizon=0)
+@example(source=(3, [1]), d=2, levels=(7,), horizon=-3)
+def test_defect_recursion_matches_the_per_index_loop(source, d, levels, horizon):
+    if isinstance(source[0], str):
+        c_at = _MEASURED[source]
+    else:
+        c_at = jennings_transform(DimensionSequence.from_values(*source)).c_at
+    assert defect_recursion(c_at, d, levels, horizon) == _per_index_recursion(
+        c_at, d, levels, horizon
+    )
+
