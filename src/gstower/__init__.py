@@ -1,37 +1,16 @@
 """Exact-arithmetic toolkit for filtration inequalities on finite
 p-groups: dimension sequences, positivity certificates, order bounds, and
-a brute-force group-algebra laboratory for cross-checking the theory."""
+a brute-force group-algebra laboratory for cross-checking the theory.
 
-from .series import (
-    ExactPoly,
-    NoRationalWitnessError,
-    PositivityReport,
-    SturmCertificate,
-    Verdict,
-    ZeroPolynomialError,
-    positive_on_open_unit_interval,
-)
-from .jennings import (
-    DimensionSequence,
-    InvalidPrimeError,
-    JenningsData,
-    is_prime,
-    jennings_transform,
-    pn_inverse_poly,
-)
-from .bounds import (
-    CapProfile,
-    NonIntegralResultError,
-    RangeExceededError,
-    labute_g,
-    lower_bounds,
-    moebius,
-    necklace_count,
-    upper_caps,
-)
+The package namespace holds the entry points behind the command-line
+subcommands and the acceptance criteria (README, "Python API"); every
+other name is imported from its module."""
+
+from .series import ExactPoly, positive_on_open_unit_interval
+from .jennings import DimensionSequence, jennings_transform
+from .bounds import upper_caps
 from .gs_check import (
     CheckMode,
-    InvalidHypothesisError,
     RelationProfile,
     check_inequality,
     classify_ztypes,
@@ -42,134 +21,46 @@ from .gs_check import (
     strict_corollary_check,
     ztype_pair_poly,
 )
-from .validity import (
-    HorizonTooSmallError,
-    NotStabilizedError,
-    ValidityReport,
-    default_profile,
-    e_sequence,
-    gs_equality_eval,
-    is_valid,
-    mildness_defect,
-    stabilized_defect,
-)
-from .search import (
-    BruteForceResult,
-    CapExhaustedError,
-    GreedyStep,
-    SearchResult,
-    brute_force_infeasibility,
-    greedy_fill,
-    min_order_search,
-)
+from .validity import gs_equality_eval, is_valid, mildness_defect
+from .search import brute_force_infeasibility, min_order_search
 from .group_lab import (
-    FiniteGroupTable,
-    GroupTableError,
-    LazardReport,
-    NcTruncPoly,
-    NonzeroConstantTermError,
-    PresentationData,
-    PresentationError,
-    RecursionReport,
-    SizeLimitError,
     augmentation_powers,
     build_group,
     builtin_presentation,
-    commutator_word,
     dimension_subgroups,
-    e_n_direct,
-    format_group_file,
-    format_word,
-    fox_derivative,
-    free_reduce,
     lazard_check,
-    lower_central_series,
-    magnus_embed,
-    make_presentation,
     parse_group_file,
-    parse_group_text,
-    parse_word,
     verify_recursion,
-    word_level,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BruteForceResult",
-    "CapExhaustedError",
-    "CapProfile",
     "CheckMode",
     "DimensionSequence",
     "ExactPoly",
-    "FiniteGroupTable",
-    "GreedyStep",
-    "GroupTableError",
-    "HorizonTooSmallError",
-    "InvalidHypothesisError",
-    "InvalidPrimeError",
-    "JenningsData",
-    "LazardReport",
-    "NcTruncPoly",
-    "NoRationalWitnessError",
-    "NonIntegralResultError",
-    "NonzeroConstantTermError",
-    "NotStabilizedError",
-    "PositivityReport",
-    "PresentationData",
-    "PresentationError",
-    "RangeExceededError",
-    "RecursionReport",
     "RelationProfile",
-    "SearchResult",
-    "SizeLimitError",
-    "SturmCertificate",
-    "ValidityReport",
-    "Verdict",
-    "ZeroPolynomialError",
     "augmentation_powers",
     "brute_force_infeasibility",
     "build_group",
     "builtin_presentation",
     "check_inequality",
     "classify_ztypes",
-    "commutator_word",
-    "default_profile",
     "dimension_subgroups",
-    "e_n_direct",
-    "e_sequence",
-    "format_group_file",
-    "format_word",
-    "fox_derivative",
-    "free_reduce",
-    "greedy_fill",
     "gs_equality_eval",
     "gs_lhs_poly",
-    "is_prime",
     "is_valid",
     "jennings_transform",
-    "labute_g",
     "lazard_check",
-    "lower_bounds",
-    "lower_central_series",
-    "magnus_embed",
-    "make_presentation",
     "medgs_threshold",
     "medgs_violation_sample",
     "mildness_defect",
     "min_order_search",
-    "moebius",
-    "necklace_count",
     "parse_group_file",
-    "parse_group_text",
-    "parse_word",
-    "pn_inverse_poly",
     "positive_on_open_unit_interval",
     "relaxed_product_poly",
-    "stabilized_defect",
     "strict_corollary_check",
     "upper_caps",
     "verify_recursion",
-    "word_level",
     "ztype_pair_poly",
 ]

@@ -1,17 +1,15 @@
-"""Upper and lower bounds for dimension factor counts.
+"""Upper bounds for dimension factor counts.
 
-Upper bounds come from comparison with the graded pieces of the quotient
-of the free group by one relator of degree k (counted by a Witt-style
-Moebius sum); lower bounds at prime-power indices come from the shape of
-the abelianization.
+The caps come from comparison with the graded pieces of the quotient of
+the free group by one relator of degree k, counted by a Witt-style
+Moebius sum.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
-from .jennings import DimensionSequence, InvalidPrimeError, is_prime
+from .jennings import InvalidPrimeError, is_prime
 
 
 class RangeExceededError(ValueError):
@@ -44,33 +42,31 @@ def labute_g(n: int, d: int, k: int) -> int:
     relator of degree k.
 
     Computed as (1/n) * sum over j | n of mu(n/j) times the alternating
-    inner sum with terms j/(j+(1-k)i) * C(j+(1-k)i, i) * d^(j-ki).
+    inner sum with terms j/top * C(top, i) * d^(j-ki), top = j-(k-1)i.
     For k > n the inner sum collapses to d^j and the value is the
-    necklace count.
+    necklace count.  Each weight j/top * C(top, i) is the integer
+    C(top, i) + (k-1) C(top-1, i-1) (top >= 1 since i <= j/k), so only
+    the final division by n can leave a remainder.
     """
     if n < 1 or d < 1 or k < 2:
         raise ValueError("need n >= 1, d >= 1, k >= 2")
-    total = Fraction(0)
+    total = 0
     for j in range(1, n + 1):
         if n % j:
             continue
         mu = moebius(n // j)
         if mu == 0:
             continue
-        inner = Fraction(0)
-        for i in range(j // k + 1):
-            top = j + (1 - k) * i
-            inner += Fraction((-1) ** i) * Fraction(j, top) * comb(top, i) * d ** (j - k * i)
+        inner = d ** j
+        for i in range(1, j // k + 1):
+            top = j - (k - 1) * i
+            weight = comb(top, i) + (k - 1) * comb(top - 1, i - 1)
+            inner += (-1) ** i * weight * d ** (j - k * i)
         total += mu * inner
-    g = total / n
-    if g.denominator != 1:
-        raise NonIntegralResultError(f"g_{n}({d},{k}) = {g} is not an integer")
-    return int(g)
-
-
-def necklace_count(n: int, d: int) -> int:
-    """Number of aperiodic necklaces: the relator-free case of labute_g."""
-    return labute_g(n, d, n + 1 if n + 1 >= 2 else 2)
+    g, rem = divmod(total, n)
+    if rem:
+        raise NonIntegralResultError(f"g_{n}({d},{k}) = {total}/{n} is not an integer")
+    return g
 
 
 @dataclass(frozen=True)
@@ -124,22 +120,3 @@ def upper_caps(p: int, n_max: int, ztype_37: bool = False) -> CapProfile:
         validity_limit=p - 2,
         ztype_refined=ztype_37,
     )
-
-
-def lower_bounds(p: int, a: int, b: int) -> DimensionSequence:
-    """Lower bounds at prime-power indices for a group whose
-    abelianization is Z/p^a x Z/p^b with a <= b.
-
-    a_n >= 2 at n = p^c for 0 <= c < a, and a_n >= 1 at n = p^c for
-    a <= c < b; every other index carries no bound.
-    """
-    if not is_prime(p):
-        raise InvalidPrimeError(f"{p} is not prime")
-    if not 1 <= a <= b:
-        raise ValueError("need 1 <= a <= b")
-    entries: dict[int, int] = {}
-    for c in range(a):
-        entries[p ** c] = 2
-    for c in range(a, b):
-        entries[p ** c] = 1
-    return DimensionSequence.from_dict(p, entries)

@@ -28,10 +28,8 @@ from .group_lab import (
     builtin_presentation,
     build_group,
     dimension_subgroups,
-    fox_derivative,
+    fox_formula_holds,
     lazard_check,
-    magnus_embed,
-    NcTruncPoly,
     parse_group_file,
     verify_recursion,
 )
@@ -399,21 +397,6 @@ def _cmd_valid(args, fmt: str) -> int:
     return 0 if report.valid else 1
 
 
-def _fox_reconstruction_ok(pres) -> bool:
-    """f = sum_j (df/dx_j) x_j for every relator, in the truncated algebra."""
-    p = pres.target.prime
-    for w, lvl in zip(pres.relators, pres.levels):
-        cap = max(lvl + 4, 8)
-        f = magnus_embed(w, pres.d, p, cap)
-        total = NcTruncPoly.zero(pres.d, p, cap)
-        for j in range(1, pres.d + 1):
-            xj = NcTruncPoly.variable(j, pres.d, p, cap)
-            total = total + fox_derivative(f, j) * xj
-        if total != f:
-            return False
-    return True
-
-
 def _cmd_grouplab(args, fmt: str) -> int:
     if args.input:
         G, pres = parse_group_file(args.input)
@@ -461,7 +444,7 @@ def _cmd_grouplab(args, fmt: str) -> int:
     if "recursion" in checks:
         results["recursion"] = verify_recursion(pres).ok
     if "fox" in checks:
-        results["fox"] = _fox_reconstruction_ok(pres)
+        results["fox"] = fox_formula_holds(pres)
 
     ok = all(results.values())
     if fmt == "json":

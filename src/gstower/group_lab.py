@@ -6,7 +6,7 @@ product formula, plus a direct kernel computation of the recursion
 defects by noncommutative differentiation of relator words.
 
 Everything is dense linear algebra over F_p on vectors indexed by group
-elements, so sizes are capped (default 343 elements).
+elements, so built-in and file groups are capped at 343 elements.
 """
 from __future__ import annotations
 
@@ -20,6 +20,8 @@ from .jennings import DimensionSequence, InvalidPrimeError, is_prime
 from .validity import defect_recursion
 
 DEFAULT_SIZE_LIMIT = 343
+#: word_level gives up past this truncation degree
+MAX_LEVEL_CAP = 512
 
 
 class SizeLimitError(ValueError):
@@ -28,10 +30,6 @@ class SizeLimitError(ValueError):
 
 class GroupTableError(ValueError):
     """Multiplication table fails a group axiom."""
-
-
-class NonzeroConstantTermError(ValueError):
-    """Differentiation requires a series with zero constant term."""
 
 
 class PresentationError(ValueError):
@@ -95,21 +93,16 @@ class FiniteGroupTable:
         mul: np.ndarray,
         generators: Sequence[int] | None = None,
         kind: str | None = None,
-        size_limit: int = DEFAULT_SIZE_LIMIT,
-        validate: bool = True,
     ):
         if not is_prime(prime):
             raise InvalidPrimeError(f"{prime} is not prime")
         mul = np.array(mul, dtype=np.int64)
         n = mul.shape[0]
-        if n > size_limit:
-            raise SizeLimitError(f"order {n} exceeds the size limit {size_limit}")
         self.prime = prime
         self.order = n
         self.mul = mul
         self.kind = kind
-        if validate:
-            self._validate()
+        self._validate()
         self.inv = np.argmin(mul, axis=1)  # identity is element 0
         if generators is None:
             generators = self._find_generators()
@@ -319,8 +312,7 @@ def lazard_check(G: FiniteGroupTable) -> LazardReport:
         while p ** jmax < n:
             jmax += 1
         gens: set[int] = set()
-        for i in range(1, len(gammas) + 1):
-            gamma = gammas[i - 1] if i <= len(gammas) else frozenset([0])
+        for i, gamma in enumerate(gammas, start=1):
             for j in range(jmax + 1):
                 if i * p ** j >= n:
                     gens |= {G.power(x, p ** j) for x in gamma}
@@ -337,19 +329,27 @@ def lazard_check(G: FiniteGroupTable) -> LazardReport:
 # Built-in groups
 # ---------------------------------------------------------------------------
 
-def build_cyclic(p: int, k: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> FiniteGroupTable:
+def _checked_order(p: int, k: int, what: str = "order") -> int:
+    """The order p^k of a group to tabulate, refused past
+    DEFAULT_SIZE_LIMIT before any table is allocated.  An exponent past
+    the limit's bit length is refused without forming p^k."""
+    if k > DEFAULT_SIZE_LIMIT.bit_length():
+        raise SizeLimitError(f"{what} {p}^{k} exceeds limit {DEFAULT_SIZE_LIMIT}")
     n = p ** k
-    if n > size_limit:
-        raise SizeLimitError(f"cyclic group of order {n} exceeds limit {size_limit}")
+    if n > DEFAULT_SIZE_LIMIT:
+        raise SizeLimitError(f"{what} {n} exceeds limit {DEFAULT_SIZE_LIMIT}")
+    return n
+
+
+def build_cyclic(p: int, k: int) -> FiniteGroupTable:
+    n = _checked_order(p, k, "cyclic group of order")
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
     return FiniteGroupTable(p, mul, generators=(1,) if n > 1 else (), kind=f"cyclic:{k}")
 
 
-def build_elem_abelian(p: int, d: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> FiniteGroupTable:
-    n = p ** d
-    if n > size_limit:
-        raise SizeLimitError(f"elementary abelian group of order {n} exceeds limit {size_limit}")
+def build_elem_abelian(p: int, d: int) -> FiniteGroupTable:
+    n = _checked_order(p, d, "elementary abelian group of order")
     idx = np.arange(n)
     digits = np.zeros((n, d), dtype=np.int64)
     rem = idx.copy()
@@ -363,14 +363,12 @@ def build_elem_abelian(p: int, d: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> 
     return FiniteGroupTable(p, mul, generators=gens, kind=f"elemab:{d}")
 
 
-def build_heisenberg(p: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> FiniteGroupTable:
+def build_heisenberg(p: int) -> FiniteGroupTable:
     """Upper unitriangular 3x3 matrices over F_p: the nonabelian group of
     order p^3 and exponent p (p odd)."""
     if p == 2:
         raise ValueError("the unitriangular construction needs an odd prime")
-    n = p ** 3
-    if n > size_limit:
-        raise SizeLimitError(f"order {n} exceeds limit {size_limit}")
+    n = _checked_order(p, 3)
 
     def pack(a, b, c):
         return a + p * b + p * p * c
@@ -390,16 +388,16 @@ def build_heisenberg(p: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> FiniteGrou
     return FiniteGroupTable(p, mul, generators=gens, kind="heisenberg")
 
 
-def build_group(kind: str, p: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> FiniteGroupTable:
+def build_group(kind: str, p: int) -> FiniteGroupTable:
     """Dispatcher for the built-in families: "cyclic:k", "elemab:d",
     "heisenberg"."""
     name, _, arg = kind.partition(":")
     if name == "cyclic":
-        return build_cyclic(p, int(arg or 1), size_limit)
+        return build_cyclic(p, int(arg or 1))
     if name == "elemab":
-        return build_elem_abelian(p, int(arg or 1), size_limit)
+        return build_elem_abelian(p, int(arg or 1))
     if name == "heisenberg":
-        return build_heisenberg(p, size_limit)
+        return build_heisenberg(p)
     raise ValueError(f"unknown group kind {kind!r}")
 
 
@@ -471,18 +469,8 @@ class NcTruncPoly:
         self.prime = prime
 
     @classmethod
-    def zero(cls, nvars: int, p: int, cap: int) -> "NcTruncPoly":
-        return cls({}, cap, nvars, p)
-
-    @classmethod
     def one(cls, nvars: int, p: int, cap: int) -> "NcTruncPoly":
         return cls({(): 1}, cap, nvars, p)
-
-    @classmethod
-    def variable(cls, i: int, nvars: int, p: int, cap: int) -> "NcTruncPoly":
-        if not 1 <= i <= nvars:
-            raise ValueError(f"variable index {i} out of range")
-        return cls({(i,): 1}, cap, nvars, p)
 
     def _check_compat(self, other: "NcTruncPoly") -> int:
         if self.nvars != other.nvars or self.prime != other.prime:
@@ -529,25 +517,15 @@ class NcTruncPoly:
             and self.prime == other.prime
         )
 
-    def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.degree_cap, self.nvars, self.prime))
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def constant_term(self) -> int:
-        return self.terms.get((), 0)
 
     def min_degree(self) -> int | None:
         """Least total degree of a nonzero term; None for the zero element."""
         if not self.terms:
             return None
         return min(len(w) for w in self.terms)
-
-    def truncate(self, cap: int) -> "NcTruncPoly":
-        return NcTruncPoly(self.terms, min(cap, self.degree_cap), self.nvars, self.prime)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.terms:
@@ -581,7 +559,7 @@ def magnus_embed(word: Sequence[int], d: int, p: int, degree_cap: int) -> NcTrun
     return acc - NcTruncPoly.one(d, p, degree_cap)
 
 
-def word_level(word: Sequence[int], d: int, p: int, max_cap: int = 512) -> int:
+def word_level(word: Sequence[int], d: int, p: int) -> int:
     """Filtration level of (word - 1): the least total degree appearing in
     its expansion.  Freely trivial words are rejected.  The cap grows
     geometrically until the level is detected."""
@@ -593,20 +571,9 @@ def word_level(word: Sequence[int], d: int, p: int, max_cap: int = 512) -> int:
         lvl = magnus_embed(reduced, d, p, cap).min_degree()
         if lvl is not None:
             return lvl
-        if cap >= max_cap:
-            raise PresentationError(f"level of {format_word(word)} exceeds cap {max_cap}")
+        if cap >= MAX_LEVEL_CAP:
+            raise PresentationError(f"level of {format_word(word)} exceeds cap {MAX_LEVEL_CAP}")
         cap *= 2
-
-
-def fox_derivative(f: NcTruncPoly, j: int) -> NcTruncPoly:
-    """Right partial derivative: collect terms ending in x_j and strip the
-    last letter (the decomposition f = sum_j (df/dx_j) x_j)."""
-    if f.constant_term != 0:
-        raise NonzeroConstantTermError("series has a nonzero constant term")
-    if not 1 <= j <= f.nvars:
-        raise ValueError(f"variable index {j} out of range")
-    out = {w[:-1]: c for w, c in f.terms.items() if w and w[-1] == j}
-    return NcTruncPoly(out, f.degree_cap, f.nvars, f.prime)
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +702,18 @@ def _fox_images(pres: PresentationData) -> np.ndarray:
     return W % G.prime
 
 
+def fox_formula_holds(pres: PresentationData) -> bool:
+    """The fundamental formula of the free differential calculus on the
+    Fox images: sum_j W[i, j] (g_j - 1) = 0 in F_p[G] for every relator i,
+    since each relator maps to 1."""
+    G = pres.target
+    W = _fox_images(pres)
+    # column x of v * g holds v[x g^-1]; row j is multiplied by g_j
+    right = G.mul[:, G.inv[list(pres.generator_images)]].T
+    moved = W[:, np.arange(pres.d)[:, None], right]
+    return not ((moved - W).sum(axis=1) % G.prime).any()
+
+
 def e_n_direct(pres: PresentationData, n: int) -> int:
     """Defect e_n as the kernel dimension of the relator Jacobian block
     map from the sum of F_p[G]/I^(n - level_i) into d copies of
@@ -831,20 +810,6 @@ def verify_recursion(pres: PresentationData) -> RecursionReport:
 # Plain-text group files
 # ---------------------------------------------------------------------------
 
-GROUP_FILE_GRAMMAR = """\
-Group file grammar (whitespace-separated, '#' starts a comment):
-
-    p k d          header: prime, order exponent (order = p^k), generator count
-    <order>        element count, must equal p^k
-    <order rows>   multiplication table, row i lists the products i*j
-    g1 .. gd       generator image indices (line present only when d > 0)
-    r              relator count
-    <r words>      one relator per line over x1..xd; capital X means inverse
-
-Element 0 must be the identity.  Nothing may follow the last relator.
-"""
-
-
 def _tokens(text: str):
     for line in text.splitlines():
         body = line.split("#", 1)[0]
@@ -852,7 +817,7 @@ def _tokens(text: str):
             yield tok
 
 
-def parse_group_text(text: str, size_limit: int = DEFAULT_SIZE_LIMIT):
+def parse_group_text(text: str):
     """Parse the plain-text group format; returns (group, presentation or
     None)."""
     toks = _tokens(text)
@@ -867,14 +832,14 @@ def parse_group_text(text: str, size_limit: int = DEFAULT_SIZE_LIMIT):
     k = int(take("order exponent"))
     d = int(take("generator count"))
     order = int(take("element count"))
-    if order != p ** k:
+    if order != _checked_order(p, k):
         raise ValueError(f"element count {order} != {p}^{k}")
     mul = np.zeros((order, order), dtype=np.int64)
     for i in range(order):
         for j in range(order):
             mul[i, j] = int(take(f"table entry ({i},{j})"))
     images = tuple(int(take("generator image")) for _ in range(d))
-    G = FiniteGroupTable(p, mul, generators=images or None, size_limit=size_limit)
+    G = FiniteGroupTable(p, mul, generators=images or None)
     r = int(take("relator count"))
     words = [parse_word(take(f"relator {i}"), d) for i in range(r)]
     extra = next(toks, None)
@@ -888,9 +853,9 @@ def parse_group_text(text: str, size_limit: int = DEFAULT_SIZE_LIMIT):
     return G, pres
 
 
-def parse_group_file(path, size_limit: int = DEFAULT_SIZE_LIMIT):
+def parse_group_file(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_group_text(fh.read(), size_limit=size_limit)
+        return parse_group_text(fh.read())
 
 
 def format_group_file(G: FiniteGroupTable, pres: PresentationData | None = None) -> str:

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .jennings import DimensionSequence, jennings_transform
-from .series import (
-    ExactPoly,
-    PositivityReport,
-    Verdict,
-    positive_on_open_unit_interval,
-)
+from .series import ExactPoly, PositivityReport, positive_on_open_unit_interval
 
 
 class InvalidHypothesisError(ValueError):
@@ -51,13 +46,6 @@ class RelationProfile:
     @property
     def r(self) -> int:
         return len(self.levels)
-
-    @property
-    def r_counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for k in self.levels:
-            out[k] = out.get(k, 0) + 1
-        return out
 
     @property
     def max_level(self) -> int:
@@ -173,11 +161,10 @@ def medgs_violation_sample(d: int, m: int, r: int) -> tuple[Fraction, Fraction]:
 def strict_corollary_check(
     profile: RelationProfile,
     a: DimensionSequence,
-    order_exponent: int | None = None,
-    m: int | None = None,
 ) -> PositivityReport:
     """Strengthened inequality with the explicit positive slack term
-    (1 - d + r)(1 - p^-A) t^(N+m) on the right-hand side.
+    (1 - d + r)(1 - p^-A) t^(N+m) on the right-hand side, where p^A is
+    the order of a and m the deepest relation degree.
 
     Multiplying through by the filtration polynomial turns it into exact
     polynomial positivity on (0, 1).  Requires r >= d so the slack term
@@ -189,20 +176,16 @@ def strict_corollary_check(
         raise InvalidHypothesisError(
             f"need r >= d, got r = {profile.r}, d = {profile.d}"
         )
-    if order_exponent is None:
-        order_exponent = a.order_exponent
-    if m is None:
-        m = profile.max_level
     data = jennings_transform(a)
     jp = data.jennings_poly
     n_stab = data.stabilization_index
     slack = Fraction(1 - profile.d + profile.r) * (
-        1 - Fraction(1, a.prime ** order_exponent)
+        1 - Fraction(1, a.prime ** a.order_exponent)
     )
     lhs = gs_lhs_poly(profile)
     target = (
         lhs * jp
         - ExactPoly.one()
-        - ExactPoly.monomial(n_stab + m, slack) * jp
+        - ExactPoly.monomial(n_stab + profile.max_level, slack) * jp
     )
     return positive_on_open_unit_interval(target)

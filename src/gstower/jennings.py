@@ -98,20 +98,11 @@ class DimensionSequence:
         """Sum of n * a_n; the filtration length is (p-1) times this."""
         return sum(n * v for n, v in self.entries)
 
-    def as_list(self, n_max: int | None = None) -> list[int]:
-        m = self.max_index if n_max is None else n_max
-        return [self.get(n) for n in range(1, m + 1)]
+    def as_list(self) -> list[int]:
+        return [self.get(n) for n in range(1, self.max_index + 1)]
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.entries)
-
-    def with_entry(self, n: int, value: int) -> "DimensionSequence":
-        d = self.as_dict()
-        if value:
-            d[n] = value
-        else:
-            d.pop(n, None)
-        return DimensionSequence.from_dict(self.prime, d)
 
 
 def pn_inverse_poly(n: int, p: int) -> ExactPoly:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .bounds import CapProfile, upper_caps
+from .bounds import upper_caps
 from .gs_check import (
     CheckMode,
     RelationProfile,
@@ -49,11 +49,6 @@ class SearchResult:
     violation_trace: tuple[GreedyStep, ...]
     ab: tuple[int, int]
     order_exponent_bound: int
-
-    @property
-    def base_exponent(self) -> int:
-        """The (a, b)-independent part of the exponent bound."""
-        return self.min_sum - 2
 
 
 def _trim(seq: list[int]) -> tuple[int, ...]:
@@ -110,22 +105,6 @@ def min_order_search(p: int, a: int = 1, b: int = 1) -> SearchResult:
         ab=(a, b),
         order_exponent_bound=exponent,
     )
-
-
-def greedy_fill(caps: CapProfile, total: int) -> tuple[int, ...]:
-    """The sequence the greedy search would reach at the given sum:
-    as much mass as the caps allow at the lowest indices."""
-    if total > sum(caps.as_list()):
-        raise CapExhaustedError(f"sum {total} exceeds the cap total")
-    out = [0] * caps.n_max
-    remaining = total
-    for i in range(caps.n_max):
-        take = min(remaining, caps.cap(i + 1))
-        out[i] = take
-        remaining -= take
-        if remaining == 0:
-            break
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,7 @@ from gstower.bounds import (
     CapProfile,
     RangeExceededError,
     labute_g,
-    lower_bounds,
     moebius,
-    necklace_count,
     upper_caps,
 )
 
@@ -75,11 +73,39 @@ def test_caps_p17_cover_the_example_sequence():
     assert all(example[n - 1] <= caps.cap(n) for n in range(1, 16))
 
 
+def _fraction_labute_g(n, d, k):
+    """The defining sum with its rational weights j/top * C(top, i)."""
+    total = Fraction(0)
+    for j in range(1, n + 1):
+        if n % j or moebius(n // j) == 0:
+            continue
+        inner = Fraction(0)
+        for i in range(j // k + 1):
+            top = j + (1 - k) * i
+            inner += Fraction((-1) ** i) * Fraction(j, top) * math.comb(top, i) * d ** (j - k * i)
+        total += moebius(n // j) * inner
+    return total / n
+
+
+def _necklace_count(n, d):
+    return sum(moebius(n // j) * d ** j for j in range(1, n + 1) if n % j == 0) // n
+
+
 def test_necklace_counts():
-    # classical: 9 binary necklaces of length 6, 18 ternary of length 4
-    assert necklace_count(6, 2) == 9
-    assert necklace_count(4, 3) == 18
-    assert necklace_count(1, 5) == 5
+    # classical: 9 binary necklaces of length 6, 18 ternary of length 4;
+    # a relator deeper than n leaves the necklace count
+    assert labute_g(6, 2, 7) == 9
+    assert labute_g(4, 3, 5) == 18
+    assert labute_g(1, 5, 2) == 5
+
+
+@given(
+    n=st.integers(min_value=1, max_value=39),
+    d=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=2, max_value=11),
+)
+def test_labute_g_matches_the_fraction_sum(n, d, k):
+    assert labute_g(n, d, k) == _fraction_labute_g(n, d, k)
 
 
 @given(
@@ -98,30 +124,14 @@ def test_labute_g_is_a_nonnegative_integer(n, d, k):
 def test_large_k_reduces_to_necklaces(n, d):
     # once k exceeds n no correction term survives and the count is the
     # plain necklace number
-    assert labute_g(n, d, n + 1) == necklace_count(n, d)
-    assert labute_g(n, d, n + 5) == necklace_count(n, d)
+    assert labute_g(n, d, n + 1) == _necklace_count(n, d)
+    assert labute_g(n, d, n + 5) == _necklace_count(n, d)
 
 
 def test_necklace_consistency_with_moebius_sum():
     for n in range(1, 13):
         direct = sum(moebius(n // j) * 2 ** j for j in range(1, n + 1) if n % j == 0)
-        assert necklace_count(n, 2) == direct // n
-
-
-def test_lower_bounds_support():
-    a = lower_bounds(11, 1, 1)
-    assert a.as_dict() == {1: 2}
-    a = lower_bounds(11, 2, 3)
-    # two cyclic factors of exponent p^2 and one more of exponent p^3
-    assert a.as_dict() == {1: 2, 11: 2, 121: 1}
-    assert a.order_exponent == 5
-
-
-def test_lower_bounds_rejects_bad_ab():
-    with pytest.raises(ValueError):
-        lower_bounds(11, 0, 1)
-    with pytest.raises(ValueError):
-        lower_bounds(11, 2, 1)
+        assert labute_g(n, 2, n + 1) == direct // n
 
 
 def test_cap_profile_is_frozen():

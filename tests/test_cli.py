@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gstower import group_lab
 from gstower.cli import main
 from gstower.group_lab import FiniteGroupTable, builtin_presentation, format_group_file
 
@@ -230,6 +231,23 @@ def test_grouplab_builds_one_table(capsys, monkeypatch):
     assert code == 0
     assert payload["checks"]["recursion"] and payload["checks"]["fox"]
     assert len(built) == 1
+
+
+def test_grouplab_fox_check_reads_the_fox_images(capsys, monkeypatch):
+    # one wrong entry of the Fox images breaks sum_j W[i, j] (g_j - 1) = 0
+    fox_images = group_lab._fox_images
+
+    def corrupted(pres):
+        W = fox_images(pres)
+        W[0, 0, 0] = (W[0, 0, 0] + 1) % pres.target.prime
+        return W
+
+    monkeypatch.setattr(group_lab, "_fox_images", corrupted)
+    code, payload = run_json(capsys, "grouplab", "--group", "heisenberg", "--p", "3",
+                             "--verify", "fox")
+    assert payload["checks"] == {"fox": False}
+    assert payload["verdict"] == "FAILED"
+    assert code == 1
 
 
 def test_grouplab_input_file(tmp_path, capsys):

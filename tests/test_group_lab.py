@@ -5,6 +5,8 @@ is computed by hand ((g-1)^2 = g^2 - 2g + 1 spans with (g-1) a 2-dim
 ideal, (g-1)^3 = 0), and the rest cross-checks independent pipelines
 against each other.
 """
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,6 @@ from gstower.group_lab import (
     FiniteGroupTable,
     GroupTableError,
     NcTruncPoly,
-    NonzeroConstantTermError,
     PresentationData,
     PresentationError,
     SizeLimitError,
@@ -28,7 +29,7 @@ from gstower.group_lab import (
     e_n_direct,
     format_group_file,
     format_word,
-    fox_derivative,
+    fox_formula_holds,
     free_reduce,
     lazard_check,
     lower_central_series,
@@ -40,6 +41,7 @@ from gstower.group_lab import (
     word_inverse,
     word_level,
 )
+from gstower import group_lab
 from gstower.jennings import jennings_transform
 
 BUILTIN_KINDS = ("cyclic:1", "cyclic:2", "elemab:2", "heisenberg")
@@ -86,6 +88,18 @@ class TestBuildGroup:
             build_group("cyclic:6", 3)
         with pytest.raises(SizeLimitError):
             build_group("elemab:4", 5)
+        with pytest.raises(SizeLimitError):
+            builtin_presentation("heisenberg", 11)
+        # a file is refused on its header, before any table is read
+        with pytest.raises(SizeLimitError):
+            parse_group_text("3 6 0\n729\n")
+        # a huge exponent is refused without forming p^k
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match="3\\^10000000"):
+            build_group("cyclic:10000000", 3)
+        with pytest.raises(SizeLimitError):
+            parse_group_text("3 10000000 0\n27\n")
+        assert time.perf_counter() - start < 1.0
         # 343 itself is allowed
         assert build_group("heisenberg", 7).order == 343
 
@@ -321,21 +335,40 @@ class TestMagnus:
         assert magnus_embed((), 1, 3, 4).is_zero
 
 
+class NonzeroConstantTermError(ValueError):
+    """Differentiation requires a series with zero constant term."""
+
+
+def _variable(i, nvars, p, cap):
+    return NcTruncPoly({(i,): 1}, cap, nvars, p)
+
+
+def fox_derivative(f, j):
+    """Right partial derivative: collect terms ending in x_j and strip the
+    last letter (the decomposition f = sum_j (df/dx_j) x_j)."""
+    if f.terms.get((), 0):
+        raise NonzeroConstantTermError("series has a nonzero constant term")
+    if not 1 <= j <= f.nvars:
+        raise ValueError(f"variable index {j} out of range")
+    out = {w[:-1]: c for w, c in f.terms.items() if w and w[-1] == j}
+    return NcTruncPoly(out, f.degree_cap, f.nvars, f.prime)
+
+
 class TestNcTruncPoly:
     def test_multiplication_is_noncommutative(self):
-        x = NcTruncPoly.variable(1, 2, 3, 4)
-        y = NcTruncPoly.variable(2, 2, 3, 4)
+        x = _variable(1, 2, 3, 4)
+        y = _variable(2, 2, 3, 4)
         assert (x * y).terms == {(1, 2): 1}
         assert (y * x).terms == {(2, 1): 1}
         assert x * y != y * x
 
     def test_truncation_drops_high_degree(self):
-        x = NcTruncPoly.variable(1, 1, 3, 2)
+        x = _variable(1, 1, 3, 2)
         cube = x * x * x
         assert cube.is_zero
 
     def test_coefficients_reduced_mod_p(self):
-        x = NcTruncPoly.variable(1, 1, 3, 4)
+        x = _variable(1, 1, 3, 4)
         assert (x + x + x).is_zero
 
 
@@ -360,9 +393,9 @@ class TestFoxDerivative:
         if not free_reduce(word):
             return
         f = magnus_embed(word, 2, 5, 6)
-        total = NcTruncPoly.zero(2, 5, 6)
+        total = NcTruncPoly({}, 6, 2, 5)
         for j in (1, 2):
-            total = total + fox_derivative(f, j) * NcTruncPoly.variable(j, 2, 5, 6)
+            total = total + fox_derivative(f, j) * _variable(j, 2, 5, 6)
         assert total == f
 
 
@@ -417,6 +450,20 @@ class TestFoxImages:
         for kind in BUILTIN_KINDS:
             pres = builtin_presentation(kind, 3)
             assert np.array_equal(_fox_images(pres), _magnus_fox_images(pres)), kind
+
+    def test_fundamental_formula_holds_and_catches_any_wrong_image(self, monkeypatch):
+        for p in (3, 5):
+            for kind in BUILTIN_KINDS:
+                assert fox_formula_holds(builtin_presentation(kind, p)), (kind, p)
+        # changing W[i, j, x] by s moves the sum by s (e_(x g_j) - e_x),
+        # which is nonzero because no generator image is the identity
+        pres = builtin_presentation("heisenberg", 3)
+        good = _fox_images(pres)
+        for index in np.ndindex(good.shape):
+            bad = good.copy()
+            bad[index] = (bad[index] + 1) % 3
+            monkeypatch.setattr(group_lab, "_fox_images", lambda _, W=bad: W)
+            assert not fox_formula_holds(pres), index
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ class TestRelationProfile:
         prof = RelationProfile(2, (7, 3, 3))
         assert prof.levels == (3, 3, 7)
         assert prof.r == 3
-        assert prof.r_counts == {3: 2, 7: 1}
         assert prof.max_level == 7
 
     def test_from_counts(self):
@@ -192,8 +191,3 @@ class TestStrictCorollary:
             stripped_one_multiplicity=1, sample_point=F(1, 2),
             sample_value=F(11, 192),
         )
-
-    def test_explicit_order_exponent_accepted(self):
-        profile = RelationProfile(1, (3,))
-        a = DimensionSequence.from_values(3, [1])
-        assert strict_corollary_check(profile, a, order_exponent=1).holds

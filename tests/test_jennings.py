@@ -53,13 +53,6 @@ class TestDimensionSequence:
     def test_as_list_pads_with_zeros(self):
         a = DimensionSequence.from_dict(3, {1: 1, 4: 2})
         assert a.as_list() == [1, 0, 0, 2]
-        assert a.as_list(6) == [1, 0, 0, 2, 0, 0]
-
-    def test_with_entry(self):
-        a = DimensionSequence.from_values(3, [1])
-        b = a.with_entry(3, 2)
-        assert b.as_dict() == {1: 1, 3: 2}
-        assert a.as_dict() == {1: 1}
 
 
 def test_pn_inverse_poly():

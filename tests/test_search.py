@@ -19,11 +19,7 @@ from gstower.gs_check import (
     relaxed_product_poly,
 )
 from gstower.jennings import DimensionSequence
-from gstower.search import (
-    brute_force_infeasibility,
-    greedy_fill,
-    min_order_search,
-)
+from gstower.search import brute_force_infeasibility, min_order_search
 from gstower.series import positive_on_open_unit_interval
 
 MINIMAL_SEQUENCE = (2, 1, 1, 1, 2, 2, 3, 5, 6)
@@ -34,7 +30,6 @@ def test_search_lands_on_the_published_sequence():
     assert tuple(res.sequence.as_list()) == MINIMAL_SEQUENCE
     assert res.min_sum == 23
     assert res.order_exponent_bound == 23
-    assert res.base_exponent == 21
 
 
 def test_search_independent_of_the_prime():
@@ -92,20 +87,36 @@ def test_small_prime_rejected():
         min_order_search(12)
 
 
+def _lowest_index_fill(caps, total):
+    """As much mass as the caps allow at the lowest indices, trimmed."""
+    out = []
+    for n in range(1, caps.n_max + 1):
+        if total == 0:
+            break
+        out.append(min(total, caps.cap(n)))
+        total -= out[-1]
+    return tuple(out)
+
+
 def test_greedy_fill_packs_lowest_indices_first():
+    # every stage of the greedy walk is the lowest-index fill of its sum
     caps = upper_caps(11, 9, ztype_37=True)
-    assert greedy_fill(caps, 23) == MINIMAL_SEQUENCE
-    assert greedy_fill(caps, 3) == (2, 1, 0, 0, 0, 0, 0, 0, 0)
-    assert greedy_fill(caps, 0) == (0,) * 9
+    res = min_order_search(11)
+    for step in res.violation_trace:
+        assert step.sequence == _lowest_index_fill(caps, step.total)
+    assert _lowest_index_fill(caps, 23) == MINIMAL_SEQUENCE
+    assert tuple(res.sequence.as_list()) == MINIMAL_SEQUENCE
 
 
-@given(total=st.integers(min_value=0, max_value=25))
-def test_greedy_fill_respects_caps_and_total(total):
+def test_greedy_fill_respects_caps_and_total():
+    # the stages run through every sum from the start at 2 up to 22
     caps = upper_caps(11, 9, ztype_37=True)
-    seq = greedy_fill(caps, total)
-    assert sum(seq) == total
-    for n, v in enumerate(seq, start=1):
-        assert 0 <= v <= caps.cap(n)
+    res = min_order_search(11)
+    assert [step.total for step in res.violation_trace] == list(range(2, 23))
+    for step in res.violation_trace:
+        assert sum(step.sequence) == step.total
+        for n, v in enumerate(step.sequence, start=1):
+            assert 0 <= v <= caps.cap(n)
 
 
 def test_brute_force_small_window():
