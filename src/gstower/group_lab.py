@@ -6,7 +6,10 @@ product formula, plus a direct kernel computation of the recursion
 defects by noncommutative differentiation of relator words.
 
 Everything is dense linear algebra over F_p on vectors indexed by group
-elements, so built-in and file groups are capped at 343 elements.
+elements, so built-in and file groups are capped at 343 elements.  The
+filtration is read through one flag basis per group, whose trailing rows
+span each power of the ideal: a residue modulo I^n is a cut of the
+coordinates in that basis.
 """
 from __future__ import annotations
 
@@ -66,11 +69,31 @@ def _rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m[:r], pivots
 
 
-def _residues(vecs: np.ndarray, basis: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:
-    """Canonical representatives of row vectors modulo the span of a
-    reduced echelon basis: zero in every pivot column."""
-    vecs = np.asarray(vecs, dtype=np.int64) % p
-    return (vecs - vecs[:, pivots] @ basis) % p
+def _rref_extend(
+    basis: np.ndarray, pivots: np.ndarray, rows: np.ndarray, p: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form over F_p of a reduced echelon basis (rows
+    sorted by pivot) together with new rows reduced mod p.
+
+    The new rows are reduced against the basis by one product, what
+    remains is row-reduced on the columns where it is nonzero, and the old
+    rows are cleared in the new pivot columns by a second product.  Both
+    products skip the columns they would set to zero."""
+    free = np.ones(rows.shape[1], dtype=bool)
+    free[pivots] = False
+    rows = (rows[:, free] - rows[:, pivots] @ basis[:, free]) % p
+    live = np.flatnonzero(rows.any(axis=0))
+    reduced, found = _rref(rows[:, live], p)
+    live = np.flatnonzero(free)[live]
+    found = live[found]
+    basis = basis.copy()
+    basis[:, live] = (basis[:, live] - basis[:, found] @ reduced) % p
+    new = np.zeros((len(found), len(free)), dtype=np.int64)
+    new[:, live] = reduced
+    basis = np.vstack([basis, new])
+    pivots = np.concatenate([pivots, found])
+    order = np.argsort(pivots)
+    return basis[order], pivots[order]
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +133,7 @@ class FiniteGroupTable:
         if self.subgroup_closure(self.generators) != frozenset(range(n)):
             raise GroupTableError("declared generators do not generate the group")
         self._filtration: list[tuple[np.ndarray, list[int]]] | None = None
+        self._flag: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction checks ------------------------------------------------
 
@@ -185,17 +209,17 @@ class FiniteGroupTable:
         )
 
     def subgroup_closure(self, gens: Iterable[int]) -> frozenset[int]:
-        members = {0}
-        frontier = [0]
-        gens = [int(g) for g in gens]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                for y in (self.multiply(x, g), self.multiply(g, x)):
-                    if y not in members:
-                        members.add(y)
-                        frontier.append(y)
-        return frozenset(members)
+        """Everything reached from the identity by right multiplication by
+        the generators: in a finite group that submonoid is the subgroup."""
+        gens = np.unique(np.fromiter(gens, dtype=np.int64))
+        members = np.zeros(self.order, dtype=bool)
+        members[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            reached = np.unique(self.mul[np.ix_(frontier, gens)])
+            frontier = reached[~members[reached]]
+            members[frontier] = True
+        return frozenset(np.flatnonzero(members).tolist())
 
     def word_to_element(self, word: Sequence[int], images: Sequence[int]) -> int:
         acc = 0
@@ -215,23 +239,62 @@ class FiniteGroupTable:
         power.  I^(n+1) is spanned by v * (g - 1) over basis vectors v of
         I^n and group generators g, because the augmentation ideal is
         generated as a one-sided ideal by the generator differences.
+        Bases are stored as int16 (every entry is below p); cast them up
+        before multiplying.
         """
         if self._filtration is not None:
             return self._filtration
         n, p = self.order, self.prime
-        full = np.eye(n, dtype=np.int64)
-        filt = [(full, list(range(n)))]
-        rows = full[1:].copy()  # e_g - e_0 for every g but the identity
+
+        def level(rows):
+            basis, pivots = _rref(rows, p)
+            return basis.astype(np.int16), pivots
+
+        rows = np.eye(n, dtype=np.int64)
+        filt = [(rows.astype(np.int16), list(range(n)))]
+        rows = rows[1:]  # e_g - e_0 for every g but the identity
         rows[:, 0] = p - 1
-        filt.append(_rref(rows, p))
+        filt.append(level(rows))
         while filt[-1][0].shape[0] > 0:
             basis, _ = filt[-1]
             # v*g - v for each generator g; column h*g of v*g holds v[h]
-            stacked = np.vstack([basis[:, self.mul[:, self.inv[g]]] - basis
-                                 for g in self.generators])
-            filt.append(_rref(stacked, p))
+            filt.append(level(np.vstack([basis[:, self.mul[:, self.inv[g]]] - basis
+                                         for g in self.generators])))
         self._filtration = filt
         return filt
+
+    def flag_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """A basis T of F_p[G] adapted to the filtration, and T^-1 mod p.
+
+        The rows T[c_n:c_(n+1)] are the rows of the echelon basis of I^n
+        whose pivots are not pivots of I^(n+1).  The pivot sets are nested,
+        so T[c_n:] spans I^n.  In the coordinates x = v @ T^-1 of a vector
+        v, v lies in I^n exactly when x[:c_n] = 0, and x[:c_n] is its
+        residue modulo I^n.
+
+        Each row is zero in the pivot columns of its own and later levels
+        except its own pivot, where it is 1.  So T with its columns put in
+        pivot order is unitriangular, block by level, and is inverted by
+        one product per level.
+        """
+        if self._flag is None:
+            filt = self.ideal_filtration()
+            p = self.prime
+            rows, lead = [], []
+            for (basis, pivots), (_, below) in zip(filt, filt[1:]):
+                keep = np.isin(pivots, below, invert=True)
+                rows.append(basis[keep])
+                lead.extend(np.asarray(pivots)[keep])
+            T = np.vstack(rows).astype(np.int64)
+            lead = np.array(lead, dtype=np.int64)
+            lead_inv = np.eye(self.order, dtype=np.int64)  # inverse of T[:, lead]
+            c = np.cumsum([0] + [len(r) for r in rows])
+            for lo, hi in zip(c, c[1:]):
+                lead_inv[lo:hi, :lo] = -(T[lo:hi, lead[:lo]] @ lead_inv[:lo, :lo]) % p
+            T_inv = np.empty_like(lead_inv)
+            T_inv[lead] = lead_inv
+            self._flag = (T, T_inv)
+        return self._flag
 
 
 def augmentation_powers(G: FiniteGroupTable) -> tuple[int, ...]:
@@ -240,25 +303,23 @@ def augmentation_powers(G: FiniteGroupTable) -> tuple[int, ...]:
     return tuple(G.order - basis.shape[0] for basis, _ in filt)
 
 
-def _element_membership(G: FiniteGroupTable, level: int) -> np.ndarray:
-    """Boolean mask over elements g with g - 1 in I^level."""
-    filt = G.ideal_filtration()
-    basis, pivots = filt[min(level, len(filt) - 1)]  # I^level = 0 from there on
-    vecs = np.eye(G.order, dtype=np.int64)
-    vecs[:, 0] -= 1
-    return ~_residues(vecs, basis, pivots, G.prime).any(axis=1)
-
-
 def dimension_subgroups(
     G: FiniteGroupTable,
 ) -> tuple[tuple[frozenset[int], ...], DimensionSequence]:
     """The chain G = G_1 >= G_2 >= ... (g in G_n iff g - 1 in I^n) down to
     the trivial subgroup, together with the sequence a_n with
-    p^(a_n) = [G_n : G_(n+1)]."""
-    filt = G.ideal_filtration()
+    p^(a_n) = [G_n : G_(n+1)].
+
+    g - 1 lies in I^n exactly when its first nonzero coordinate in the
+    flag basis comes at index c_n or later."""
+    c = augmentation_powers(G)
+    _, T_inv = G.flag_basis()
+    # (e_g - e_0) @ T^-1 for every g; the identity's row is zero
+    nonzero = ((T_inv - T_inv[0]) % G.prime).astype(bool)
+    first = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), G.order)
     chain = []
-    for level in range(1, len(filt) + 1):
-        members = frozenset(int(g) for g in np.nonzero(_element_membership(G, level))[0])
+    for level in range(1, len(c) + 1):
+        members = frozenset(np.flatnonzero(first >= c[min(level, len(c) - 1)]).tolist())
         chain.append(members)
         if len(members) == 1:
             break
@@ -285,8 +346,10 @@ def lower_central_series(G: FiniteGroupTable) -> tuple[frozenset[int], ...]:
     series = [frozenset(range(G.order))]
     while len(series[-1]) > 1:
         cur = series[-1]
-        comms = {G.commutator(g, h) for g in range(G.order) for h in cur}
-        nxt = G.subgroup_closure(comms)
+        h = np.fromiter(cur, dtype=np.int64)
+        # [g, h] = g^-1 h^-1 g h for every g in G (rows) and h in cur
+        comms = G.mul[G.mul[G.inv][:, G.inv[h]], G.mul[:, h]]
+        nxt = G.subgroup_closure(comms.ravel())
         if nxt == cur:
             raise GroupTableError("lower central series stalled; group is not nilpotent")
         series.append(nxt)
@@ -714,37 +777,62 @@ def fox_formula_holds(pres: PresentationData) -> bool:
     return not ((moved - W).sum(axis=1) % G.prime).any()
 
 
-def e_n_direct(pres: PresentationData, n: int) -> int:
-    """Defect e_n as the kernel dimension of the relator Jacobian block
-    map from the sum of F_p[G]/I^(n - level_i) into d copies of
-    F_p[G]/I^(n-1), where block (i, j) right-multiplies by the image of
-    the j-th derivative of relator i.
+def defects_direct(pres: PresentationData, horizon: int) -> tuple[int, ...]:
+    """Defects e_1..e_horizon as kernel dimensions of the relator Jacobians.
 
-    Each quotient is spanned by e_h over the non-pivot columns h of its
-    ideal's echelon basis.  Images are reduced to their residues modulo
-    I^(n-1), which vanish in its pivot columns, so those columns add
-    nothing to the rank."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    J_n is the block map from the sum of F_p[G]/I^(n - level_i) into d
+    copies of F_p[G]/I^(n-1), where block (i, j) right-multiplies by the
+    image W_ij of the j-th Fox derivative of relator i.  In flag
+    coordinates the quotient modulo I^k is the first c_k coordinates, so
+    block (i, j) of J_n is the leading c_(n - level_i) x c_(n-1) corner of
+    A_ij = T R(W_ij) T^-1, R(w) being right multiplication by w.
+
+    With columns ordered (b, j), b-major, and rows (i, a) ordered by the
+    step n at which they enter (the first n with a < c_(n - level_i)),
+    every J_n is a leading submatrix of one fixed matrix.  Its rank is the
+    number of pivots left of column d c_(n-1) in the reduced echelon form
+    of the rows entered so far, which grows by one elimination per step
+    (the rank profile, as in Dumas, Pernet and Sultan, ISSAC 2015).
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     G = pres.target
-    p = G.prime
-    filt = G.ideal_filtration()
+    p, size, d = G.prime, G.order, pres.d
+    c = augmentation_powers(G)
+    T, T_inv = G.flag_basis()
     W = _fox_images(pres)
-    cod_basis, cod_pivots = filt[min(n - 1, len(filt) - 1)]
-    blocks = []
-    for i, lvl in enumerate(pres.levels):
-        if n - lvl <= 0:
-            continue
-        _, dom_pivots = filt[min(n - lvl, len(filt) - 1)]
-        free = np.setdiff1d(np.arange(G.order), dom_pivots)
-        # column x of e_h * W[i, j] holds W[i, j, h^-1 x]; rows (h, j)
-        block = W[i][:, G.mul[G.inv[free]]].transpose(1, 0, 2)
-        residues = _residues(block.reshape(-1, G.order), cod_basis, cod_pivots, p)
-        blocks.append(residues.reshape(len(free), -1))
-    if not blocks:
-        return 0
-    jacobian = np.vstack(blocks)
-    return jacobian.shape[0] - len(_rref(jacobian, p)[1])
+    rows = np.empty((pres.r * size, size * d), dtype=np.int16)  # entries below p
+    for i in range(pres.r):
+        # column x of T R(w) is sum_k w[k] T[:, x k^-1]
+        TR = np.zeros((d, size, size), dtype=np.int64)
+        for j, k in zip(*np.nonzero(W[i])):
+            TR[j] += W[i, j, k] * T[:, G.mul[:, G.inv[k]]]
+        A = np.zeros_like(TR)
+        used = W[i].any(axis=1)
+        A[used] = (TR[used] % p) @ T_inv % p
+        # row (i, a), column (b, j) holds A_ij[a, b]
+        rows[i * size:(i + 1) * size] = A.transpose(1, 2, 0).reshape(size, -1)
+    levels = np.array(pres.levels, dtype=np.int64).reshape(-1, 1)
+    entry = (levels + np.searchsorted(c, np.arange(size), side="right")).ravel()
+    order = np.argsort(entry)
+    rows, entry = rows[order], entry[order]
+    basis = np.zeros((0, size * d), dtype=np.int64)
+    pivots = np.zeros(0, dtype=np.int64)
+    defects = []
+    done = 0
+    for n in range(1, horizon + 1):
+        entered = int(np.searchsorted(entry, n, side="right"))
+        if entered > done:
+            basis, pivots = _rref_extend(basis, pivots, rows[done:entered].astype(np.int64), p)
+            done = entered
+        rank = int(np.searchsorted(pivots, d * c[min(n - 1, len(c) - 1)]))
+        defects.append(entered - rank)
+    return tuple(defects)
+
+
+def e_n_direct(pres: PresentationData, n: int) -> int:
+    """The defect e_n alone (see defects_direct)."""
+    return defects_direct(pres, n)[-1]
 
 
 @dataclass(frozen=True)
@@ -786,7 +874,7 @@ def verify_recursion(pres: PresentationData) -> RecursionReport:
 
     max_lag = max(max(pres.levels) if pres.levels else 1, 1)
     horizon = (M - 1) + max_lag + 1
-    e_direct = tuple(e_n_direct(pres, n) for n in range(1, horizon + 1))
+    e_direct = defects_direct(pres, horizon)
     e_expected = defect_recursion(c, pres.d, pres.levels, horizon)
     mismatches = tuple(
         n for n, (x, y) in enumerate(zip(e_direct, e_expected), start=1) if x != y

@@ -19,12 +19,13 @@ from gstower.group_lab import (
     PresentationError,
     SizeLimitError,
     _fox_images,
-    _residues,
     _rref,
+    _rref_extend,
     augmentation_powers,
     build_group,
     builtin_presentation,
     commutator_word,
+    defects_direct,
     dimension_subgroups,
     e_n_direct,
     format_group_file,
@@ -45,6 +46,23 @@ from gstower import group_lab
 from gstower.jennings import jennings_transform
 
 BUILTIN_KINDS = ("cyclic:1", "cyclic:2", "elemab:2", "heisenberg")
+#: every built-in family up to order p^3
+ALL_KINDS = ("cyclic:1", "cyclic:2", "cyclic:3", "elemab:1", "elemab:2", "elemab:3", "heisenberg")
+#: groups of order at most 27 for the relabelling properties
+RELABEL_GROUPS = (("cyclic:2", 3), ("elemab:2", 3), ("heisenberg", 3), ("cyclic:2", 5), ("elemab:2", 5))
+
+
+def _relabelled(pres, rnd):
+    """The presentation on a copy of its table whose elements are
+    renumbered by a random permutation fixing the identity."""
+    G = pres.target
+    # sigma[old] = new
+    sigma = np.array([0] + rnd.sample(range(1, G.order), G.order - 1))
+    mul = np.empty_like(G.mul)
+    mul[np.ix_(sigma, sigma)] = sigma[G.mul]
+    H = FiniteGroupTable(G.prime, mul, generators=sigma[list(G.generators)])
+    images = tuple(int(sigma[g]) for g in pres.generator_images)
+    return make_presentation(H, images, pres.relators)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +171,13 @@ def _gauss_jordan(rows, p):
     return m[:r], pivots
 
 
+def _residues(vecs, basis, pivots, p):
+    """Canonical representatives of row vectors modulo the span of a
+    reduced echelon basis: zero in every pivot column."""
+    vecs = np.asarray(vecs, dtype=np.int64) % p
+    return (vecs - vecs[:, pivots] @ basis) % p
+
+
 def _eliminate_pivot_by_pivot(vecs, basis, pivots, p):
     """Residues by one elimination step per basis row."""
     out = np.array(vecs, dtype=np.int64) % p
@@ -195,6 +220,17 @@ class TestRowReduction:
         res = _residues(vecs, basis, pivots, p)
         assert np.array_equal(res, _eliminate_pivot_by_pivot(vecs, basis, pivots, p))
         assert not res[:, pivots].any()
+
+    @settings(max_examples=200)
+    @given(_matrices(), st.data())
+    def test_rref_extend_matches_rref_of_the_stacked_rows(self, case, data):
+        p, m = case
+        split = data.draw(st.integers(0, m.shape[0]))
+        basis, pivots = _rref(m[:split], p)
+        rows, found = _rref_extend(basis, np.array(pivots, dtype=np.int64), m[split:] % p, p)
+        want_rows, want_pivots = _rref(m, p)
+        assert found.tolist() == want_pivots
+        assert np.array_equal(rows, want_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +289,47 @@ class TestDimensionSubgroups:
                 assert tuple(data.c_at(n) for n in range(len(c))) == c
 
 
+def _dimension_chain_by_residues(G):
+    """The dimension subgroup chain by one residue product per level."""
+    filt = G.ideal_filtration()
+    vecs = np.eye(G.order, dtype=np.int64)
+    vecs[:, 0] -= 1
+    chain = []
+    for level in range(1, len(filt) + 1):
+        basis, pivots = filt[min(level, len(filt) - 1)]
+        inside = ~_residues(vecs, basis, pivots, G.prime).any(axis=1)
+        chain.append(frozenset(np.flatnonzero(inside).tolist()))
+        if len(chain[-1]) == 1:
+            break
+    return tuple(chain)
+
+
+class TestFlagBasis:
+    @pytest.mark.parametrize("p", (3, 5))
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_invertible_and_adapted_to_the_filtration(self, kind, p):
+        G = build_group(kind, p)
+        T, T_inv = G.flag_basis()
+        assert np.array_equal(T @ T_inv % p, np.eye(G.order, dtype=np.int64))
+        c = augmentation_powers(G)
+        # T[c_n:] lies in I^n, and has dim I^n independent rows
+        for n, (basis, pivots) in enumerate(G.ideal_filtration()):
+            assert not _residues(T[c[n]:], basis, pivots, p).any(), n
+
+    def test_filtration_bases_are_compact(self):
+        G = build_group("cyclic:2", 5)
+        for basis, _ in G.ideal_filtration():
+            assert basis.dtype == np.int16
+            assert basis.base is None or basis.base.size == basis.size
+
+    @settings(deadline=None, max_examples=15)
+    @given(st.sampled_from(RELABEL_GROUPS), st.randoms(use_true_random=False))
+    def test_dimension_subgroups_match_residues_on_relabelled_tables(self, case, rnd):
+        kind, p = case
+        H = _relabelled(builtin_presentation(kind, p), rnd).target
+        assert dimension_subgroups(H)[0] == _dimension_chain_by_residues(H)
+
+
 class TestCentralSeries:
     def test_abelian_terminates_immediately(self):
         G = build_group("cyclic:2", 3)
@@ -269,6 +346,14 @@ class TestCentralSeries:
             report = lazard_check(build_group(kind, 3))
             assert report.all_match, kind
             assert all(report.matches)
+
+    def test_commutator_subgroups_match_elementwise_commutators(self):
+        for p in (3, 5):
+            G = build_group("heisenberg", p)
+            series = lower_central_series(G)
+            for cur, nxt in zip(series, series[1:]):
+                comms = {G.commutator(g, h) for g in range(G.order) for h in cur}
+                assert nxt == G.subgroup_closure(comms)
 
 
 # ---------------------------------------------------------------------------
@@ -550,17 +635,87 @@ class TestDirectDefects:
     @given(st.sampled_from(["elemab:2", "heisenberg"]), st.randoms(use_true_random=False))
     def test_recursion_does_not_depend_on_element_labels(self, kind, rnd):
         pres = builtin_presentation(kind, 3)
-        G = pres.target
-        # sigma[old] = new, fixing the identity
-        sigma = np.array([0] + rnd.sample(range(1, G.order), G.order - 1))
-        mul = np.empty_like(G.mul)
-        mul[np.ix_(sigma, sigma)] = sigma[G.mul]
-        H = FiniteGroupTable(3, mul, generators=sigma[list(G.generators)])
-        images = tuple(int(sigma[g]) for g in pres.generator_images)
-        relabelled = verify_recursion(make_presentation(H, images, pres.relators))
+        relabelled = verify_recursion(_relabelled(pres, rnd))
         builtin = verify_recursion(pres)
         assert builtin.ok
         assert (relabelled.e_direct, relabelled.ok) == (builtin.e_direct, builtin.ok)
+
+    def test_horizon_must_be_positive(self):
+        pres = builtin_presentation("cyclic:1", 3)
+        with pytest.raises(ValueError):
+            e_n_direct(pres, 0)
+
+    def test_order_343_recursion_budget(self):
+        # filtration, flag basis and every defect of the order-343 group
+        start = time.perf_counter()
+        rep = verify_recursion(builtin_presentation("heisenberg", 7))
+        elapsed = time.perf_counter() - start
+        assert rep.ok
+        assert elapsed < 5.0
+
+
+def _jacobian_defect(pres, n):
+    """e_n from the Jacobian of step n alone: each domain quotient spanned
+    by e_h over the non-pivot columns h of its ideal's echelon basis,
+    images reduced to residues modulo I^(n-1), one row reduction."""
+    G = pres.target
+    p = G.prime
+    filt = G.ideal_filtration()
+    W = _fox_images(pres)
+    cod_basis, cod_pivots = filt[min(n - 1, len(filt) - 1)]
+    blocks = []
+    for i, lvl in enumerate(pres.levels):
+        if n - lvl <= 0:
+            continue
+        _, dom_pivots = filt[min(n - lvl, len(filt) - 1)]
+        free = np.setdiff1d(np.arange(G.order), dom_pivots)
+        # column x of e_h * W[i, j] holds W[i, j, h^-1 x]; rows (h, j)
+        block = W[i][:, G.mul[G.inv[free]]].transpose(1, 0, 2)
+        residues = _residues(block.reshape(-1, G.order), cod_basis, cod_pivots, p)
+        blocks.append(residues.reshape(len(free), -1))
+    if not blocks:
+        return 0
+    jacobian = np.vstack(blocks)
+    return jacobian.shape[0] - len(_rref(jacobian, p)[1])
+
+
+def _assert_defects_match_jacobians(pres):
+    # past the filtration length plus the largest level every defect is final
+    horizon = len(augmentation_powers(pres.target)) + max(pres.levels, default=1)
+    want = tuple(_jacobian_defect(pres, n) for n in range(1, horizon + 1))
+    assert defects_direct(pres, horizon) == want
+
+
+class TestDefectsAgainstStepJacobians:
+    @pytest.mark.parametrize("p", (3, 5))
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_builtins(self, kind, p):
+        _assert_defects_match_jacobians(builtin_presentation(kind, p))
+
+    @settings(deadline=None, max_examples=15)
+    @given(st.sampled_from(RELABEL_GROUPS), st.randoms(use_true_random=False))
+    def test_relabelled_tables(self, case, rnd):
+        kind, p = case
+        _assert_defects_match_jacobians(_relabelled(builtin_presentation(kind, p), rnd))
+
+    @pytest.mark.parametrize("kind", ("elemab:2", "elemab:3", "heisenberg"))
+    def test_one_relator_dropped(self, kind):
+        pres = builtin_presentation(kind, 3)
+        for i in range(pres.r):
+            rels = pres.relators[:i] + pres.relators[i + 1:]
+            _assert_defects_match_jacobians(
+                make_presentation(pres.target, pres.generator_images, rels))
+
+    @pytest.mark.parametrize("kind", ("cyclic:2", "elemab:2", "heisenberg"))
+    def test_no_relators(self, kind):
+        G = build_group(kind, 3)
+        pres = make_presentation(G, G.generators, ())
+        _assert_defects_match_jacobians(pres)
+        assert not any(defects_direct(pres, 12))
+
+    def test_trivial_group(self):
+        G = FiniteGroupTable(3, np.zeros((1, 1), dtype=np.int64), generators=())
+        _assert_defects_match_jacobians(make_presentation(G, (0,), [(1, 1, 1)]))
 
 
 # ---------------------------------------------------------------------------
