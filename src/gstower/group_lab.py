@@ -7,9 +7,13 @@ defects by noncommutative differentiation of relator words.
 
 Everything is dense linear algebra over F_p on vectors indexed by group
 elements, so built-in and file groups are capped at 343 elements.  The
-filtration is read through one flag basis per group, whose trailing rows
-span each power of the ideal: a residue modulo I^n is a cut of the
-coordinates in that basis.
+filtration is built from the dual side: the left annihilators
+S_n = Ann(I^n) grow by one preimage under the generator map per level,
+and each level adds only its new vectors to one incremental elimination.
+By the duality of F_p[G] under (a, b) -> coefficient of 1 in ab, the
+annihilator flag gives the inverse of one flag basis per group, whose
+trailing rows span each power of the ideal: a residue modulo I^n is a
+cut of the coordinates in that basis.
 """
 from __future__ import annotations
 
@@ -45,7 +49,7 @@ class PresentationError(ValueError):
 
 def _rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_p; returns (nonzero rows, pivot cols)."""
-    m = np.array(rows, dtype=np.int64) % p
+    m = np.asarray(rows, dtype=np.int64) % p
     nrows, ncols = m.shape
     pivots: list[int] = []
     r = 0
@@ -63,37 +67,48 @@ def _rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         m[r, col:] = (m[r, col:] * pow(int(m[r, col]), p - 2, p)) % p
         hit = np.nonzero(m[:, col])[0]
         hit = hit[hit != r]
-        m[hit, col:] = (m[hit, col:] - np.outer(m[hit, col], m[r, col:])) % p
+        block = m[hit, col:]
+        block -= m[hit, col, None] * m[r, col:]
+        block %= p
+        m[hit, col:] = block
         pivots.append(col)
         r += 1
     return m[:r], pivots
 
 
 def _rref_extend(
-    basis: np.ndarray, pivots: np.ndarray, rows: np.ndarray, p: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon form over F_p of a reduced echelon basis (rows
-    sorted by pivot) together with new rows reduced mod p.
+    rest: np.ndarray, pivots: np.ndarray, rows: np.ndarray, p: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extend a reduced echelon basis over F_p by new rows reduced mod p.
+
+    The basis is stored compactly: pivots[i] is the pivot column of row i,
+    and rest holds the rows in the non-pivot columns only, in column order
+    (in the pivot columns a reduced echelon basis is the identity).
+    Returns the extended (rest, pivots), where the new rows follow the old
+    ones in the order of their pivots, and the new rows in full.
 
     The new rows are reduced against the basis by one product, what
     remains is row-reduced on the columns where it is nonzero, and the old
     rows are cleared in the new pivot columns by a second product.  Both
     products skip the columns they would set to zero."""
-    free = np.ones(rows.shape[1], dtype=bool)
+    width = rows.shape[1]
+    free = np.ones(width, dtype=bool)
     free[pivots] = False
-    rows = (rows[:, free] - rows[:, pivots] @ basis[:, free]) % p
+    free = np.flatnonzero(free)
+    rows = (rows[:, free] - rows[:, pivots] @ rest) % p
     live = np.flatnonzero(rows.any(axis=0))
     reduced, found = _rref(rows[:, live], p)
-    live = np.flatnonzero(free)[live]
-    found = live[found]
-    basis = basis.copy()
-    basis[:, live] = (basis[:, live] - basis[:, found] @ reduced) % p
+    found = live[found]  # positions among the free columns
     new = np.zeros((len(found), len(free)), dtype=np.int64)
     new[:, live] = reduced
-    basis = np.vstack([basis, new])
-    pivots = np.concatenate([pivots, found])
-    order = np.argsort(pivots)
-    return basis[order], pivots[order]
+    keep = np.ones(len(free), dtype=bool)
+    keep[found] = False
+    kept = rest[:, keep]
+    kept -= rest[:, found] @ new[:, keep]
+    kept %= p
+    full = np.zeros((len(found), width), dtype=np.int64)
+    full[:, free] = new
+    return np.vstack([kept, new[:, keep]]), np.concatenate([pivots, free[found]]), full
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +119,10 @@ class FiniteGroupTable:
     """A finite p-group given by its full multiplication table.
 
     Element 0 is the identity.  mul[i, j] is the index of the product of
-    elements i and j.  Construction validates the group axioms, checks
-    that the order is the expected power of the prime, and that every
-    element order is a p-power (automatic once the axioms hold, but cheap
-    to confirm directly).
+    elements i and j.  Construction checks that the order is the expected
+    power of the prime and that the table is a Latin square with identity
+    0, finds or checks the generators, and then checks associativity on
+    them (Light's test).
     """
 
     def __init__(
@@ -132,34 +147,39 @@ class FiniteGroupTable:
         self.generators = tuple(int(g) for g in generators)
         if self.subgroup_closure(self.generators) != frozenset(range(n)):
             raise GroupTableError("declared generators do not generate the group")
-        self._filtration: list[tuple[np.ndarray, list[int]]] | None = None
+        self._check_associative()
+        self._filtration: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._flag: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction checks ------------------------------------------------
 
     def _validate(self) -> None:
         n, mul, p = self.order, self.mul, self.prime
-        k = 0
         m = n
         while m % p == 0:
             m //= p
-            k += 1
         if m != 1 or n < 1:
             raise GroupTableError(f"order {n} is not a power of {p}")
         if mul.shape != (n, n) or mul.min() < 0 or mul.max() >= n:
             raise GroupTableError("malformed multiplication table")
-        if not (np.all(mul[0] == np.arange(n)) and np.all(mul[:, 0] == np.arange(n))):
-            raise GroupTableError("element 0 is not a two-sided identity")
         ident = np.arange(n)
-        for i in range(n):
-            if sorted(mul[i]) != list(ident) or sorted(mul[:, i]) != list(ident):
-                raise GroupTableError("table rows/columns are not permutations")
-        for a in range(n):
-            if not np.array_equal(mul[mul[a]], mul[a][mul]):
-                raise GroupTableError(f"associativity fails at element {a}")
-        for g in range(n):
-            if self._power_raw(g, n) != 0:
-                raise GroupTableError(f"element {g} order does not divide {n}")
+        if not (np.all(mul[0] == ident) and np.all(mul[:, 0] == ident)):
+            raise GroupTableError("element 0 is not a two-sided identity")
+        if not (np.all(np.sort(mul, axis=1) == ident)
+                and np.all(np.sort(mul, axis=0) == ident[:, None])):
+            raise GroupTableError("table rows/columns are not permutations")
+
+    def _check_associative(self) -> None:
+        """Light's test on the generators: (x g) y = x (g y) for all x, y."""
+        # The a with (x a) y = x (a y) for all x, y include the identity
+        # and are closed under products: for two of them a and b,
+        # (x (ab)) y = ((x a) b) y = (x a)(b y) = x (a (b y)) = x ((ab) y).
+        # Every element is a product of generators, so the table is
+        # associative: a group, in which every element order divides |G|.
+        mul = self.mul
+        for g in self.generators:
+            if not np.array_equal(mul[mul[:, g]], mul[:, mul[g]]):
+                raise GroupTableError(f"associativity fails at generator {g}")
 
     def _power_raw(self, g: int, e: int) -> int:
         acc, base = 0, g
@@ -232,75 +252,128 @@ class FiniteGroupTable:
 
     # -- group algebra filtration ---------------------------------------------
 
-    def ideal_filtration(self) -> list[tuple[np.ndarray, list[int]]]:
-        """Echelon bases of the powers of the augmentation ideal.
+    def ideal_filtration(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The powers of the augmentation ideal, read through the flag basis.
 
-        Index n holds a basis of I^n; the list ends at the first zero
-        power.  I^(n+1) is spanned by v * (g - 1) over basis vectors v of
-        I^n and group generators g, because the augmentation ideal is
-        generated as a one-sided ideal by the generator differences.
-        Bases are stored as int16 (every entry is below p); cast them up
-        before multiplying.
+        Index n holds (T[c_n:], T^-1[:, :c_n]): rows spanning I^n, and
+        columns that cut it out (v lies in I^n exactly when v @ T^-1[:, :c_n]
+        is zero).  The list ends at the first zero power.  Both are views
+        into the arrays of flag_basis.
+
+        The flag comes from the left annihilators S_n = {x : x I^n = 0}.
+        S_0 = 0, and S_(n+1) is the set of x with x (g_i - 1) in S_n for
+        every generator g_i, because the generator differences generate I
+        as a one-sided ideal: S_(n+1) is the preimage of S_n^d under
+        R: x -> (x (g_i - 1))_i.  R is row-reduced once, as [R | 1], which
+        gives the reduced echelon basis B of its row space, a lift L with
+        L R = B; ker R = S_1 is spanned by the sum of all elements.  At
+        each level the new vectors of S_n go into each of the d slots, are
+        reduced modulo the row space of R, and enter one incremental
+        elimination on (residue, B-coordinates).  The combinations whose
+        residues become dependent lie in R(F_p[G]) and in S_n^d; their
+        B-coordinates C, lifted through L, are the new vectors of S_(n+1).
+        The elimination reduces each level's C against the levels before
+        it, so the stacked C with its columns in pivot order is
+        unitriangular, block by level.
+
+        Under the nondegenerate form (a, b) -> coefficient of 1 in ab, S_n
+        is the orthogonal complement of I^n (it annihilates I^n, and
+        dim S_n = codim I^n; Jennings 1941).  So with V the stacked
+        S-flag, T^-1 = V[:, g -> g^-1]^T.  V Q = diag(1, C) for
+        Q = [e_0 | the columns of R at the pivots of B], e_0 being the
+        identity, so T, the transpose of Q[g -> g^-1] diag(1, C)^-1, takes
+        one product per level.
         """
         if self._filtration is not None:
             return self._filtration
-        n, p = self.order, self.prime
+        n, p, d = self.order, self.prime, len(self.generators)
+        inv = self.inv
+        # [R | 1]; row h of R holds e_h (g_i - 1) = e_(h g_i) - e_h in slot i
+        RI = np.zeros((n, d + 1, n), dtype=np.int64)
+        h = np.arange(n)[:, None]
+        RI[h, np.arange(d), self.mul[:, list(self.generators)]] += 1
+        RI[h, np.arange(d), h] -= 1
+        RI[:, d] = np.eye(n, dtype=np.int64)
+        RI = RI.reshape(n, -1)
+        red, piv = _rref(RI, p)
+        rank = n - 1  # the generators generate G, so ker R is S_1 alone
+        piv_R = np.array(piv[:rank], dtype=np.int64)
+        free = np.setdiff1d(np.arange(d * n), piv_R)
+        width = len(free)
+        # the last row of the reduced [R | 1] is [0 | the sum of all
+        # elements], with its pivot at the identity, so column 0 of L is
+        # zero, and so is column 0 of V Q below its first row
+        B_free, L = red[:rank, free], red[:rank, d * n:].copy()
+        R_piv = RI[:, piv_R]
+        del RI, red  # the work arrays, before the levels
+        # slot i is columns i n .. (i+1) n of R: its pivots are the rows
+        # cut[i]:cut[i+1] of B, its other columns the residue columns
+        # fcut[i]:fcut[i+1]
+        cut = np.searchsorted(piv_R, n * np.arange(d + 1))
+        fcut = np.searchsorted(free, n * np.arange(d + 1))
 
-        def level(rows):
-            basis, pivots = _rref(rows, p)
-            return basis.astype(np.int16), pivots
-
-        rows = np.eye(n, dtype=np.int64)
-        filt = [(rows.astype(np.int16), list(range(n)))]
-        rows = rows[1:]  # e_g - e_0 for every g but the identity
-        rows[:, 0] = p - 1
-        filt.append(level(rows))
-        while filt[-1][0].shape[0] > 0:
-            basis, _ = filt[-1]
-            # v*g - v for each generator g; column h*g of v*g holds v[h]
-            filt.append(level(np.vstack([basis[:, self.mul[:, self.inv[g]]] - basis
-                                         for g in self.generators])))
-        self._filtration = filt
-        return filt
+        T_inv = np.zeros((n, n), dtype=np.int64)
+        T_inv[:, 0] = 1
+        coords = np.zeros((n - 1, rank), dtype=np.int64)  # the stacked C
+        lead = np.zeros(n - 1, dtype=np.int64)  # the pivot column of each row of C
+        c = [0, 1]
+        new = np.ones((1, n), dtype=np.int64)
+        echelon = np.zeros((0, width + rank), dtype=np.int64)  # compact, see _rref_extend
+        pivots = np.zeros(0, dtype=np.int64)
+        while c[-1] < n:
+            k = len(new)
+            # each new vector in each slot: its residue modulo the row space
+            # of R, then its coordinates in B
+            rows = np.zeros((d * k, width + rank), dtype=np.int64)
+            for i, (lo, hi, flo, fhi) in enumerate(zip(cut, cut[1:], fcut, fcut[1:])):
+                in_B = new[:, piv_R[lo:hi] - i * n]
+                block = rows[i * k:(i + 1) * k]
+                block[:, :width] = -(in_B @ B_free[lo:hi])
+                block[:, flo:fhi] += new[:, free[flo:fhi] - i * n]
+                block[:, width + lo:width + hi] = in_B
+            rows %= p
+            old = len(pivots)
+            echelon, pivots, found = _rref_extend(echelon, pivots, rows, p)
+            # rows with their pivot among the B-coordinates have no residue
+            dependent = pivots[old:] >= width
+            C = found[dependent, width:]
+            new = C @ L % p
+            lo, hi = c[-1], c[-1] + len(C)
+            T_inv[:, lo:hi] = new[:, inv].T
+            coords[lo - 1:hi - 1] = C
+            lead[lo - 1:hi - 1] = pivots[old:][dependent] - width
+            c.append(hi)
+        # U = diag(1, C) with its columns in pivot order, inverted block by
+        # block from the last level up
+        U = np.zeros((n, n), dtype=np.int64)
+        U[0, 0] = 1
+        U[1:, 1:] = coords[:, lead]
+        U_inv = np.eye(n, dtype=np.int64)
+        for lo, hi in zip(c[-2::-1], c[:0:-1]):
+            U_inv[lo:hi, hi:] = -(U[lo:hi, hi:] @ U_inv[hi:, hi:]) % p
+        # Q[g -> g^-1] with its columns in the same order
+        Q = np.zeros((n, n), dtype=np.int64)
+        Q[0, 0] = 1
+        Q[:, 1:] = R_piv[np.ix_(inv, lead)]
+        T = U_inv.T @ Q.T % p
+        self._flag = (T, T_inv)
+        self._filtration = [(T[cn:], T_inv[:, :cn]) for cn in c]
+        return self._filtration
 
     def flag_basis(self) -> tuple[np.ndarray, np.ndarray]:
         """A basis T of F_p[G] adapted to the filtration, and T^-1 mod p.
 
-        The rows T[c_n:c_(n+1)] are the rows of the echelon basis of I^n
-        whose pivots are not pivots of I^(n+1).  The pivot sets are nested,
-        so T[c_n:] spans I^n.  In the coordinates x = v @ T^-1 of a vector
-        v, v lies in I^n exactly when x[:c_n] = 0, and x[:c_n] is its
-        residue modulo I^n.
-
-        Each row is zero in the pivot columns of its own and later levels
-        except its own pivot, where it is 1.  So T with its columns put in
-        pivot order is unitriangular, block by level, and is inverted by
-        one product per level.
+        T[c_n:] spans I^n.  In the coordinates x = v @ T^-1 of a vector v,
+        v lies in I^n exactly when x[:c_n] = 0, and x[:c_n] is its residue
+        modulo I^n.  Built with the filtration (see ideal_filtration).
         """
-        if self._flag is None:
-            filt = self.ideal_filtration()
-            p = self.prime
-            rows, lead = [], []
-            for (basis, pivots), (_, below) in zip(filt, filt[1:]):
-                keep = np.isin(pivots, below, invert=True)
-                rows.append(basis[keep])
-                lead.extend(np.asarray(pivots)[keep])
-            T = np.vstack(rows).astype(np.int64)
-            lead = np.array(lead, dtype=np.int64)
-            lead_inv = np.eye(self.order, dtype=np.int64)  # inverse of T[:, lead]
-            c = np.cumsum([0] + [len(r) for r in rows])
-            for lo, hi in zip(c, c[1:]):
-                lead_inv[lo:hi, :lo] = -(T[lo:hi, lead[:lo]] @ lead_inv[:lo, :lo]) % p
-            T_inv = np.empty_like(lead_inv)
-            T_inv[lead] = lead_inv
-            self._flag = (T, T_inv)
+        self.ideal_filtration()
         return self._flag
 
 
 def augmentation_powers(G: FiniteGroupTable) -> tuple[int, ...]:
     """Codimensions c_n = |G| - dim I^n, up to the first n with I^n = 0."""
-    filt = G.ideal_filtration()
-    return tuple(G.order - basis.shape[0] for basis, _ in filt)
+    return tuple(G.order - basis.shape[0] for basis, _ in G.ideal_filtration())
 
 
 def dimension_subgroups(
@@ -369,17 +442,22 @@ def lazard_check(G: FiniteGroupTable) -> LazardReport:
     chain, _ = dimension_subgroups(G)
     gammas = lower_central_series(G)
     p = G.prime
+    # powers[j] maps x to x^(p^j)
+    powers = [np.arange(G.order)]
+    while p ** (len(powers) - 1) < len(chain):
+        x, acc = powers[-1], np.zeros(G.order, dtype=np.int64)
+        for _ in range(p):
+            acc = G.mul[acc, x]
+        powers.append(acc)
+    members = [np.fromiter(gamma, dtype=np.int64) for gamma in gammas]
     matches = []
     for n in range(1, len(chain) + 1):
         jmax = 0
         while p ** jmax < n:
             jmax += 1
-        gens: set[int] = set()
-        for i, gamma in enumerate(gammas, start=1):
-            for j in range(jmax + 1):
-                if i * p ** j >= n:
-                    gens |= {G.power(x, p ** j) for x in gamma}
-        predicted = G.subgroup_closure(gens)
+        gens = [powers[j][x] for i, x in enumerate(members, start=1)
+                for j in range(jmax + 1) if i * p ** j >= n]
+        predicted = G.subgroup_closure(np.concatenate(gens))
         matches.append(predicted == chain[n - 1])
     return LazardReport(
         matches=tuple(matches),
@@ -801,17 +879,14 @@ def defects_direct(pres: PresentationData, horizon: int) -> tuple[int, ...]:
     c = augmentation_powers(G)
     T, T_inv = G.flag_basis()
     W = _fox_images(pres)
-    rows = np.empty((pres.r * size, size * d), dtype=np.int16)  # entries below p
-    for i in range(pres.r):
+    rows = np.zeros((pres.r * size, size * d), dtype=np.int16)  # entries below p
+    for i, j in zip(*np.nonzero(W.any(axis=2))):
         # column x of T R(w) is sum_k w[k] T[:, x k^-1]
-        TR = np.zeros((d, size, size), dtype=np.int64)
-        for j, k in zip(*np.nonzero(W[i])):
-            TR[j] += W[i, j, k] * T[:, G.mul[:, G.inv[k]]]
-        A = np.zeros_like(TR)
-        used = W[i].any(axis=1)
-        A[used] = (TR[used] % p) @ T_inv % p
+        TR = np.zeros((size, size), dtype=np.int64)
+        for k in np.flatnonzero(W[i, j]):
+            TR += W[i, j, k] * T[:, G.mul[:, G.inv[k]]]
         # row (i, a), column (b, j) holds A_ij[a, b]
-        rows[i * size:(i + 1) * size] = A.transpose(1, 2, 0).reshape(size, -1)
+        rows[i * size:(i + 1) * size, j::d] = (TR % p) @ T_inv % p
     levels = np.array(pres.levels, dtype=np.int64).reshape(-1, 1)
     entry = (levels + np.searchsorted(c, np.arange(size), side="right")).ravel()
     order = np.argsort(entry)
@@ -823,9 +898,9 @@ def defects_direct(pres: PresentationData, horizon: int) -> tuple[int, ...]:
     for n in range(1, horizon + 1):
         entered = int(np.searchsorted(entry, n, side="right"))
         if entered > done:
-            basis, pivots = _rref_extend(basis, pivots, rows[done:entered].astype(np.int64), p)
+            basis, pivots, _ = _rref_extend(basis, pivots, rows[done:entered].astype(np.int64), p)
             done = entered
-        rank = int(np.searchsorted(pivots, d * c[min(n - 1, len(c) - 1)]))
+        rank = int(np.count_nonzero(pivots < d * c[min(n - 1, len(c) - 1)]))
         defects.append(entered - rank)
     return tuple(defects)
 

@@ -3,7 +3,9 @@
 The numeric oracles here are self-contained: the cyclic order-3 filtration
 is computed by hand ((g-1)^2 = g^2 - 2g + 1 spans with (g-1) a 2-dim
 ideal, (g-1)^3 = 0), and the rest cross-checks independent pipelines
-against each other.
+against each other.  The filtration built from the annihilator series is
+checked against `_filtration_by_rref`, one row reduction per power of the
+augmentation ideal.
 """
 import time
 
@@ -50,6 +52,13 @@ BUILTIN_KINDS = ("cyclic:1", "cyclic:2", "elemab:2", "heisenberg")
 ALL_KINDS = ("cyclic:1", "cyclic:2", "cyclic:3", "elemab:1", "elemab:2", "elemab:3", "heisenberg")
 #: groups of order at most 27 for the relabelling properties
 RELABEL_GROUPS = (("cyclic:2", 3), ("elemab:2", 3), ("heisenberg", 3), ("cyclic:2", 5), ("elemab:2", 5))
+#: every built-in family up to order p^3 at p = 2, 3 and 5 (the
+#: unitriangular group needs an odd prime), with ids "kind-p"
+ORACLE_CASES = tuple(
+    pytest.param(kind, p, id=f"{kind}-{p}")
+    for kind in ALL_KINDS for p in (2, 3, 5)
+    if (kind, p) != ("heisenberg", 2)
+)
 
 
 def _relabelled(pres, rnd):
@@ -129,6 +138,28 @@ class TestBuildGroup:
         mul = np.array([[0, 1], [1, 1]])
         with pytest.raises(GroupTableError):
             FiniteGroupTable(2, mul)
+
+    def test_table_validation_rejects_a_column_that_is_not_a_permutation(self):
+        # every row is a permutation, column 1 repeats element 1
+        mul = np.array([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+        with pytest.raises(GroupTableError, match="not permutations"):
+            FiniteGroupTable(3, mul)
+
+    def test_table_validation_rejects_a_nonassociative_loop(self):
+        # a Latin square with identity 0 of order 5: (1 1) 2 = 2 but
+        # 1 (1 2) = 1 3 = 4
+        mul = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                        [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+        with pytest.raises(GroupTableError, match="associativity"):
+            FiniteGroupTable(5, mul)
+        with pytest.raises(GroupTableError, match="associativity"):
+            FiniteGroupTable(5, mul, generators=(1, 2))
+        # in its product with the cyclic group of order 5, the cyclic
+        # generator passes Light's test, so every generator must be tested
+        a, b = np.arange(25) % 5, np.arange(25) // 5
+        product = (a[:, None] + a) % 5 + 5 * mul[b[:, None], b]
+        with pytest.raises(GroupTableError, match="associativity"):
+            FiniteGroupTable(5, product, generators=(1, 5, 10))
 
     def test_table_validation_rejects_wrong_identity(self):
         mul = np.array([[1, 0], [0, 1]])
@@ -227,10 +258,21 @@ class TestRowReduction:
         p, m = case
         split = data.draw(st.integers(0, m.shape[0]))
         basis, pivots = _rref(m[:split], p)
-        rows, found = _rref_extend(basis, np.array(pivots, dtype=np.int64), m[split:] % p, p)
+        rest = np.delete(basis, pivots, axis=1)
+        rest, found, new = _rref_extend(rest, np.array(pivots, dtype=np.int64), m[split:] % p, p)
         want_rows, want_pivots = _rref(m, p)
-        assert found.tolist() == want_pivots
-        assert np.array_equal(rows, want_rows)
+        # the old pivots keep their places, the new ones follow in order
+        assert found[:len(pivots)].tolist() == pivots
+        assert np.all(np.diff(found[len(pivots):]) > 0)
+        # the full rows: the identity in the pivot columns, rest elsewhere
+        rows = np.zeros((len(found), m.shape[1]), dtype=np.int64)
+        rows[np.arange(len(found)), found] = 1
+        rows[:, np.delete(np.arange(m.shape[1]), found)] = rest
+        order = np.argsort(found)
+        assert found[order].tolist() == want_pivots
+        assert np.array_equal(rows[order], want_rows)
+        # the new rows in full are the last rows of the extended basis
+        assert np.array_equal(new, rows[len(pivots):])
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +331,27 @@ class TestDimensionSubgroups:
                 assert tuple(data.c_at(n) for n in range(len(c))) == c
 
 
+def _filtration_by_rref(G):
+    """Reduced echelon bases (rows, pivots) of I^0, I^1, ... down to the
+    first zero power, by one row reduction per level: I^(n+1) is spanned
+    by v (g - 1) over the basis vectors v of I^n and the generators g."""
+    n, p = G.order, G.prime
+    filt = [(np.eye(n, dtype=np.int64), list(range(n)))]
+    ideal = np.eye(n, dtype=np.int64)[1:]
+    ideal[:, 0] = p - 1  # e_g - e_0 for every g but the identity
+    filt.append(_rref(ideal, p))
+    while filt[-1][0].shape[0] > 0:
+        basis = filt[-1][0]
+        # v g - v for each generator g; column h g of v g holds v[h]
+        filt.append(_rref(np.vstack([basis[:, G.mul[:, G.inv[g]]] - basis
+                                     for g in G.generators]), p))
+    return filt
+
+
 def _dimension_chain_by_residues(G):
-    """The dimension subgroup chain by one residue product per level."""
-    filt = G.ideal_filtration()
+    """The dimension subgroup chain by one residue product per level of
+    the oracle filtration."""
+    filt = _filtration_by_rref(G)
     vecs = np.eye(G.order, dtype=np.int64)
     vecs[:, 0] -= 1
     chain = []
@@ -304,29 +364,54 @@ def _dimension_chain_by_residues(G):
     return tuple(chain)
 
 
+def _oracle_codimensions(G):
+    return tuple(G.order - basis.shape[0] for basis, _ in _filtration_by_rref(G))
+
+
 class TestFlagBasis:
-    @pytest.mark.parametrize("p", (3, 5))
-    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("kind, p", ORACLE_CASES)
     def test_invertible_and_adapted_to_the_filtration(self, kind, p):
         G = build_group(kind, p)
         T, T_inv = G.flag_basis()
         assert np.array_equal(T @ T_inv % p, np.eye(G.order, dtype=np.int64))
         c = augmentation_powers(G)
         # T[c_n:] lies in I^n, and has dim I^n independent rows
-        for n, (basis, pivots) in enumerate(G.ideal_filtration()):
+        for n, (basis, pivots) in enumerate(_filtration_by_rref(G)):
             assert not _residues(T[c[n]:], basis, pivots, p).any(), n
 
-    def test_filtration_bases_are_compact(self):
-        G = build_group("cyclic:2", 5)
-        for basis, _ in G.ideal_filtration():
-            assert basis.dtype == np.int16
-            assert basis.base is None or basis.base.size == basis.size
+    @pytest.mark.parametrize("kind, p", ORACLE_CASES)
+    def test_codimensions_and_chain_match_the_oracle(self, kind, p):
+        G = build_group(kind, p)
+        assert augmentation_powers(G) == _oracle_codimensions(G)
+        assert dimension_subgroups(G)[0] == _dimension_chain_by_residues(G)
+
+    @pytest.mark.parametrize("kind, p", (("cyclic:2", 5), ("elemab:3", 3), ("heisenberg", 3)))
+    def test_filtration_levels_are_views_of_the_flag_basis(self, kind, p):
+        G = build_group(kind, p)
+        T, T_inv = G.flag_basis()
+        filt = G.ideal_filtration()
+        for (powers, cut), (basis, _) in zip(filt, _filtration_by_rref(G)):
+            assert powers.shape == basis.shape
+            assert powers.size == 0 or np.shares_memory(powers, T)
+            assert cut.shape == (G.order, G.order - basis.shape[0])
+            assert cut.size == 0 or np.shares_memory(cut, T_inv)
+            # the columns vanish on I^n: they are the annihilator of I^n
+            # under (a, b) -> coefficient of 1 in ab
+            assert not (basis @ cut % p).any()
+
+    def test_order_one_group(self):
+        G = FiniteGroupTable(5, np.zeros((1, 1), dtype=np.int64), generators=())
+        assert augmentation_powers(G) == _oracle_codimensions(G) == (0, 1)
+        assert dimension_subgroups(G)[0] == _dimension_chain_by_residues(G) == (frozenset({0}),)
+        T, T_inv = G.flag_basis()
+        assert T.tolist() == T_inv.tolist() == [[1]]
 
     @settings(deadline=None, max_examples=15)
     @given(st.sampled_from(RELABEL_GROUPS), st.randoms(use_true_random=False))
     def test_dimension_subgroups_match_residues_on_relabelled_tables(self, case, rnd):
         kind, p = case
         H = _relabelled(builtin_presentation(kind, p), rnd).target
+        assert augmentation_powers(H) == _oracle_codimensions(H)
         assert dimension_subgroups(H)[0] == _dimension_chain_by_residues(H)
 
 
@@ -654,13 +739,13 @@ class TestDirectDefects:
         assert elapsed < 5.0
 
 
-def _jacobian_defect(pres, n):
+def _jacobian_defect(pres, n, filt):
     """e_n from the Jacobian of step n alone: each domain quotient spanned
-    by e_h over the non-pivot columns h of its ideal's echelon basis,
-    images reduced to residues modulo I^(n-1), one row reduction."""
+    by e_h over the non-pivot columns h of its ideal's echelon basis in
+    the oracle filtration filt, images reduced to residues modulo I^(n-1),
+    one row reduction."""
     G = pres.target
     p = G.prime
-    filt = G.ideal_filtration()
     W = _fox_images(pres)
     cod_basis, cod_pivots = filt[min(n - 1, len(filt) - 1)]
     blocks = []
@@ -681,14 +766,14 @@ def _jacobian_defect(pres, n):
 
 def _assert_defects_match_jacobians(pres):
     # past the filtration length plus the largest level every defect is final
-    horizon = len(augmentation_powers(pres.target)) + max(pres.levels, default=1)
-    want = tuple(_jacobian_defect(pres, n) for n in range(1, horizon + 1))
+    filt = _filtration_by_rref(pres.target)
+    horizon = len(filt) + max(pres.levels, default=1)
+    want = tuple(_jacobian_defect(pres, n, filt) for n in range(1, horizon + 1))
     assert defects_direct(pres, horizon) == want
 
 
 class TestDefectsAgainstStepJacobians:
-    @pytest.mark.parametrize("p", (3, 5))
-    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("kind, p", ORACLE_CASES)
     def test_builtins(self, kind, p):
         _assert_defects_match_jacobians(builtin_presentation(kind, p))
 

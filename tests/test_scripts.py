@@ -1,0 +1,16 @@
+"""The reproduction scripts under scripts/, run as a user runs them."""
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_group_oracle_report_passes_at_p3():
+    # the script puts src/ on its own path, so it runs from a bare checkout
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "group_oracle_report.py"), "--primes", "3"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "all cross-checks passed" in done.stdout.splitlines()
