@@ -24,6 +24,7 @@ from .gs_check import (
     strict_corollary_check,
 )
 from .group_lab import (
+    BUILTIN_GROUPS,
     augmentation_powers,
     builtin_presentation,
     build_group,
@@ -146,7 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--levels", type=_int_list, default=(3, 7), metavar="L1,L2")
 
     sp = sub.add_parser("grouplab", help="measure a small p-group and cross-check the theory")
-    sp.add_argument("--group", metavar="KIND", help="cyclic:k | elemab:d | heisenberg")
+    sp.add_argument("--group", metavar="KIND", help=" | ".join(
+        f"{name}:{arg}" if arg else name for name, (arg, _, _) in BUILTIN_GROUPS.items()))
     sp.add_argument("--p", type=int)
     sp.add_argument("--input", metavar="FILE", help="plain-text group file instead of a built-in")
     sp.add_argument(

@@ -2,8 +2,9 @@
 
 Multiplication tables, powers of the augmentation ideal in the group
 algebra, dimension subgroups and the lower central series, the filtration
-product formula, plus a direct kernel computation of the recursion
-defects by noncommutative differentiation of relator words.
+product formula, relator levels from the run-length Magnus series of each
+relator, plus a direct kernel computation of the recursion defects from
+the Fox derivatives of the relator words.
 
 Everything is dense linear algebra over F_p on vectors indexed by group
 elements, so built-in and file groups are capped at 343 elements.  The
@@ -181,15 +182,6 @@ class FiniteGroupTable:
             if not np.array_equal(mul[mul[:, g]], mul[:, mul[g]]):
                 raise GroupTableError(f"associativity fails at generator {g}")
 
-    def _power_raw(self, g: int, e: int) -> int:
-        acc, base = 0, g
-        while e:
-            if e & 1:
-                acc = int(self.mul[acc, base])
-            base = int(self.mul[base, base])
-            e >>= 1
-        return acc
-
     def _find_generators(self) -> list[int]:
         gens: list[int] = []
         reached = frozenset([0])
@@ -206,11 +198,6 @@ class FiniteGroupTable:
 
     def inverse(self, i: int) -> int:
         return int(self.inv[i])
-
-    def power(self, g: int, e: int) -> int:
-        if e < 0:
-            return self._power_raw(self.inverse(g), -e)
-        return self._power_raw(g, e)
 
     def element_order(self, g: int) -> int:
         o, x = 1, g
@@ -474,6 +461,8 @@ def _checked_order(p: int, k: int, what: str = "order") -> int:
     """The order p^k of a group to tabulate, refused past
     DEFAULT_SIZE_LIMIT before any table is allocated.  An exponent past
     the limit's bit length is refused without forming p^k."""
+    if k < 0:
+        raise ValueError(f"{what} {p}^{k} has a negative exponent")
     if k > DEFAULT_SIZE_LIMIT.bit_length():
         raise SizeLimitError(f"{what} {p}^{k} exceeds limit {DEFAULT_SIZE_LIMIT}")
     n = p ** k
@@ -529,21 +518,45 @@ def build_heisenberg(p: int) -> FiniteGroupTable:
     return FiniteGroupTable(p, mul, generators=gens, kind="heisenberg")
 
 
-def build_group(kind: str, p: int) -> FiniteGroupTable:
-    """Dispatcher for the built-in families: "cyclic:k", "elemab:d",
-    "heisenberg"."""
+def _elemab_relators(p: int, d: int) -> tuple[tuple[int, ...], ...]:
+    gens = range(1, d + 1)
+    return tuple((i,) * p for i in gens) + tuple(
+        commutator_word((i,), (j,)) for i in gens for j in gens if i < j)
+
+
+def _heisenberg_relators(p: int, _) -> tuple[tuple[int, ...], ...]:
+    """x^p, y^p and both weight-3 commutators: convenient, not certified
+    minimal."""
+    c = commutator_word((1,), (2,))
+    return (1,) * p, (2,) * p, commutator_word(c, (1,)), commutator_word(c, (2,))
+
+
+#: the built-in families: name -> (its argument in "name:arg", or None
+#: for a family without one; table builder (p, arg); relators (p, arg))
+BUILTIN_GROUPS = {
+    "cyclic": ("k", build_cyclic, lambda p, k: ((1,) * p ** k,)),
+    "elemab": ("d", build_elem_abelian, _elemab_relators),
+    "heisenberg": (None, lambda p, _: build_heisenberg(p), _heisenberg_relators),
+}
+
+
+def _builtin(kind: str):
+    """(table builder, relators, argument) of a built-in kind."""
     name, _, arg = kind.partition(":")
-    if name == "cyclic":
-        return build_cyclic(p, int(arg or 1))
-    if name == "elemab":
-        return build_elem_abelian(p, int(arg or 1))
-    if name == "heisenberg":
-        return build_heisenberg(p)
-    raise ValueError(f"unknown group kind {kind!r}")
+    if name not in BUILTIN_GROUPS or (arg and not BUILTIN_GROUPS[name][0]):
+        raise ValueError(f"unknown group kind {kind!r}")
+    label, table, relators = BUILTIN_GROUPS[name]
+    return table, relators, int(arg or 1) if label else None
+
+
+def build_group(kind: str, p: int) -> FiniteGroupTable:
+    """The table of a built-in kind (see BUILTIN_GROUPS)."""
+    table, _, arg = _builtin(kind)
+    return table(p, arg)
 
 
 # ---------------------------------------------------------------------------
-# Words and the truncated noncommutative algebra
+# Words and their Magnus series
 # ---------------------------------------------------------------------------
 
 def parse_word(s: str, d: int) -> tuple[int, ...]:
@@ -589,115 +602,42 @@ def commutator_word(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     return word_inverse(u) + word_inverse(v) + tuple(u) + tuple(v)
 
 
-class NcTruncPoly:
-    """Polynomial in noncommuting variables over F_p, truncated above a
-    total degree cap.  Terms map words (tuples of 1-based variable
-    indices) to nonzero coefficients in 1..p-1."""
+def magnus_embed(word: Sequence[int], d: int, p: int, degree_cap: int) -> dict[tuple[int, ...], int]:
+    """Image of (word - 1) under x_i -> 1 + X_i in the noncommutative
+    power series over F_p, truncated above the degree cap: the nonzero
+    terms, keyed by monomials (tuples of 1-based variable indices).  The
+    empty word maps to {}.
 
-    __slots__ = ("terms", "degree_cap", "nvars", "prime")
-
-    def __init__(self, terms: dict[tuple[int, ...], int], degree_cap: int, nvars: int, prime: int):
-        cleaned = {}
-        for w, c in terms.items():
-            if len(w) > degree_cap:
-                continue
-            c %= prime
-            if c:
-                cleaned[w] = c
-        self.terms = cleaned
-        self.degree_cap = degree_cap
-        self.nvars = nvars
-        self.prime = prime
-
-    @classmethod
-    def one(cls, nvars: int, p: int, cap: int) -> "NcTruncPoly":
-        return cls({(): 1}, cap, nvars, p)
-
-    def _check_compat(self, other: "NcTruncPoly") -> int:
-        if self.nvars != other.nvars or self.prime != other.prime:
-            raise ValueError("incompatible operands")
-        return min(self.degree_cap, other.degree_cap)
-
-    def __add__(self, other: "NcTruncPoly") -> "NcTruncPoly":
-        cap = self._check_compat(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return NcTruncPoly(out, cap, self.nvars, self.prime)
-
-    def __neg__(self) -> "NcTruncPoly":
-        return NcTruncPoly(
-            {w: self.prime - c for w, c in self.terms.items()},
-            self.degree_cap, self.nvars, self.prime,
-        )
-
-    def __sub__(self, other: "NcTruncPoly") -> "NcTruncPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "NcTruncPoly") -> "NcTruncPoly":
-        cap = self._check_compat(other)
-        out: dict[tuple[int, ...], int] = {}
-        for w1, c1 in self.terms.items():
-            room = cap - len(w1)
-            if room < 0:
-                continue
-            for w2, c2 in other.terms.items():
-                if len(w2) > room:
-                    continue
-                w = w1 + w2
-                out[w] = out.get(w, 0) + c1 * c2
-        return NcTruncPoly(out, cap, self.nvars, self.prime)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NcTruncPoly):
-            return NotImplemented
-        return (
-            self.terms == other.terms
-            and self.degree_cap == other.degree_cap
-            and self.nvars == other.nvars
-            and self.prime == other.prime
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def min_degree(self) -> int | None:
-        """Least total degree of a nonzero term; None for the zero element."""
-        if not self.terms:
-            return None
-        return min(len(w) for w in self.terms)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            mono = "*".join(f"x{i}" for i in w) or "1"
-            bits.append(f"{self.terms[w]}*{mono}")
-        return " + ".join(bits)
-
-
-def _letter_series(letter: int, nvars: int, p: int, cap: int) -> NcTruncPoly:
-    i = abs(letter)
-    if letter > 0:
-        return NcTruncPoly({(): 1, (i,): 1}, cap, nvars, p)
-    terms = {(i,) * q: (-1) ** q % p for q in range(cap + 1)}
-    return NcTruncPoly(terms, cap, nvars, p)
-
-
-def magnus_embed(word: Sequence[int], d: int, p: int, degree_cap: int) -> NcTruncPoly:
-    """Image of (word - 1) under the substitution generator -> 1 + x_i,
-    inverse -> the truncated geometric series, computed mod p up to the
-    degree cap.  The empty word maps to 0."""
-    if not is_prime(p):
-        raise InvalidPrimeError(f"{p} is not prime")
-    acc = NcTruncPoly.one(d, p, degree_cap)
+    The product is taken run by run: a maximal run x_i^m maps to
+    (1 + X_i)^m = sum_j C(m, j) X_i^j, with the generalized binomial
+    C(m, j) = m (m - 1) ... (m - j + 1) / j!, so m may be negative."""
+    runs: list[list[int]] = []
     for letter in word:
-        if not 1 <= abs(letter) <= d:
+        i = abs(letter)
+        if not 1 <= i <= d:
             raise ValueError(f"letter {letter} out of range for {d} generators")
-        acc = acc * _letter_series(letter, d, p, degree_cap)
-    return acc - NcTruncPoly.one(d, p, degree_cap)
+        if runs and runs[-1][0] == i:
+            runs[-1][1] += 1 if letter > 0 else -1
+        else:
+            runs.append([i, 1 if letter > 0 else -1])
+    acc = {(): 1}
+    for i, m in runs:
+        series, binom = [], 1  # the nonzero (j, C(m, j) mod p)
+        for j in range(degree_cap + 1):
+            if binom % p:
+                series.append((j, binom % p))
+            binom = binom * (m - j) // (j + 1)
+        out: dict[tuple[int, ...], int] = {}
+        for w, c in acc.items():
+            room = degree_cap - len(w)
+            for j, b in series:
+                if j > room:
+                    break
+                key = w + (i,) * j
+                out[key] = out.get(key, 0) + c * b
+        acc = {w: c % p for w, c in out.items() if c % p}
+    # each run's series starts with 1, so the constant term of w is 1
+    return {w: c for w, c in acc.items() if w}
 
 
 def word_level(word: Sequence[int], d: int, p: int) -> int:
@@ -709,9 +649,9 @@ def word_level(word: Sequence[int], d: int, p: int) -> int:
         raise PresentationError("word is freely trivial; its level is unbounded")
     cap = 8
     while True:
-        lvl = magnus_embed(reduced, d, p, cap).min_degree()
-        if lvl is not None:
-            return lvl
+        terms = magnus_embed(reduced, d, p, cap)
+        if terms:
+            return min(map(len, terms))
         if cap >= MAX_LEVEL_CAP:
             raise PresentationError(f"level of {format_word(word)} exceeds cap {MAX_LEVEL_CAP}")
         cap *= 2
@@ -725,9 +665,8 @@ def word_level(word: Sequence[int], d: int, p: int) -> int:
 class PresentationData:
     """Relators for a marked generating set of a finite p-group.
 
-    levels[i] is the filtration level of relator i, computed from the
-    truncated noncommutative expansion (never taken on trust from the
-    caller)."""
+    levels[i] is the filtration level of relator i, computed from its
+    Magnus series (never taken on trust from the caller)."""
 
     target: FiniteGroupTable
     generator_images: tuple[int, ...]
@@ -768,11 +707,13 @@ def make_presentation(
     rels = tuple(tuple(int(x) for x in w) for w in relators)
     levels = []
     for w in rels:
+        # the level first: it refuses a letter outside 1..d, which
+        # word_to_element would misread
+        lvl = word_level(w, d, target.prime)
         if target.word_to_element(w, images) != 0:
             raise PresentationError(
                 f"relator {format_word(w)} does not map to the identity"
             )
-        lvl = word_level(w, d, target.prime)
         if lvl < 2:
             raise PresentationError(
                 f"relator {format_word(w)} has level {lvl} < 2"
@@ -791,35 +732,11 @@ def make_presentation(
 
 
 def builtin_presentation(kind: str, p: int) -> PresentationData:
-    """Standard presentation for a built-in group kind.
-
-    The nonabelian order-p^3 family uses the four relators x^p, y^p and
-    both weight-3 commutators; this presentation is convenient, not
-    certified minimal."""
-    G = build_group(kind, p)
-    name, _, arg = kind.partition(":")
-    if name == "cyclic":
-        k = int(arg or 1)
-        return make_presentation(G, (1,), ((1,) * p ** k,))
-    if name == "elemab":
-        d = int(arg or 1)
-        images = tuple(int(p ** i) for i in range(d))
-        rels = [(i,) * p for i in range(1, d + 1)]
-        for i in range(1, d + 1):
-            for j in range(i + 1, d + 1):
-                rels.append(commutator_word((i,), (j,)))
-        return make_presentation(G, images, rels)
-    if name == "heisenberg":
-        x, y = (1,), (2,)
-        c = commutator_word(x, y)
-        rels = (
-            (1,) * p,
-            (2,) * p,
-            commutator_word(c, x),
-            commutator_word(c, y),
-        )
-        return make_presentation(G, G.generators, rels)
-    raise ValueError(f"unknown group kind {kind!r}")
+    """The built-in table with its relators (see BUILTIN_GROUPS) on its
+    declared generators."""
+    table, relators, arg = _builtin(kind)
+    G = table(p, arg)
+    return make_presentation(G, G.generators, relators(p, arg))
 
 
 def _fox_images(pres: PresentationData) -> np.ndarray:
@@ -1019,24 +936,3 @@ def parse_group_text(text: str):
 def parse_group_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_group_text(fh.read())
-
-
-def format_group_file(G: FiniteGroupTable, pres: PresentationData | None = None) -> str:
-    """Serialize a group (and optionally its presentation) in the
-    plain-text format accepted by parse_group_file."""
-    k = 0
-    m = G.order
-    while m > 1:
-        m //= G.prime
-        k += 1
-    images = pres.generator_images if pres is not None else G.generators
-    lines = [f"{G.prime} {k} {len(images)}", str(G.order)]
-    for i in range(G.order):
-        lines.append(" ".join(str(int(x)) for x in G.mul[i]))
-    if images:
-        lines.append(" ".join(str(g) for g in images))
-    rels = pres.relators if pres is not None else ()
-    lines.append(str(len(rels)))
-    for w in rels:
-        lines.append(format_word(w))
-    return "\n".join(lines) + "\n"

@@ -6,7 +6,9 @@ import pytest
 
 from gstower import group_lab
 from gstower.cli import main
-from gstower.group_lab import FiniteGroupTable, builtin_presentation, format_group_file
+from gstower.group_lab import FiniteGroupTable, builtin_presentation
+
+from test_group_lab import format_group_file
 
 
 def run(capsys, *argv):

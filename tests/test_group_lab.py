@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gstower.group_lab import (
+    DEFAULT_SIZE_LIMIT,
     FiniteGroupTable,
     GroupTableError,
-    NcTruncPoly,
     PresentationData,
     PresentationError,
     SizeLimitError,
@@ -30,7 +30,6 @@ from gstower.group_lab import (
     defects_direct,
     dimension_subgroups,
     e_n_direct,
-    format_group_file,
     format_word,
     fox_formula_holds,
     free_reduce,
@@ -133,6 +132,15 @@ class TestBuildGroup:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_group("dihedral:3", 3)
+        # a family without an argument refuses one instead of ignoring it
+        with pytest.raises(ValueError, match="unknown group kind"):
+            builtin_presentation("heisenberg:5", 3)
+
+    def test_negative_exponent_rejected(self):
+        # p^-1 is no group order
+        for kind in ("cyclic:-1", "elemab:-2"):
+            with pytest.raises(ValueError, match="negative exponent"):
+                build_group(kind, 3)
 
     def test_table_validation_rejects_broken_rows(self):
         mul = np.array([[0, 1], [1, 1]])
@@ -173,9 +181,11 @@ class TestBuildGroup:
 
     def test_power_and_word_evaluation(self):
         G = build_group("cyclic:2", 3)
-        assert G.power(1, 9) == 0
-        assert G.power(1, -1) == G.inverse(1)
+        assert G.word_to_element((1,) * 9, (1,)) == 0
+        assert G.word_to_element((-1,), (1,)) == G.inverse(1) == 8
         assert G.word_to_element((1, 1, 1), (1,)) == 3
+        assert G.word_to_element((-1, -1, 1), (3,)) == G.inverse(3) == 6
+        assert G.word_to_element((), (1,)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +452,7 @@ class TestCentralSeries:
 
 
 # ---------------------------------------------------------------------------
-# words, the truncated algebra, differentiation
+# words, their Magnus series, differentiation
 # ---------------------------------------------------------------------------
 
 class TestWords:
@@ -472,25 +482,64 @@ class TestWords:
         assert parse_word(format_word(reduced), 2) == reduced
 
 
+def _magnus_by_letters(word, p, cap):
+    """(word - 1) expanded letter by letter, the reference for
+    magnus_embed: x_i -> 1 + X_i, its inverse -> the geometric series
+    1 - X_i + X_i^2 - ..., each product truncated above cap, mod p."""
+    acc = {(): 1}
+    for letter in word:
+        i = abs(letter)
+        if letter > 0:
+            factor = {(): 1, (i,): 1}
+        else:
+            factor = {(i,) * q: (-1) ** q for q in range(cap + 1)}
+        out = {}
+        for w1, c1 in acc.items():
+            for w2, c2 in factor.items():
+                if len(w1) + len(w2) <= cap:
+                    out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+        acc = out
+    acc[()] = acc.get((), 0) - 1
+    return {w: c % p for w, c in acc.items() if c % p}
+
+
+@st.composite
+def _words_with_runs(draw, d):
+    """Words as runs x_i^m, inverse runs and repeated letters included,
+    neither freely reduced nor merged."""
+    runs = draw(st.lists(st.tuples(st.integers(1, d), st.integers(-9, 9)), max_size=6))
+    return tuple(letter for i, m in runs for letter in [i if m > 0 else -i] * abs(m))
+
+
 class TestMagnus:
     def test_single_generator(self):
-        f = magnus_embed((1,), 2, 3, 4)
-        assert f.terms == {(1,): 1}
+        assert magnus_embed((1,), 2, 3, 4) == {(1,): 1}
 
     def test_inverse_generator_geometric_series(self):
         # 1/(1+x) - 1 = -x + x^2 - x^3 + ... ; mod 3 the signs are 2,1,2
-        f = magnus_embed((-1,), 1, 3, 3)
-        assert f.terms == {(1,): 2, (1, 1): 1, (1, 1, 1): 2}
+        assert magnus_embed((-1,), 1, 3, 3) == {(1,): 2, (1, 1): 1, (1, 1, 1): 2}
 
     def test_commutator_leading_term(self):
-        f = magnus_embed(commutator_word((1,), (2,)), 2, 3, 2)
-        assert f.terms == {(1, 2): 1, (2, 1): 2}
+        assert magnus_embed(commutator_word((1,), (2,)), 2, 3, 2) == {(1, 2): 1, (2, 1): 2}
 
     def test_power_relator_level(self):
         # (1+x)^3 - 1 = 3x + 3x^2 + x^3 = x^3 mod 3
-        f = magnus_embed((1, 1, 1), 1, 3, 4)
-        assert f.terms == {(1, 1, 1): 1}
-        assert f.min_degree() == 3
+        assert magnus_embed((1, 1, 1), 1, 3, 4) == {(1, 1, 1): 1}
+        assert word_level((1, 1, 1), 1, 3) == 3
+
+    def test_expansion_is_noncommutative(self):
+        # xy - 1 = x + y + xy and yx - 1 = x + y + yx
+        assert magnus_embed((1, 2), 2, 3, 4) == {(1,): 1, (2,): 1, (1, 2): 1}
+        assert magnus_embed((2, 1), 2, 3, 4) == {(1,): 1, (2,): 1, (2, 1): 1}
+
+    def test_truncation_drops_high_degree(self):
+        assert magnus_embed((1, 1, 1), 1, 3, 2) == {}
+        assert magnus_embed((1, 2), 2, 3, 1) == {(1,): 1, (2,): 1}
+
+    def test_coefficients_reduced_mod_p(self):
+        # (1+x)^2 - 1 = 2x + x^2, and 2 = 0 mod 2
+        assert magnus_embed((1, 1), 1, 2, 4) == {(1, 1): 1}
+        assert magnus_embed((1, 1), 1, 3, 4) == {(1,): 2, (1, 1): 1}
 
     def test_word_level(self):
         assert word_level((1, 1, 1), 1, 3) == 3
@@ -501,58 +550,60 @@ class TestMagnus:
         with pytest.raises(PresentationError):
             word_level((1, -1), 1, 3)
 
+    def test_letter_out_of_range_rejected(self):
+        # letter 0 would read the last generator image in word_to_element
+        for word in ((0,), (1, 0, 1), (3,), (-3, 1)):
+            with pytest.raises(ValueError, match="out of range"):
+                word_level(word, 2, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            make_presentation(build_group("cyclic:1", 3), (1,), [(1, 0, 1)])
+
+    def test_level_cap(self):
+        with pytest.raises(PresentationError, match="exceeds cap"):
+            word_level((1,) * 729, 1, 3)
+
     def test_empty_word_maps_to_zero(self):
-        assert magnus_embed((), 1, 3, 4).is_zero
+        assert magnus_embed((), 1, 3, 4) == {}
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 8), st.data())
+    def test_run_length_expansion_matches_letter_by_letter(self, p, cap, data):
+        d = data.draw(st.integers(1, 3))
+        word = data.draw(_words_with_runs(d))
+        assert magnus_embed(word, d, p, cap) == _magnus_by_letters(word, p, cap)
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_cyclic_levels_up_to_the_size_limit(self, p):
+        # x^(p^k) - 1 = X^(p^k) mod p; the level of the relator of each
+        # cyclic built-in that fits in the size limit
+        k = 1
+        while p ** k <= DEFAULT_SIZE_LIMIT:
+            assert builtin_presentation(f"cyclic:{k}", p).levels == (p ** k,)
+            k += 1
 
 
 class NonzeroConstantTermError(ValueError):
     """Differentiation requires a series with zero constant term."""
 
 
-def _variable(i, nvars, p, cap):
-    return NcTruncPoly({(i,): 1}, cap, nvars, p)
-
-
 def fox_derivative(f, j):
     """Right partial derivative: collect terms ending in x_j and strip the
     last letter (the decomposition f = sum_j (df/dx_j) x_j)."""
-    if f.terms.get((), 0):
+    if f.get((), 0):
         raise NonzeroConstantTermError("series has a nonzero constant term")
-    if not 1 <= j <= f.nvars:
-        raise ValueError(f"variable index {j} out of range")
-    out = {w[:-1]: c for w, c in f.terms.items() if w and w[-1] == j}
-    return NcTruncPoly(out, f.degree_cap, f.nvars, f.prime)
-
-
-class TestNcTruncPoly:
-    def test_multiplication_is_noncommutative(self):
-        x = _variable(1, 2, 3, 4)
-        y = _variable(2, 2, 3, 4)
-        assert (x * y).terms == {(1, 2): 1}
-        assert (y * x).terms == {(2, 1): 1}
-        assert x * y != y * x
-
-    def test_truncation_drops_high_degree(self):
-        x = _variable(1, 1, 3, 2)
-        cube = x * x * x
-        assert cube.is_zero
-
-    def test_coefficients_reduced_mod_p(self):
-        x = _variable(1, 1, 3, 4)
-        assert (x + x + x).is_zero
+    return {w[:-1]: c for w, c in f.items() if w and w[-1] == j}
 
 
 class TestFoxDerivative:
     def test_last_letter_decomposition(self):
         # f = x1 + x2 + x1 x2: d/dx1 = 1, d/dx2 = 1 + x1
         f = magnus_embed((1, 2), 2, 3, 4)
-        assert fox_derivative(f, 1).terms == {(): 1}
-        assert fox_derivative(f, 2).terms == {(): 1, (1,): 1}
+        assert fox_derivative(f, 1) == {(): 1}
+        assert fox_derivative(f, 2) == {(): 1, (1,): 1}
 
     def test_constant_term_rejected(self):
-        one = NcTruncPoly.one(2, 3, 4)
         with pytest.raises(NonzeroConstantTermError):
-            fox_derivative(one, 1)
+            fox_derivative({(): 1}, 1)
 
     @settings(deadline=None, max_examples=50)
     @given(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=8))
@@ -563,9 +614,9 @@ class TestFoxDerivative:
         if not free_reduce(word):
             return
         f = magnus_embed(word, 2, 5, 6)
-        total = NcTruncPoly({}, 6, 2, 5)
+        total = {}
         for j in (1, 2):
-            total = total + fox_derivative(f, j) * _variable(j, 2, 5, 6)
+            total.update({w + (j,): c for w, c in fox_derivative(f, j).items()})
         assert total == f
 
 
@@ -590,7 +641,7 @@ def _magnus_fox_images(pres):
     for i, w in enumerate(pres.relators):
         f = magnus_embed(w, pres.d, G.prime, cap)
         for j in range(pres.d):
-            for mono, coeff in fox_derivative(f, j + 1).terms.items():
+            for mono, coeff in fox_derivative(f, j + 1).items():
                 out[i, j] += coeff * _monomial_vector(G, pres.generator_images, mono)
     return out % G.prime
 
@@ -806,6 +857,27 @@ class TestDefectsAgainstStepJacobians:
 # ---------------------------------------------------------------------------
 # plain-text group files
 # ---------------------------------------------------------------------------
+
+def format_group_file(G, pres=None):
+    """A group (and optionally its presentation) in the plain-text format
+    that parse_group_text reads."""
+    k = 0
+    m = G.order
+    while m > 1:
+        m //= G.prime
+        k += 1
+    images = pres.generator_images if pres is not None else G.generators
+    lines = [f"{G.prime} {k} {len(images)}", str(G.order)]
+    for i in range(G.order):
+        lines.append(" ".join(str(int(x)) for x in G.mul[i]))
+    if images:
+        lines.append(" ".join(str(g) for g in images))
+    rels = pres.relators if pres is not None else ()
+    lines.append(str(len(rels)))
+    for w in rels:
+        lines.append(format_word(w))
+    return "\n".join(lines) + "\n"
+
 
 class TestGroupFiles:
     def test_roundtrip_with_presentation(self):

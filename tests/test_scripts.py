@@ -14,3 +14,14 @@ def test_group_oracle_report_passes_at_p3():
     )
     assert done.returncode == 0, done.stderr
     assert "all cross-checks passed" in done.stdout.splitlines()
+
+
+def test_reproduce_order_bound_default_run():
+    # p = 11: the greedy minimum, then the sweep one below it
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reproduce_order_bound.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "minimal sum: 23 at a = (2,1,1,1,2,2,3,5,6)" in done.stdout.splitlines()
+    assert "all violated: True" in done.stdout
