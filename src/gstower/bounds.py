@@ -73,15 +73,11 @@ def labute_g(n: int, d: int, k: int) -> int:
 class CapProfile:
     """Upper caps a_n <= cap(n) for n = 1..n_max.
 
-    Indices outside that range carry no assertion.  validity_limit is the
-    largest index at which caps of this kind are available for the given
-    prime (the comparison argument needs p > n + 1).
+    Indices outside that range carry no assertion.
     """
 
     prime: int
     cap_values: tuple[int, ...]
-    validity_limit: int
-    ztype_refined: bool
 
     @property
     def n_max(self) -> int:
@@ -114,9 +110,4 @@ def upper_caps(p: int, n_max: int, ztype_37: bool = False) -> CapProfile:
     caps = [labute_g(n, 2, 3) for n in range(1, n_max + 1)]
     if ztype_37 and n_max >= 7:
         caps[6] = min(caps[6], 3)
-    return CapProfile(
-        prime=p,
-        cap_values=tuple(caps),
-        validity_limit=p - 2,
-        ztype_refined=ztype_37,
-    )
+    return CapProfile(prime=p, cap_values=tuple(caps))

@@ -209,12 +209,6 @@ class FiniteGroupTable:
     def exponent(self) -> int:
         return max(self.element_order(g) for g in range(self.order))
 
-    def commutator(self, g: int, h: int) -> int:
-        return self.multiply(
-            self.multiply(self.inverse(g), self.inverse(h)),
-            self.multiply(g, h),
-        )
-
     def subgroup_closure(self, gens: Iterable[int]) -> frozenset[int]:
         """Everything reached from the identity by right multiplication by
         the generators: in a finite group that submonoid is the subgroup."""
@@ -229,8 +223,12 @@ class FiniteGroupTable:
         return frozenset(np.flatnonzero(members).tolist())
 
     def word_to_element(self, word: Sequence[int], images: Sequence[int]) -> int:
+        """The image of the word when letter +-i maps to images[i - 1]^(+-1)."""
+        d = len(images)
         acc = 0
         for letter in word:
+            if not 1 <= abs(letter) <= d:
+                raise PresentationError(f"letter {letter} out of range for {d} generators")
             g = images[abs(letter) - 1]
             if letter < 0:
                 g = self.inverse(g)
@@ -707,8 +705,6 @@ def make_presentation(
     rels = tuple(tuple(int(x) for x in w) for w in relators)
     levels = []
     for w in rels:
-        # the level first: it refuses a letter outside 1..d, which
-        # word_to_element would misread
         lvl = word_level(w, d, target.prime)
         if target.word_to_element(w, images) != 0:
             raise PresentationError(

@@ -8,6 +8,10 @@ arithmetic and the Sturm decider share the integer-list helpers below;
 Fraction appears only for evaluation points, witnesses, bisection
 midpoints and returned values.  No floats are ever consulted for a
 verdict.
+
+The decider runs one Euclid per decision: the Sturm chain of the stripped
+polynomial h itself counts its distinct roots in (0, 1), and its last
+member is gcd(h, h'), so no separate squarefree step is taken.
 """
 from __future__ import annotations
 
@@ -114,15 +118,6 @@ def _irem(a: list[int], b: list[int]) -> list[int]:
             r[shift + i] -= q * c
         _itrim(r)
     return _iprimitive(r)
-
-
-def _igcd_poly(a: list[int], b: list[int]) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _irem(a, b)
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
 
 
 def _idiv_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -289,7 +284,12 @@ class Verdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SturmCertificate:
-    """Summary of the exact root count certifying a HOLDS verdict."""
+    """Summary of the exact root count certifying a HOLDS verdict.
+
+    The counts are read from the Sturm chain of the stripped h itself,
+    which ends in gcd(h, h'): V(0) - V(1) is the number of distinct roots
+    in (0, 1) whether or not h is squarefree.
+    """
 
     roots_in_interval: int
     sign_changes_at_zero: int
@@ -329,12 +329,6 @@ def _sturm_chain(h: list[int]) -> list[list[int]]:
 def _sign_changes(values: Iterable) -> int:
     signs = [1 if v > 0 else -1 for v in values if v != 0]
     return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
-
-
-def _count_roots_01(chain: list[list[int]]) -> tuple[int, int, int]:
-    v0 = _sign_changes(p[0] for p in chain)
-    v1 = _sign_changes(sum(p) for p in chain)
-    return v0 - v1, v0, v1
 
 
 def _strip_unit_interval_roots(f: ExactPoly) -> tuple[list[int], int, int]:
@@ -440,53 +434,46 @@ def positive_on_open_unit_interval(f: ExactPoly) -> PositivityReport:
 
     Roots at the endpoints are factored out first (they do not affect the
     open-interval verdict).  A HOLDS verdict carries a Sturm certificate:
-    zero roots of the squarefree part inside (0,1) plus a positive interior
-    sample.  A VIOLATED verdict carries an exact rational witness with
-    f(witness) <= 0; witnesses are searched smallest-denominator first, so
-    they stay human-readable.
+    zero roots of the stripped h inside (0,1), counted on the chain of h
+    itself, plus a positive interior sample.  A VIOLATED verdict carries an
+    exact rational witness with f(witness) <= 0; witnesses are searched
+    smallest-denominator first, so they stay human-readable.  Only a
+    witness search on a repeated root divides the chain by its last
+    member, gcd(h, h').
     """
     if f.is_zero:
         raise ZeroPolynomialError("positivity of the zero polynomial is undefined")
 
     h, k0, k1 = _strip_unit_interval_roots(f)
 
-    if len(h) == 1:
-        if h[0] > 0:
-            cert = SturmCertificate(
-                roots_in_interval=0, sign_changes_at_zero=0,
-                sign_changes_at_one=0, chain_length=1,
-                stripped_zero_multiplicity=k0, stripped_one_multiplicity=k1,
-                sample_point=Fraction(1, 2), sample_value=f(Fraction(1, 2)),
-            )
-            return PositivityReport(Verdict.HOLDS, certificate=cert)
-        w = Fraction(1, 2)
-        return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
-
     w = _small_denominator_scan(h)
     if w is not None:
         return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
 
-    g = _igcd_poly(h, _iderivative(h))
-    h_sf = _idiv_exact(h, g) if len(g) > 1 else h
-    if h_sf[-1] < 0:
-        h_sf = [-c for c in h_sf]
-    chain = _sturm_chain(h_sf)
-    count, v0, v1 = _count_roots_01(chain)
+    # h(0) != 0 != h(1), so V(0) - V(1) counts the distinct roots in (0, 1)
+    chain = _sturm_chain(h)
+    v0 = _sign_changes(p[0] for p in chain)
+    v1 = _sign_changes(sum(p) for p in chain)
+    count = v0 - v1
 
     if count == 0:
+        # the scan found h(1/2) > 0
         sample = Fraction(1, 2)
-        value = f(sample)
-        if value <= 0:  # pragma: no cover - the scan above would have hit
-            return PositivityReport(Verdict.VIOLATED, witness=sample, witness_value=value)
         cert = SturmCertificate(
             roots_in_interval=0, sign_changes_at_zero=v0,
             sign_changes_at_one=v1, chain_length=len(chain),
             stripped_zero_multiplicity=k0, stripped_one_multiplicity=k1,
-            sample_point=sample, sample_value=value,
+            sample_point=sample, sample_value=f(sample),
         )
         return PositivityReport(Verdict.HOLDS, certificate=cert)
 
     # Interior roots exist, so strict positivity fails; produce a witness.
+    # The chain ends in gcd(h, h'); dividing it out of every member leaves
+    # h_sf and a Sturm sequence for it with the same sign-change counts.
+    g = chain[-1]
+    if len(g) > 1:
+        chain = [_idiv_exact(p, g) for p in chain]
+    h_sf = chain[0]
     intervals = _isolate_sign_change_roots(chain, Fraction(0), Fraction(1), count)
     for lo, hi in intervals:
         vlo, vhi = _ieval_scaled(h, lo), _ieval_scaled(h, hi)

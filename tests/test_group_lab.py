@@ -73,6 +73,11 @@ def _relabelled(pres, rnd):
     return make_presentation(H, images, pres.relators)
 
 
+def _commutator(G, g, h):
+    """[g, h] = g^-1 h^-1 g h in the table G."""
+    return G.multiply(G.multiply(G.inverse(g), G.inverse(h)), G.multiply(g, h))
+
+
 # ---------------------------------------------------------------------------
 # group construction
 # ---------------------------------------------------------------------------
@@ -102,7 +107,7 @@ class TestBuildGroup:
         assert G.order == 27
         x, y = G.generators
         assert G.multiply(x, y) != G.multiply(y, x)
-        assert G.commutator(x, y) != 0
+        assert _commutator(G, x, y) != 0
         assert all(G.element_order(g) in (1, 3) for g in range(27))
 
     def test_heisenberg_needs_odd_prime(self):
@@ -186,6 +191,14 @@ class TestBuildGroup:
         assert G.word_to_element((1, 1, 1), (1,)) == 3
         assert G.word_to_element((-1, -1, 1), (3,)) == G.inverse(3) == 6
         assert G.word_to_element((), (1,)) == 0
+
+    def test_word_to_element_rejects_letters_outside_the_generators(self):
+        # a PresentationError, not a misread image or an IndexError, which
+        # the CLI's ValueError handler would not catch
+        G = build_group("elemab:2", 3)
+        for word in ((0,), (1, 0), (3,), (-3, 1)):
+            with pytest.raises(PresentationError, match="out of range"):
+                G.word_to_element(word, G.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +460,7 @@ class TestCentralSeries:
             G = build_group("heisenberg", p)
             series = lower_central_series(G)
             for cur, nxt in zip(series, series[1:]):
-                comms = {G.commutator(g, h) for g in range(G.order) for h in cur}
+                comms = {_commutator(G, g, h) for g in range(G.order) for h in cur}
                 assert nxt == G.subgroup_closure(comms)
 
 
@@ -551,7 +564,7 @@ class TestMagnus:
             word_level((1, -1), 1, 3)
 
     def test_letter_out_of_range_rejected(self):
-        # letter 0 would read the last generator image in word_to_element
+        # letter 0 is neither x_i nor X_i
         for word in ((0,), (1, 0, 1), (3,), (-3, 1)):
             with pytest.raises(ValueError, match="out of range"):
                 word_level(word, 2, 3)

@@ -10,15 +10,26 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from gstower import series
 from gstower.series import (
     ExactPoly,
     NoRationalWitnessError,
+    PositivityReport,
+    SturmCertificate,
     Verdict,
     ZeroPolynomialError,
     _idiv_exact,
+    _iderivative,
     _ieval_scaled,
     _imul,
     _iprimitive,
+    _irem,
+    _isolate_sign_change_roots,
+    _rational_roots_in,
+    _refine_witness,
+    _sign_changes,
+    _small_denominator_scan,
+    _strip_unit_interval_roots,
     _sturm_chain,
     positive_on_open_unit_interval,
 )
@@ -286,3 +297,167 @@ def test_scaled_evaluation_has_the_sign_of_the_fraction_value(a, t):
 @given(int_coeff_lists, int_coeff_lists)
 def test_exact_division_recovers_the_primitive_factor(a, b):
     assert _idiv_exact(_imul(a, b), b) == _iprimitive(list(a))
+
+
+# ---------------------------------------------------------------------------
+# one chain per decision against the squarefree-first decider it replaced
+# ---------------------------------------------------------------------------
+
+def _igcd_poly(a, b):
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _irem(a, b)
+    if a and a[-1] < 0:
+        a = [-c for c in a]
+    return a
+
+
+def _two_euclid_positivity(f):
+    """Reference: gcd(h, h') by one Euclid, then the Sturm chain of the
+    squarefree part h / gcd by a second."""
+    h, k0, k1 = _strip_unit_interval_roots(f)
+    if len(h) == 1:
+        if h[0] > 0:
+            cert = SturmCertificate(
+                roots_in_interval=0, sign_changes_at_zero=0,
+                sign_changes_at_one=0, chain_length=1,
+                stripped_zero_multiplicity=k0, stripped_one_multiplicity=k1,
+                sample_point=F(1, 2), sample_value=f(F(1, 2)),
+            )
+            return PositivityReport(Verdict.HOLDS, certificate=cert)
+        w = F(1, 2)
+        return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
+    w = _small_denominator_scan(h)
+    if w is not None:
+        return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
+    g = _igcd_poly(h, _iderivative(h))
+    h_sf = _idiv_exact(h, g) if len(g) > 1 else h
+    if h_sf[-1] < 0:
+        h_sf = [-c for c in h_sf]
+    chain = _sturm_chain(h_sf)
+    v0 = _sign_changes(p[0] for p in chain)
+    v1 = _sign_changes(sum(p) for p in chain)
+    count = v0 - v1
+    if count == 0:
+        cert = SturmCertificate(
+            roots_in_interval=0, sign_changes_at_zero=v0,
+            sign_changes_at_one=v1, chain_length=len(chain),
+            stripped_zero_multiplicity=k0, stripped_one_multiplicity=k1,
+            sample_point=F(1, 2), sample_value=f(F(1, 2)),
+        )
+        return PositivityReport(Verdict.HOLDS, certificate=cert)
+    for lo, hi in _isolate_sign_change_roots(chain, F(0), F(1), count):
+        vlo, vhi = _ieval_scaled(h, lo), _ieval_scaled(h, hi)
+        if 0 < lo < 1 and vlo <= 0:
+            return PositivityReport(Verdict.VIOLATED, witness=lo, witness_value=f(lo))
+        if 0 < hi < 1 and vhi <= 0:
+            return PositivityReport(Verdict.VIOLATED, witness=hi, witness_value=f(hi))
+        if vlo * vhi < 0:
+            w = _refine_witness(h, lo, hi, lo_positive=vlo > 0)
+            return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
+        root = _rational_roots_in(h_sf, lo, hi)
+        if root is not None:
+            return PositivityReport(Verdict.VIOLATED, witness=root, witness_value=f(root))
+    raise NoRationalWitnessError("irrational touch points only")
+
+
+def _decide(decider, f):
+    try:
+        return decider(f)
+    except NoRationalWitnessError:
+        return None
+
+
+@st.composite
+def _factor(draw):
+    """A small integer polynomial of degree 1 or 2, b t - a with a root
+    a/b in (0, 1), or (b t - a)(cb t - (ca + 1)) with two roots 1/(cb)
+    apart, where the small-denominator scan often finds no witness."""
+    kind = draw(st.sampled_from((0, 0, 1, 2)))
+    if kind == 0:
+        return P(*draw(st.lists(st.integers(-12, 12), min_size=2, max_size=3)
+                       .filter(lambda cs: cs[-1] != 0)))
+    b = draw(st.integers(2, 120))
+    a = draw(st.integers(1, b - 1))
+    if kind == 1:
+        return P(-a, b)
+    c = draw(st.integers(1, 4))
+    return P(-a, b) * P(-(c * a + 1), c * b)
+
+
+@st.composite
+def products_with_repeats(draw):
+    """c * prod q_i^(e_i) with exponents up to 3, so most products are
+    not squarefree."""
+    f = P(draw(st.sampled_from([-3, -1, 1, 2])))
+    for _ in range(draw(st.integers(1, 3))):
+        f = f * draw(_factor()) ** draw(st.integers(1, 3))
+    return f
+
+
+@settings(deadline=None, max_examples=300)
+@example(P(1, 0, 1) ** 2 * P(2, -1))
+@example((P(-4, 95) * P(-2, 47)) ** 3)
+@example(P(1, 0, -4, 0, 4) * P(3, 1))
+@example(P(0, 1) ** 2 * P(1, -1) ** 3 * P(-1, 3) ** 2)
+@given(products_with_repeats())
+def test_one_chain_decides_like_the_squarefree_first_decider(f):
+    new = _decide(positive_on_open_unit_interval, f)
+    old = _decide(_two_euclid_positivity, f)
+    if old is None or new is None:
+        assert old is new
+        return
+    assert (new.verdict, new.witness, new.witness_value) == \
+        (old.verdict, old.witness, old.witness_value)
+    if new.holds:
+        nc, oc = new.certificate, old.certificate
+        assert (nc.roots_in_interval, nc.sample_point, nc.sample_value) == \
+            (oc.roots_in_interval, oc.sample_point, oc.sample_value)
+        h, _, _ = _strip_unit_interval_roots(f)
+        if len(_igcd_poly(h, _iderivative(h))) == 1:
+            assert nc == oc
+
+
+def test_holds_on_a_repeated_factor():
+    # (1 + t^2)^2 (2 - t): h = (1 + t^2) D0 and h' = (1 + t^2) D1 with
+    #   D0 = -t^3 + 2t^2 - t + 2,  D1 = -5t^2 + 8t - 1.
+    # D0 mod D1 = (48 - 4t) / 25, so D2 ~ t - 12, and D1(12) = -625, so
+    # D3 = 625.  The chain of h is (1 + t^2) (D0, D1, D2, D3): 4 members,
+    # the last one gcd(h, h').  Signs at 0: + - - +, at 1: + + - + (times
+    # 1 + t^2 > 0), two changes each.  f(1/2) = (5/4)^2 (3/2) = 75/32.
+    report = positive_on_open_unit_interval(P(1, 0, 1) ** 2 * P(2, -1))
+    assert report.certificate == SturmCertificate(
+        roots_in_interval=0, sign_changes_at_zero=2, sign_changes_at_one=2,
+        chain_length=4, stripped_zero_multiplicity=0,
+        stripped_one_multiplicity=0, sample_point=F(1, 2),
+        sample_value=F(75, 32),
+    )
+
+
+def test_violated_through_the_divided_chain():
+    # ((95t - 4)(47t - 2))^3 is negative only between 4/95 ~ 0.04211 and
+    # 2/47 ~ 0.04255; no rational of denominator <= 24 lies there, so the
+    # witness comes from the chain divided by gcd(h, h').  At 87/2048:
+    # 95*87 - 4*2048 = 73 and 47*87 - 2*2048 = -7, so
+    # f = (73 * -7 / 2048^2)^3 = -511^3 / 2^66.
+    report = positive_on_open_unit_interval((P(-4, 95) * P(-2, 47)) ** 3)
+    assert report.verdict is Verdict.VIOLATED
+    assert report.witness == F(87, 2048)
+    assert report.witness_value == F(-511 ** 3, 2 ** 66)
+
+
+def test_holds_on_a_squarefree_h_runs_euclid_once(monkeypatch):
+    # h, h' open the chain; every later member is one remainder
+    calls = []
+
+    def counting_irem(a, b):
+        calls.append(len(a))
+        return _irem(a, b)
+
+    monkeypatch.setattr(series, "_irem", counting_irem)
+    for f in (P(1, -2, 0, 2), P(3, -1) * P(1, 0, 1) * P(5, -2, 1)):
+        calls.clear()
+        report = positive_on_open_unit_interval(f)
+        assert report.holds
+        assert report.certificate.chain_length >= 3
+        assert len(calls) == report.certificate.chain_length - 2
