@@ -37,9 +37,8 @@ def report_one(kind: str, p: int) -> bool:
 
     c = augmentation_powers(G)
     _, a = dimension_subgroups(G)
-    data = jennings_transform(a)
-    c_pred = tuple(data.c_at(n) for n in range(len(c)))
-    jennings_ok = c_pred == c and p ** a.order_exponent == G.order
+    # equal tuples: the same order and the same c_n
+    jennings_ok = jennings_transform(a).c == c
     print(f"  dimension sequence: {a.as_dict()}")
     print(f"  filtration gaps (measured): {c}")
     print(f"  transform agreement: {jennings_ok}")

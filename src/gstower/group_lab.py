@@ -131,7 +131,6 @@ class FiniteGroupTable:
         prime: int,
         mul: np.ndarray,
         generators: Sequence[int] | None = None,
-        kind: str | None = None,
     ):
         if not is_prime(prime):
             raise InvalidPrimeError(f"{prime} is not prime")
@@ -140,7 +139,6 @@ class FiniteGroupTable:
         self.prime = prime
         self.order = n
         self.mul = mul
-        self.kind = kind
         self._validate()
         self.inv = np.argmin(mul, axis=1)  # identity is element 0
         if generators is None:
@@ -473,7 +471,7 @@ def build_cyclic(p: int, k: int) -> FiniteGroupTable:
     n = _checked_order(p, k, "cyclic group of order")
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroupTable(p, mul, generators=(1,) if n > 1 else (), kind=f"cyclic:{k}")
+    return FiniteGroupTable(p, mul, generators=(1,) if n > 1 else ())
 
 
 def build_elem_abelian(p: int, d: int) -> FiniteGroupTable:
@@ -488,7 +486,7 @@ def build_elem_abelian(p: int, d: int) -> FiniteGroupTable:
     weights = p ** np.arange(d)
     mul = (sums * weights).sum(axis=2)
     gens = tuple(int(p ** i) for i in range(d))
-    return FiniteGroupTable(p, mul, generators=gens, kind=f"elemab:{d}")
+    return FiniteGroupTable(p, mul, generators=gens)
 
 
 def build_heisenberg(p: int) -> FiniteGroupTable:
@@ -513,7 +511,7 @@ def build_heisenberg(p: int) -> FiniteGroupTable:
         (c1[:, None] + c2 + a1[:, None] * b2) % p,
     )
     gens = (pack(1, 0, 0), pack(0, 1, 0))
-    return FiniteGroupTable(p, mul, generators=gens, kind="heisenberg")
+    return FiniteGroupTable(p, mul, generators=gens)
 
 
 def _elemab_relators(p: int, d: int) -> tuple[tuple[int, ...], ...]:
@@ -687,13 +685,12 @@ def make_presentation(
     target: FiniteGroupTable,
     generator_images: Sequence[int],
     relators: Sequence[Sequence[int]],
-    expected_levels: Sequence[int] | None = None,
 ) -> PresentationData:
     """Validate relators against the target and compute their levels.
 
     Every relator must map to the identity of the target, and every level
     must come out >= 2 (level-1 relators would mean a non-minimal
-    generating set).  Supplied expected levels are checked, not trusted.
+    generating set).
     """
     images = tuple(int(g) for g in generator_images)
     d = len(images)
@@ -715,10 +712,6 @@ def make_presentation(
                 f"relator {format_word(w)} has level {lvl} < 2"
             )
         levels.append(lvl)
-    if expected_levels is not None and tuple(expected_levels) != tuple(levels):
-        raise PresentationError(
-            f"declared levels {tuple(expected_levels)} != computed {tuple(levels)}"
-        )
     return PresentationData(
         target=target,
         generator_images=images,
@@ -849,19 +842,10 @@ def verify_recursion(pres: PresentationData) -> RecursionReport:
     terminal value:  1 + e_n = (r + 1 - d) |G|  for n past the horizon.
     """
     G = pres.target
-    c_list = augmentation_powers(G)
-    M = len(c_list) - 1
+    c = augmentation_powers(G)
     order = G.order
-
-    def c(n: int) -> int:
-        if n <= 0:
-            return 0
-        if n >= M:
-            return order
-        return c_list[n]
-
-    max_lag = max(max(pres.levels) if pres.levels else 1, 1)
-    horizon = (M - 1) + max_lag + 1
+    # c_n = |G| from M = len(c) - 1 on, so e_n is terminal from M + max lag
+    horizon = len(c) - 1 + max((1, *pres.levels))
     e_direct = defects_direct(pres, horizon)
     e_expected = defect_recursion(c, pres.d, pres.levels, horizon)
     mismatches = tuple(
@@ -872,7 +856,7 @@ def verify_recursion(pres: PresentationData) -> RecursionReport:
         prime=G.prime,
         order=order,
         profile=pres.profile(),
-        c=c_list,
+        c=c,
         e_direct=e_direct,
         e_expected=e_expected,
         horizon=horizon,

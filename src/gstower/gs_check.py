@@ -182,10 +182,6 @@ def strict_corollary_check(
     slack = Fraction(1 - profile.d + profile.r) * (
         1 - Fraction(1, a.prime ** a.order_exponent)
     )
-    lhs = gs_lhs_poly(profile)
-    target = (
-        lhs * jp
-        - ExactPoly.one()
-        - ExactPoly.monomial(n_stab + profile.max_level, slack) * jp
-    )
+    slack_term = ExactPoly.monomial(n_stab + profile.max_level, slack)
+    target = (gs_lhs_poly(profile) - slack_term) * jp - ExactPoly.one()
     return positive_on_open_unit_interval(target)

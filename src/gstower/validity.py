@@ -8,17 +8,22 @@ filtration expansion gives c_n, and the recursion
 defines the defect sequence e_n.  A sequence is valid when it respects
 the proven caps, e stays nonnegative, and both c and e stabilize; the
 terminal value of 1 + e_n is (r + 1 - d) times the group order.
+
+Codimensions travel as one tuple (c_0, ..., c_M) ending at the group
+order, transformed (JenningsData.c) or measured (augmentation_powers);
+c_n reads as 0 for n < 0 and as c_M for n > M.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le
-from typing import Callable, Iterable
+from typing import Iterable, Sequence
 
 from .bounds import upper_caps
 from .gs_check import RelationProfile, gs_lhs_poly
-from .jennings import DimensionSequence, JenningsData, jennings_transform
+from .jennings import DimensionSequence, jennings_transform
+from .series import ExactPoly
 
 
 class HorizonTooSmallError(ValueError):
@@ -34,29 +39,19 @@ def default_profile() -> RelationProfile:
     return RelationProfile(2, (3, 7))
 
 
-def e_sequence(
-    a: DimensionSequence,
-    profile: RelationProfile,
-    horizon: int,
-    data: JenningsData | None = None,
-) -> tuple[int, ...]:
-    """Defect values e_1..e_horizon from the counting recursion."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if data is None:
-        data = jennings_transform(a)
-    return defect_recursion(data.c_at, profile.d, profile.levels, horizon)
-
-
 def defect_recursion(
-    c_at: Callable[[int], int], d: int, levels: Iterable[int], horizon: int
+    c: Sequence[int], d: int, levels: Iterable[int], horizon: int
 ) -> tuple[int, ...]:
     """e_1..e_horizon with 1 + e_n = c_n - d c_(n-1) + sum_k c_(n-k) over
-    the relation degrees k, for any c_at defined on all integers."""
+    the relation degrees k.  c is the codimension tuple (c_0, ..., c_M)
+    ending at the order: c_n = 0 for n < 0 and c_n = c_M for n > M."""
+    if horizon < 1:
+        return ()
     levels = tuple(levels)
     lag = max((1, *levels))
-    # c_at read once per index: padded[i] = c_(i + 1 - lag)
-    padded = list(map(c_at, range(1 - lag, horizon + 1)))
+    # padded[i] = c_(i + 1 - lag) for n = 1 - lag..horizon
+    padded = [0] * (lag - 1) + list(c[:horizon + 1])
+    padded += [c[-1]] * (lag + horizon - len(padded))
 
     def shifted(k: int) -> list[int]:
         """c_(n-k) for n = 1..horizon."""
@@ -132,7 +127,7 @@ def is_valid(
     data = jennings_transform(a)
     n_stab = data.stabilization_index
     horizon = n_stab + max(profile.max_level, 1) + horizon_margin
-    e = e_sequence(a, profile, horizon, data=data)
+    e = defect_recursion(data.c, profile.d, profile.levels, horizon)
     order = data.order
     e_limit = stabilized_defect(profile, order)
 
@@ -153,10 +148,8 @@ def is_valid(
         first_failure = f"e_{n_bad} = {e[n_bad - 1]} is negative"
 
     stab_from = n_stab + max(profile.max_level, 1)
-    stabilized = (
-        data.c[-1] == order
-        and all(v == e_limit for v in e[stab_from:])
-    )
+    # c_(N+1) = order is asserted by the transform, so only e can fail
+    stabilized = all(v == e_limit for v in e[stab_from:])
     if first_failure is None and not stabilized:
         first_failure = "tail values have not stabilized inside the horizon"
 
@@ -189,11 +182,10 @@ def mildness_defect(
     through the horizon exactly when the presentation-side polynomial
     equals the filtration series there.  Any finite group eventually has
     e_n = (r + 1 - d)|G| - 1 > 0, so only infinite quotients are mild."""
+    data = jennings_transform(a)
     if horizon is None:
-        data = jennings_transform(a)
         horizon = data.stabilization_index + profile.max_level + 1
-        return e_sequence(a, profile, horizon, data=data)
-    return e_sequence(a, profile, horizon)
+    return defect_recursion(data.c, profile.d, profile.levels, horizon)
 
 
 def gs_equality_eval(
@@ -215,7 +207,6 @@ def gs_equality_eval(
     if not 0 <= t < 1:
         raise ValueError("t must lie in [0, 1)")
     data = jennings_transform(a)
-    p = a.prime
     order = data.order
     n_stab = data.stabilization_index
     # the deepest lag in the recursion is max(max_level, 1), so e_n is
@@ -225,30 +216,24 @@ def gs_equality_eval(
 
     if c is None:
         c = data.c
-    else:
-        if len(c) <= n_stab or c[-1] != order:
-            raise NotStabilizedError("supplied c sequence does not reach the group order")
+    elif len(c) <= n_stab or c[-1] != order:
+        raise NotStabilizedError("supplied c sequence does not reach the group order")
     if e is None:
-        e = e_sequence(a, profile, tail_start + 1, data=data)
-    else:
-        if len(e) <= tail_start or e[-1] != e_limit:
-            raise NotStabilizedError("supplied e sequence does not reach its terminal value")
+        e = defect_recursion(data.c, profile.d, profile.levels, tail_start)
+    elif len(e) <= tail_start or e[-1] != e_limit:
+        raise NotStabilizedError("supplied e sequence does not reach its terminal value")
 
     lhs = gs_lhs_poly(profile)(t)
 
     if t == 0:
         return lhs, Fraction(1)
 
-    def c_at(n: int) -> int:
-        return c[n] if n < len(c) else order
-
-    def e_at(n: int) -> int:
-        return e[n - 1] if n - 1 < len(e) else e_limit
-
-    c_series = sum((c_at(n) * t ** n for n in range(1, n_stab + 1)), Fraction(0))
-    c_series += order * t ** (n_stab + 1) / (1 - t)
-    e_series = sum((e_at(n) * t ** n for n in range(1, tail_start + 1)), Fraction(0))
-    e_series += e_limit * t ** (tail_start + 1) / (1 - t)
+    # c_1..c_N and e_1..e_(tail_start) as integer polynomials; the
+    # constant tails past them are geometric series
+    c_head = ExactPoly.from_coeffs((0, *c[1:n_stab + 1]))
+    e_head = ExactPoly.from_coeffs((0, *e[:tail_start]))
+    c_series = c_head(t) + order * t ** (n_stab + 1) / (1 - t)
+    e_series = e_head(t) + e_limit * t ** (tail_start + 1) / (1 - t)
 
     rhs = 1 / data.jennings_poly(t) + e_series / c_series
     return lhs, rhs

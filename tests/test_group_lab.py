@@ -741,13 +741,6 @@ class TestPresentations:
         with pytest.raises(PresentationError):
             make_presentation(G, (1,), [(1, 1, 1)])
 
-    def test_declared_levels_are_checked(self):
-        G = build_group("cyclic:1", 3)
-        with pytest.raises(PresentationError):
-            make_presentation(G, (1,), [(1, 1, 1)], expected_levels=(2,))
-        pres = make_presentation(G, (1,), [(1, 1, 1)], expected_levels=(3,))
-        assert pres.levels == (3,)
-
 
 class TestDirectDefects:
     def test_cyclic_3_fifth_defect(self):

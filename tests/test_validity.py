@@ -17,7 +17,6 @@ from gstower.validity import (
     NotStabilizedError,
     default_profile,
     defect_recursion,
-    e_sequence,
     gs_equality_eval,
     is_valid,
     mildness_defect,
@@ -30,6 +29,7 @@ P17_EXAMPLE = [2, 1, 1, 1, 2, 2, 3, 3, 4, 4, 6, 5, 7, 5, 4]
 
 CYCLIC3_PROFILE = RelationProfile(1, (3,))
 CYCLIC3_A = DimensionSequence.from_values(3, [1])
+CYCLIC3_C = (0, 1, 2, 3)
 
 
 def test_default_profile_is_two_generators_levels_3_7():
@@ -41,7 +41,7 @@ def test_default_profile_is_two_generators_levels_3_7():
 class TestESequence:
     def test_cyclic_3_defects(self):
         # c = (0,1,2,3,3,3,...); e_n = c_n + c_{n-3} - c_{n-1} - 1
-        e = e_sequence(CYCLIC3_A, CYCLIC3_PROFILE, 10)
+        e = defect_recursion(CYCLIC3_C, 1, (3,), 10)
         assert e == (0, 0, 0, 0, 1, 2, 2, 2, 2, 2)
 
     def test_terminal_value(self):
@@ -50,9 +50,9 @@ class TestESequence:
         assert stabilized_defect(default_profile(), 17 ** 50) == 17 ** 50 - 1
 
     def test_short_horizon(self):
-        assert e_sequence(CYCLIC3_A, CYCLIC3_PROFILE, 1) == (0,)
-        with pytest.raises(ValueError):
-            e_sequence(CYCLIC3_A, CYCLIC3_PROFILE, 0)
+        assert defect_recursion(CYCLIC3_C, 1, (3,), 1) == (0,)
+        assert defect_recursion(CYCLIC3_C, 1, (3,), 0) == ()
+        assert defect_recursion(CYCLIC3_C, 1, (3,), -2) == ()
 
 
 class TestIsValid:
@@ -130,7 +130,7 @@ class TestEqualityEval:
         data = jennings_transform(CYCLIC3_A)
         horizon = 12
         c = tuple(data.c_at(n) for n in range(horizon + 1))
-        e = e_sequence(CYCLIC3_A, CYCLIC3_PROFILE, horizon, data)
+        e = defect_recursion(c, 1, (3,), horizon)
         lhs, rhs = gs_equality_eval(CYCLIC3_A, CYCLIC3_PROFILE, F(1, 2), c=c, e=e)
         assert lhs == rhs == F(5, 8)
 
@@ -138,7 +138,7 @@ class TestEqualityEval:
         data = jennings_transform(CYCLIC3_A)
         horizon = 12
         c = tuple(data.c_at(n) for n in range(horizon + 1))
-        e = list(e_sequence(CYCLIC3_A, CYCLIC3_PROFILE, horizon, data))
+        e = list(defect_recursion(c, 1, (3,), horizon))
         e[-1] += 1
         with pytest.raises(NotStabilizedError):
             gs_equality_eval(CYCLIC3_A, CYCLIC3_PROFILE, F(1, 2), c=c, e=tuple(e))
@@ -195,31 +195,34 @@ def _per_index_recursion(c_at, d, levels, horizon):
     return tuple(out)
 
 
-def _measured_c_at(kind, p):
-    """c_at as verify_recursion builds it, over a measured filtration."""
-    c_list = augmentation_powers(build_group(kind, p))
-    m = len(c_list) - 1
+def _measured(kind, p):
+    """A measured codimension tuple and its per-index reading."""
+    c = augmentation_powers(build_group(kind, p))
 
-    def c(n):
+    def c_at(n):
         if n <= 0:
             return 0
-        if n >= m:
-            return c_list[-1]
-        return c_list[n]
+        return c[min(n, len(c) - 1)]
 
-    return c
+    return c, c_at
 
 
-_MEASURED = {
-    (kind, p): _measured_c_at(kind, p)
-    for kind, p in (("cyclic:2", 2), ("heisenberg", 3), ("elemab:2", 3))
+_CYCLIC3 = jennings_transform(CYCLIC3_A)
+_TUPLES = {
+    **{(kind, p): _measured(kind, p)
+       for kind, p in (("cyclic:2", 2), ("heisenberg", 3), ("elemab:2", 3))},
+    # runs past N + 1 = 3 with trailing order entries, the shape that
+    # gs_equality_eval(c=...) accepts
+    ("cyclic:1 to c_12", 3): (
+        tuple(_CYCLIC3.c_at(n) for n in range(13)), _CYCLIC3.c_at
+    ),
 }
 
 
 @settings(deadline=None, max_examples=150)
 @given(
     source=st.one_of(
-        st.sampled_from(sorted(_MEASURED)),
+        st.sampled_from(sorted(_TUPLES)),
         st.tuples(
             st.sampled_from([2, 3, 5, 7]),
             st.lists(st.integers(min_value=0, max_value=3), max_size=5),
@@ -238,12 +241,15 @@ _MEASURED = {
 @example(source=("heisenberg", 3), d=2, levels=(2, 45, 45), horizon=10)
 @example(source=(3, [1]), d=2, levels=(), horizon=0)
 @example(source=(3, [1]), d=2, levels=(7,), horizon=-3)
+@example(source=("cyclic:1 to c_12", 3), d=1, levels=(3,), horizon=5)
+@example(source=("cyclic:1 to c_12", 3), d=1, levels=(3,), horizon=20)
+@example(source=("cyclic:1 to c_12", 3), d=1, levels=(3,), horizon=-5)
 def test_defect_recursion_matches_the_per_index_loop(source, d, levels, horizon):
     if isinstance(source[0], str):
-        c_at = _MEASURED[source]
+        c, c_at = _TUPLES[source]
     else:
-        c_at = jennings_transform(DimensionSequence.from_values(*source)).c_at
-    assert defect_recursion(c_at, d, levels, horizon) == _per_index_recursion(
+        data = jennings_transform(DimensionSequence.from_values(*source))
+        c, c_at = data.c, data.c_at
+    assert defect_recursion(c, d, levels, horizon) == _per_index_recursion(
         c_at, d, levels, horizon
     )
-
