@@ -128,8 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 choices=("exact", "relaxed"),
                 default="relaxed",
                 help="exact multiplies through by the full filtration "
-                "polynomial; its degree (and the Sturm cost) grows like "
-                "(p-1) * sum(n * a_n), so prefer relaxed for large data",
+                "polynomial, whose degree grows like (p-1) * sum(n * a_n)",
             )
 
     sp = sub.add_parser("minorder", help="greedy minimal-sum search with violation trace")
@@ -220,30 +219,9 @@ def _print_verdict(report) -> None:
         )
 
 
-# above this filtration degree the Sturm decision stops being interactive
-# (minutes to hours); the commands still run, they just say so first
-EXPENSIVE_DEGREE = 600
-
-
-def _filtration_degree(a) -> int:
-    return (a.prime - 1) * a.weighted_degree
-
-
-def _degree_note(a, hint: str) -> None:
-    degree = _filtration_degree(a)
-    if degree > EXPENSIVE_DEGREE:
-        print(
-            f"note: filtration polynomial has degree {degree}; this "
-            f"decision can take a very long time{hint}",
-            file=sys.stderr,
-        )
-
-
 def _cmd_check(args, fmt: str) -> int:
     profile, a = _profile_and_sequence(args)
     mode = CheckMode.EXACT if args.mode == "exact" else CheckMode.RELAXED
-    if mode is CheckMode.EXACT:
-        _degree_note(a, " (--mode relaxed is fast)")
     report = check_inequality(profile, a, mode)
     if fmt == "json":
         _emit_json(_report_payload(args, report, {"mode": mode.value}))
@@ -255,7 +233,6 @@ def _cmd_check(args, fmt: str) -> int:
 
 def _cmd_strict(args, fmt: str) -> int:
     profile, a = _profile_and_sequence(args)
-    _degree_note(a, "")
     report = strict_corollary_check(profile, a)
     if fmt == "json":
         _emit_json(_report_payload(args, report, {"order_exponent": a.order_exponent}))

@@ -796,7 +796,7 @@ def defects_direct(pres: PresentationData, horizon: int) -> tuple[int, ...]:
     levels = np.array(pres.levels, dtype=np.int64).reshape(-1, 1)
     entry = (levels + np.searchsorted(c, np.arange(size), side="right")).ravel()
     order = np.argsort(entry)
-    rows, entry = rows[order], entry[order]
+    entry = entry[order]
     basis = np.zeros((0, size * d), dtype=np.int64)
     pivots = np.zeros(0, dtype=np.int64)
     defects = []
@@ -804,7 +804,7 @@ def defects_direct(pres: PresentationData, horizon: int) -> tuple[int, ...]:
     for n in range(1, horizon + 1):
         entered = int(np.searchsorted(entry, n, side="right"))
         if entered > done:
-            basis, pivots, _ = _rref_extend(basis, pivots, rows[done:entered].astype(np.int64), p)
+            basis, pivots, _ = _rref_extend(basis, pivots, rows[order[done:entered]].astype(np.int64), p)
             done = entered
         rank = int(np.count_nonzero(pivots < d * c[min(n - 1, len(c) - 1)]))
         defects.append(entered - rank)

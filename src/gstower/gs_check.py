@@ -91,9 +91,8 @@ def check_inequality(
     RELAXED mode checks gs_lhs - prod (1 - t^n)^(a_n) > 0, which is a
     weaker requirement.  Exact arithmetic throughout.
 
-    EXACT mode decides positivity at degree (p - 1) * sum(n * a_n) and
-    the Sturm cost grows steeply with it; RELAXED works at degree
-    sum(n * a_n) and stays fast for realistic sequences.
+    EXACT mode decides positivity at degree (p - 1) * sum(n * a_n),
+    RELAXED at degree sum(n * a_n).
     """
     lhs = gs_lhs_poly(profile)
     if mode is CheckMode.EXACT:
@@ -168,9 +167,7 @@ def strict_corollary_check(
 
     Multiplying through by the filtration polynomial turns it into exact
     polynomial positivity on (0, 1).  Requires r >= d so the slack term
-    is nonnegative.  Like EXACT mode this works at the filtration
-    polynomial's degree, so the cost grows steeply with
-    (p - 1) * sum(n * a_n).
+    is nonnegative.
     """
     if profile.r < profile.d:
         raise InvalidHypothesisError(

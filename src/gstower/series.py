@@ -4,20 +4,23 @@ open unit interval.
 Every polynomial is a dense list of integer coefficients, low degree
 first, over one positive common denominator.  The denominator is 1 for
 everything the package builds except the strict slack term.  Polynomial
-arithmetic and the Sturm decider share the integer-list helpers below;
+arithmetic and the decider share the integer-list helpers below;
 Fraction appears only for evaluation points, witnesses, bisection
 midpoints and returned values.  No floats are ever consulted for a
 verdict.
 
-The decider runs one Euclid per decision: the Sturm chain of the stripped
-polynomial h itself counts its distinct roots in (0, 1), and its last
-member is gcd(h, h'), so no separate squarefree step is taken.
+The decider scans small-denominator points first, then proves HOLDS by
+Descartes bisection (Vincent-Collins-Akritas) on the stripped polynomial
+h: its dyadic leaves are a certificate that `gstower.certify` replays.
+Only when a root of h is found or suspected does it take one Euclid,
+h / gcd(h, h'), to isolate the roots for the witness search.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -34,8 +37,8 @@ class NoRationalWitnessError(ArithmeticError):
 
 
 # Integer polynomial helpers (dense int lists, low degree first, no
-# trailing zeros unless noted).  The Sturm chain is kept primitive: every
-# element is rescaled by a positive factor to coprime integer
+# trailing zeros unless noted).  Euclid's remainders are kept primitive:
+# every one is rescaled by a positive factor to coprime integer
 # coefficients, which keeps coefficient growth polynomial instead of
 # exponential.
 
@@ -283,20 +286,17 @@ class Verdict(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class SturmCertificate:
-    """Summary of the exact root count certifying a HOLDS verdict.
+class DescartesCertificate:
+    """Proof of a HOLDS verdict, replayed by `gstower.certify`.
 
-    The counts are read from the Sturm chain of the stripped h itself,
-    which ends in gcd(h, h'): V(0) - V(1) is the number of distinct roots
-    in (0, 1) whether or not h is squarefree.
+    Each leaf (k, i) is the dyadic interval (i / 2^k, (i + 1) / 2^k), and
+    in order the leaves tile (0, 1).  With q(x) = 2^(kn) h((i + x) / 2^k)
+    mapping (0, 1) onto a leaf, (1 + x)^n q(1 / (1 + x)) has no sign
+    variation and nonzero end coefficients, so h has no root on the
+    closed leaf.  The positive sample then fixes the sign on all of (0, 1).
     """
 
-    roots_in_interval: int
-    sign_changes_at_zero: int
-    sign_changes_at_one: int
-    chain_length: int
-    stripped_zero_multiplicity: int
-    stripped_one_multiplicity: int
+    leaves: tuple[tuple[int, int], ...]
     sample_point: Fraction
     sample_value: Fraction
 
@@ -306,29 +306,11 @@ class PositivityReport:
     verdict: Verdict
     witness: Fraction | None = None
     witness_value: Fraction | None = None
-    certificate: SturmCertificate | None = None
+    certificate: DescartesCertificate | None = None
 
     @property
     def holds(self) -> bool:
         return self.verdict is Verdict.HOLDS
-
-
-def _sturm_chain(h: list[int]) -> list[list[int]]:
-    chain = [list(h)]
-    d = _iderivative(h)
-    if d:
-        chain.append(d)
-        while len(chain[-1]) > 1:
-            rem = _irem(chain[-2], chain[-1])
-            if not rem:
-                break
-            chain.append([-c for c in rem])
-    return chain
-
-
-def _sign_changes(values: Iterable) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
 
 def _strip_unit_interval_roots(f: ExactPoly) -> tuple[list[int], int, int]:
@@ -362,20 +344,112 @@ def _small_denominator_scan(h: Sequence[int], max_den: int = 24) -> Fraction | N
     return None
 
 
-def _isolate_sign_change_roots(
-    chain: list[list[int]], lo: Fraction, hi: Fraction, count: int
-) -> list[tuple[Fraction, Fraction]]:
-    """Split (lo, hi] into subintervals each holding one root of chain[0]."""
-    if count == 0:
-        return []
-    if count == 1:
-        return [(lo, hi)]
+# Descartes bisection.  A node (k, i) is the dyadic interval
+# (i / 2^k, (i + 1) / 2^k), carried as the integer polynomial q whose
+# (0, 1) maps onto it: the root node carries h, and the halves of a node
+# carry 2^n q(x / 2) and its Taylor shift by one.  The sign variations of
+# (1 + x)^n q(1 / (1 + x)) bound the roots in the open node and match
+# their count's parity; 0 and 1 are exact (Collins and Akritas, 1976).
+
+# A repeated root of h in (0, 1) keeps two variations at every depth, so
+# past this depth a node with two or more sends h to the root isolation
+# below.  A HOLDS target gets there only when complex roots crowd (0, 1);
+# the benchmark's targets need at most 2 halvings.
+_MAX_DEPTH = 32
+
+
+def _suffix_sums(b: list[int]) -> list[int]:
+    """In place, the Taylor shift p(x + 1) of the polynomial p whose
+    coefficients b lists high degree first: n passes of suffix sums."""
+    for m in range(len(b), 1, -1):
+        b[:m] = accumulate(b[:m])
+    return b
+
+
+def _taylor_shift(q: list[int]) -> list[int]:
+    """q(x + 1)."""
+    return _suffix_sums(q[::-1])[::-1]
+
+
+def _descartes_transform(q: Sequence[int]) -> list[int]:
+    """(1 + x)^n q(1 / (1 + x)), high degree first: its leading
+    coefficient is q(0) and its constant q(1)."""
+    return _suffix_sums(list(q))
+
+
+def _halve(q: Sequence[int]) -> list[int]:
+    """2^n q(x / 2), the left half of a node."""
+    n = len(q) - 1
+    return [c << (n - j) for j, c in enumerate(q)]
+
+
+def _variations(cs: Iterable[int]) -> int:
+    signs = [c > 0 for c in cs if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _descartes_leaves(h: list[int], max_depth: int | None = None) -> list[tuple[int, int]] | None:
+    """The leaves of Descartes bisection of (0, 1) for h, left to right:
+    nodes without variation and with h nonzero at both ends.  None when a
+    node shows a root of h (one variation, or a zero at a dyadic end) or
+    keeps two or more variations past max_depth."""
+    leaves = []
+    stack = [(0, 0, h)]
+    while stack:
+        k, i, q = stack.pop()
+        t = _descartes_transform(q)
+        v = _variations(t)
+        if not (t[0] and t[-1]) or v == 1:
+            return None
+        if v == 0:
+            leaves.append((k, i))
+            continue
+        if max_depth is not None and k >= max_depth:
+            return None
+        left = _halve(q)
+        stack.append((k + 1, 2 * i + 1, _taylor_shift(left)))
+        stack.append((k + 1, 2 * i, left))
+    return leaves
+
+
+def _root_cells(q: list[int], k: int = 0, i: int = 0) -> list[tuple[Fraction, Fraction]]:
+    """The roots of a squarefree q in node (k, i), left to right: a dyadic
+    root r as (r, r), any other as the open leaf (lo, hi) that holds it
+    alone and has no root at either end."""
+    t = _descartes_transform(q)
+    v = _variations(t)
+    if v == 0 or (v == 1 and t[0] and t[-1]):
+        return [(Fraction(i, 1 << k), Fraction(i + 1, 1 << k))] * v
+    left = _halve(q)
+    right = _taylor_shift(left)
+    mid = Fraction(2 * i + 1, 2 << k)
+    return _root_cells(left, k + 1, 2 * i) + [(mid, mid)] * (right[0] == 0) + \
+        _root_cells(right, k + 1, 2 * i + 1)
+
+
+def _split(lo: Fraction, hi: Fraction, roots) -> list[tuple[Fraction, Fraction]]:
+    """Bisect (lo, hi] until each part holds one root of `roots`; the
+    parts that hold one, left to right."""
+    inside = [(a, b) for a, b in roots if lo <= a and b <= hi and lo < b]
+    if len(inside) <= 1:
+        return [(lo, hi)] * len(inside)
     mid = (lo + hi) / 2
-    vm = _sign_changes(_ieval_scaled(p, mid) for p in chain)
-    vl = _sign_changes(_ieval_scaled(p, lo) for p in chain)
-    left = vl - vm
-    return _isolate_sign_change_roots(chain, lo, mid, left) + \
-        _isolate_sign_change_roots(chain, mid, hi, count - left)
+    return _split(lo, mid, inside) + _split(mid, hi, inside)
+
+
+def _isolating_intervals(h: list[int]) -> tuple[list[int], list[tuple[Fraction, Fraction]]]:
+    """h_sf = h / gcd(h, h') and the intervals (lo, hi] that bisecting
+    (0, 1] at midpoints yields, each holding one distinct root of h.
+
+    A root cell is a dyadic interval with no root at its ends, and
+    bisection only splits intervals that hold two roots, so it never
+    splits a cell: counting roots by their cells gives the exact counts.
+    """
+    a, b = h, _iderivative(h)
+    while b:
+        a, b = b, _irem(a, b)
+    h_sf = _idiv_exact(h, a) if len(a) > 1 else h
+    return h_sf, _split(Fraction(0), Fraction(1), _root_cells(h_sf))
 
 
 def _rational_roots_in(h_sf: list[int], lo: Fraction, hi: Fraction) -> Fraction | None:
@@ -433,60 +507,48 @@ def positive_on_open_unit_interval(f: ExactPoly) -> PositivityReport:
     """Decide whether f(t) > 0 for every t in the open interval (0, 1).
 
     Roots at the endpoints are factored out first (they do not affect the
-    open-interval verdict).  A HOLDS verdict carries a Sturm certificate:
-    zero roots of the stripped h inside (0,1), counted on the chain of h
-    itself, plus a positive interior sample.  A VIOLATED verdict carries an
-    exact rational witness with f(witness) <= 0; witnesses are searched
-    smallest-denominator first, so they stay human-readable.  Only a
-    witness search on a repeated root divides the chain by its last
-    member, gcd(h, h').
+    open-interval verdict).  A scan of small-denominator points comes
+    next; a VIOLATED verdict carries an exact rational witness with
+    f(witness) <= 0, searched smallest-denominator first, so witnesses
+    stay human-readable.  A HOLDS verdict carries a Descartes certificate:
+    dyadic leaves tiling (0, 1) on which h has no root, plus the positive
+    sample at 1/2.  Only when bisection meets a root, or a cluster too
+    deep to settle, does h go through Euclid for gcd(h, h') and the
+    isolating intervals of its distinct roots.
     """
     if f.is_zero:
         raise ZeroPolynomialError("positivity of the zero polynomial is undefined")
 
-    h, k0, k1 = _strip_unit_interval_roots(f)
+    h, _, _ = _strip_unit_interval_roots(f)
 
     w = _small_denominator_scan(h)
     if w is not None:
         return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
 
-    # h(0) != 0 != h(1), so V(0) - V(1) counts the distinct roots in (0, 1)
-    chain = _sturm_chain(h)
-    v0 = _sign_changes(p[0] for p in chain)
-    v1 = _sign_changes(sum(p) for p in chain)
-    count = v0 - v1
+    leaves = _descartes_leaves(h, _MAX_DEPTH)
+    if leaves is None:
+        h_sf, intervals = _isolating_intervals(h)
+        # each interval holds a root of h in (0, 1): find a rational witness
+        for lo, hi in intervals:
+            vlo, vhi = _ieval_scaled(h, lo), _ieval_scaled(h, hi)
+            if 0 < lo < 1 and vlo <= 0:
+                return PositivityReport(Verdict.VIOLATED, witness=lo, witness_value=f(lo))
+            if 0 < hi < 1 and vhi <= 0:
+                return PositivityReport(Verdict.VIOLATED, witness=hi, witness_value=f(hi))
+            if vlo * vhi < 0:
+                w = _refine_witness(h, lo, hi, lo_positive=vlo > 0)
+                return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
+            root = _rational_roots_in(h_sf, lo, hi)
+            if root is not None:
+                return PositivityReport(Verdict.VIOLATED, witness=root, witness_value=f(root))
+        if intervals:
+            raise NoRationalWitnessError(
+                "polynomial vanishes in (0,1) only at irrational points of even multiplicity"
+            )
+        # no root after all: a complex cluster near (0, 1), settled deeper
+        leaves = _descartes_leaves(h)
 
-    if count == 0:
-        # the scan found h(1/2) > 0
-        sample = Fraction(1, 2)
-        cert = SturmCertificate(
-            roots_in_interval=0, sign_changes_at_zero=v0,
-            sign_changes_at_one=v1, chain_length=len(chain),
-            stripped_zero_multiplicity=k0, stripped_one_multiplicity=k1,
-            sample_point=sample, sample_value=f(sample),
-        )
-        return PositivityReport(Verdict.HOLDS, certificate=cert)
-
-    # Interior roots exist, so strict positivity fails; produce a witness.
-    # The chain ends in gcd(h, h'); dividing it out of every member leaves
-    # h_sf and a Sturm sequence for it with the same sign-change counts.
-    g = chain[-1]
-    if len(g) > 1:
-        chain = [_idiv_exact(p, g) for p in chain]
-    h_sf = chain[0]
-    intervals = _isolate_sign_change_roots(chain, Fraction(0), Fraction(1), count)
-    for lo, hi in intervals:
-        vlo, vhi = _ieval_scaled(h, lo), _ieval_scaled(h, hi)
-        if 0 < lo < 1 and vlo <= 0:
-            return PositivityReport(Verdict.VIOLATED, witness=lo, witness_value=f(lo))
-        if 0 < hi < 1 and vhi <= 0:
-            return PositivityReport(Verdict.VIOLATED, witness=hi, witness_value=f(hi))
-        if vlo * vhi < 0:
-            w = _refine_witness(h, lo, hi, lo_positive=vlo > 0)
-            return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
-        root = _rational_roots_in(h_sf, lo, hi)
-        if root is not None:
-            return PositivityReport(Verdict.VIOLATED, witness=root, witness_value=f(root))
-    raise NoRationalWitnessError(
-        "polynomial vanishes in (0,1) only at irrational points of even multiplicity"
-    )
+    # the scan found h(1/2) > 0
+    sample = Fraction(1, 2)
+    cert = DescartesCertificate(tuple(leaves), sample, f(sample))
+    return PositivityReport(Verdict.HOLDS, certificate=cert)

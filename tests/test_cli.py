@@ -92,20 +92,6 @@ def test_check_exact_mode_flag(capsys):
     assert payload["verdict"] == "HOLDS"
 
 
-def test_expensive_degree_note(capsys):
-    from gstower.cli import _degree_note, _filtration_degree, EXPENSIVE_DEGREE
-    from gstower.jennings import DimensionSequence
-
-    big = DimensionSequence.from_values(11, [2, 1, 1, 1, 2, 2, 3, 5, 6])
-    assert _filtration_degree(big) == 1480 > EXPENSIVE_DEGREE
-    _degree_note(big, " (--mode relaxed is fast)")
-    assert "degree 1480" in capsys.readouterr().err
-
-    small = DimensionSequence.from_values(3, [1])
-    _degree_note(small, "")
-    assert capsys.readouterr().err == ""
-
-
 def test_strict_subcommand(capsys):
     code, payload = run_json(
         capsys, "strict", "--p", "3", "--d", "1", "--levels", "3", "--a", "1",

@@ -1,4 +1,5 @@
 """Presentation inequality checks, level-pair classification, thresholds."""
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,9 +19,12 @@ from gstower.gs_check import (
     ztype_pair_poly,
 )
 from gstower.jennings import DimensionSequence
-from gstower.series import SturmCertificate, Verdict
+from gstower.series import DescartesCertificate, Verdict
 
 F = Fraction
+
+# every HOLDS certificate met in this module is replayed by gstower.certify
+pytestmark = pytest.mark.usefixtures("holds_are_certified")
 
 
 class TestRelationProfile:
@@ -104,16 +108,42 @@ def test_check_inequality_holds_for_cyclic_data():
 
 
 def test_exact_holds_certificate_is_pinned():
-    # a 35-member Sturm chain, as the rational decider gave it
+    # (0, 1/2) is one leaf; (1/2, 1) splits into (1/2, 5/8), (5/8, 3/4)
+    # and (3/4, 1)
     profile = RelationProfile(2, (3, 7))
     a = DimensionSequence.from_values(3, [2, 3, 3])
     report = check_inequality(profile, a, CheckMode.EXACT)
-    assert report.certificate == SturmCertificate(
-        roots_in_interval=0, sign_changes_at_zero=16, sign_changes_at_one=16,
-        chain_length=35, stripped_zero_multiplicity=2,
-        stripped_one_multiplicity=0, sample_point=F(1, 2),
+    assert report.certificate == DescartesCertificate(
+        leaves=((1, 0), (3, 4), (3, 5), (2, 3)),
+        sample_point=F(1, 2),
         sample_value=F(802014546469, 2199023255552),
     )
+
+
+#: the published p = 11 minimum of the relaxed search, levels (3, 7)
+P11_PROFILE = RelationProfile(2, (3, 7))
+P11_MINIMUM = DimensionSequence.from_values(11, [2, 1, 1, 1, 2, 2, 3, 5, 6])
+
+
+def _timed(decide):
+    started = time.perf_counter()
+    report = decide()
+    return report, time.perf_counter() - started
+
+
+# The budgets include replaying each certificate (holds_are_certified).
+
+def test_published_p11_minimum_holds_in_exact_mode_within_budget():
+    # degree 1482 (1479 after stripping); the Sturm chain took about a minute
+    report, seconds = _timed(lambda: check_inequality(P11_PROFILE, P11_MINIMUM, CheckMode.EXACT))
+    assert report.holds
+    assert seconds < 5.0
+
+
+def test_published_p11_minimum_holds_in_strict_mode_within_budget():
+    report, seconds = _timed(lambda: strict_corollary_check(P11_PROFILE, P11_MINIMUM))
+    assert report.holds
+    assert seconds < 20.0
 
 
 def test_feasible_sequence_passes_relaxed():
@@ -181,13 +211,14 @@ class TestStrictCorollary:
             strict_corollary_check(profile, a)
 
     def test_published_certificate_is_pinned(self):
-        # strict --p 3 --d 1 --levels 3 --a 1, as the rational decider gave it
+        # strict --p 3 --d 1 --levels 3 --a 1: the target is
+        # (1 - t + t^3 - (2/3) t^5)(1 + t + t^2) - 1
+        #   = (1/3) t^4 (1 - t)(3 + 4t + 2t^2),
+        # and h = 3 + 4t + 2t^2 has positive coefficients, so (0, 1) is the
+        # one leaf.  f(1/2) = (1/3)(1/16)(1/2)(11/2) = 11/192.
         report = strict_corollary_check(
             RelationProfile(1, (3,)), DimensionSequence.from_values(3, [1])
         )
-        assert report.certificate == SturmCertificate(
-            roots_in_interval=0, sign_changes_at_zero=1, sign_changes_at_one=1,
-            chain_length=3, stripped_zero_multiplicity=4,
-            stripped_one_multiplicity=1, sample_point=F(1, 2),
-            sample_value=F(11, 192),
+        assert report.certificate == DescartesCertificate(
+            leaves=((0, 0),), sample_point=F(1, 2), sample_value=F(11, 192)
         )

@@ -12,27 +12,25 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from gstower import series
 from gstower.series import (
+    DescartesCertificate,
     ExactPoly,
     NoRationalWitnessError,
-    PositivityReport,
-    SturmCertificate,
     Verdict,
     ZeroPolynomialError,
+    _descartes_transform,
     _idiv_exact,
-    _iderivative,
     _ieval_scaled,
     _imul,
     _iprimitive,
-    _irem,
-    _isolate_sign_change_roots,
-    _rational_roots_in,
-    _refine_witness,
-    _sign_changes,
-    _small_denominator_scan,
+    _isolating_intervals,
     _strip_unit_interval_roots,
-    _sturm_chain,
+    _taylor_shift,
     positive_on_open_unit_interval,
 )
+from sturm_oracle import _sturm_chain, sturm_isolating_intervals, sturm_positivity
+
+# every HOLDS certificate met in this module is replayed by gstower.certify
+pytestmark = pytest.mark.usefixtures("holds_are_certified")
 
 F = Fraction
 
@@ -112,11 +110,18 @@ def test_arithmetic_commutes_with_evaluation(cs1, cs2, x):
 
 def test_positive_despite_interior_dip():
     # 2t^3 - 2t + 1 dips to 1 - 4/(3*sqrt(3)) ~ 0.2302 near t ~ 0.577 but
-    # stays positive.
+    # stays positive.  On (0, 1), with q_j the coefficients,
+    #   sum q_j (1 + x)^(3 - j) = (1+x)^3 - 2(1+x)^2 + 2 = x^3 + x^2 - x + 1
+    # has two variations, so bisect.  Left half 8 q(x/2) = 2x^3 - 8x + 8:
+    #   8(1+x)^3 - 8(1+x)^2 + 2 = 8x^3 + 16x^2 + 8x + 2.
+    # Right half, its shift 2x^3 + 6x^2 - 2x + 2:
+    #   2(1+x)^3 - 2(1+x)^2 + 6(1+x) + 2 = 2x^3 + 4x^2 + 8x + 8.
+    # Neither half has a variation.  f(1/2) = 1/4 - 1 + 1 = 1/4.
     report = positive_on_open_unit_interval(P(1, -2, 0, 2))
     assert report.verdict is Verdict.HOLDS
-    assert report.certificate is not None
-    assert report.certificate.roots_in_interval == 0
+    assert report.certificate == DescartesCertificate(
+        leaves=((1, 0), (1, 1)), sample_point=F(1, 2), sample_value=F(1, 4)
+    )
 
 
 def test_violated_with_rational_witness():
@@ -289,6 +294,14 @@ def test_integer_sturm_chain_matches_fraction_signs(h):
             assert _sign(_ieval_scaled(member, t)) == _sign(_fraction_eval(ref, t))
 
 
+@given(int_coeff_lists, st.fractions(min_value=0, max_denominator=60))
+def test_taylor_shift_and_descartes_transform_evaluate_as_substitutions(q, x):
+    n = len(q) - 1
+    assert _fraction_eval(_taylor_shift(q), x) == _fraction_eval(q, x + 1)
+    assert _fraction_eval(_descartes_transform(q)[::-1], x) == \
+        (1 + x) ** n * _fraction_eval(q, 1 / (1 + x))
+
+
 @given(int_coeff_lists, st.fractions(max_denominator=60))
 def test_scaled_evaluation_has_the_sign_of_the_fraction_value(a, t):
     assert _sign(_ieval_scaled(a, t)) == _sign(_fraction_eval(a, t))
@@ -300,66 +313,8 @@ def test_exact_division_recovers_the_primitive_factor(a, b):
 
 
 # ---------------------------------------------------------------------------
-# one chain per decision against the squarefree-first decider it replaced
+# Descartes bisection against the Sturm-chain decider it replaced
 # ---------------------------------------------------------------------------
-
-def _igcd_poly(a, b):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _irem(a, b)
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
-
-
-def _two_euclid_positivity(f):
-    """Reference: gcd(h, h') by one Euclid, then the Sturm chain of the
-    squarefree part h / gcd by a second."""
-    h, k0, k1 = _strip_unit_interval_roots(f)
-    if len(h) == 1:
-        if h[0] > 0:
-            cert = SturmCertificate(
-                roots_in_interval=0, sign_changes_at_zero=0,
-                sign_changes_at_one=0, chain_length=1,
-                stripped_zero_multiplicity=k0, stripped_one_multiplicity=k1,
-                sample_point=F(1, 2), sample_value=f(F(1, 2)),
-            )
-            return PositivityReport(Verdict.HOLDS, certificate=cert)
-        w = F(1, 2)
-        return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
-    w = _small_denominator_scan(h)
-    if w is not None:
-        return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
-    g = _igcd_poly(h, _iderivative(h))
-    h_sf = _idiv_exact(h, g) if len(g) > 1 else h
-    if h_sf[-1] < 0:
-        h_sf = [-c for c in h_sf]
-    chain = _sturm_chain(h_sf)
-    v0 = _sign_changes(p[0] for p in chain)
-    v1 = _sign_changes(sum(p) for p in chain)
-    count = v0 - v1
-    if count == 0:
-        cert = SturmCertificate(
-            roots_in_interval=0, sign_changes_at_zero=v0,
-            sign_changes_at_one=v1, chain_length=len(chain),
-            stripped_zero_multiplicity=k0, stripped_one_multiplicity=k1,
-            sample_point=F(1, 2), sample_value=f(F(1, 2)),
-        )
-        return PositivityReport(Verdict.HOLDS, certificate=cert)
-    for lo, hi in _isolate_sign_change_roots(chain, F(0), F(1), count):
-        vlo, vhi = _ieval_scaled(h, lo), _ieval_scaled(h, hi)
-        if 0 < lo < 1 and vlo <= 0:
-            return PositivityReport(Verdict.VIOLATED, witness=lo, witness_value=f(lo))
-        if 0 < hi < 1 and vhi <= 0:
-            return PositivityReport(Verdict.VIOLATED, witness=hi, witness_value=f(hi))
-        if vlo * vhi < 0:
-            w = _refine_witness(h, lo, hi, lo_positive=vlo > 0)
-            return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
-        root = _rational_roots_in(h_sf, lo, hi)
-        if root is not None:
-            return PositivityReport(Verdict.VIOLATED, witness=root, witness_value=f(root))
-    raise NoRationalWitnessError("irrational touch points only")
-
 
 def _decide(decider, f):
     try:
@@ -400,44 +355,40 @@ def products_with_repeats(draw):
 @example((P(-4, 95) * P(-2, 47)) ** 3)
 @example(P(1, 0, -4, 0, 4) * P(3, 1))
 @example(P(0, 1) ** 2 * P(1, -1) ** 3 * P(-1, 3) ** 2)
+@example((P(-1, 64) * P(-3, 64) * P(-5, 128)) ** 2)
 @given(products_with_repeats())
-def test_one_chain_decides_like_the_squarefree_first_decider(f):
+def test_descartes_decides_like_the_sturm_oracle(f):
     new = _decide(positive_on_open_unit_interval, f)
-    old = _decide(_two_euclid_positivity, f)
+    old = _decide(sturm_positivity, f)
     if old is None or new is None:
         assert old is new
         return
     assert (new.verdict, new.witness, new.witness_value) == \
         (old.verdict, old.witness, old.witness_value)
     if new.holds:
-        nc, oc = new.certificate, old.certificate
-        assert (nc.roots_in_interval, nc.sample_point, nc.sample_value) == \
-            (oc.roots_in_interval, oc.sample_point, oc.sample_value)
-        h, _, _ = _strip_unit_interval_roots(f)
-        if len(_igcd_poly(h, _iderivative(h))) == 1:
-            assert nc == oc
+        assert old.certificate.roots_in_interval == 0
+        assert new.certificate.sample_value == old.certificate.sample_value
+    h, _, _ = _strip_unit_interval_roots(f)
+    if len(h) > 1:
+        assert _isolating_intervals(h)[1] == sturm_isolating_intervals(h)[1]
 
 
 def test_holds_on_a_repeated_factor():
-    # (1 + t^2)^2 (2 - t): h = (1 + t^2) D0 and h' = (1 + t^2) D1 with
-    #   D0 = -t^3 + 2t^2 - t + 2,  D1 = -5t^2 + 8t - 1.
-    # D0 mod D1 = (48 - 4t) / 25, so D2 ~ t - 12, and D1(12) = -625, so
-    # D3 = 625.  The chain of h is (1 + t^2) (D0, D1, D2, D3): 4 members,
-    # the last one gcd(h, h').  Signs at 0: + - - +, at 1: + + - + (times
-    # 1 + t^2 > 0), two changes each.  f(1/2) = (5/4)^2 (3/2) = 75/32.
+    # (1 + t^2)^2 (2 - t) is decided on h itself, with no gcd taken.  The
+    # transform sum q_j (1 + x)^(n - j) is multiplicative: 1 + t^2 gives
+    # (1 + x)^2 + 1 = x^2 + 2x + 2 and 2 - t gives 2(1 + x) - 1 = 2x + 1,
+    # so h's has positive coefficients only and (0, 1) is the one leaf.
+    # f(1/2) = (5/4)^2 (3/2) = 75/32.
     report = positive_on_open_unit_interval(P(1, 0, 1) ** 2 * P(2, -1))
-    assert report.certificate == SturmCertificate(
-        roots_in_interval=0, sign_changes_at_zero=2, sign_changes_at_one=2,
-        chain_length=4, stripped_zero_multiplicity=0,
-        stripped_one_multiplicity=0, sample_point=F(1, 2),
-        sample_value=F(75, 32),
+    assert report.certificate == DescartesCertificate(
+        leaves=((0, 0),), sample_point=F(1, 2), sample_value=F(75, 32)
     )
 
 
 def test_violated_through_the_divided_chain():
     # ((95t - 4)(47t - 2))^3 is negative only between 4/95 ~ 0.04211 and
     # 2/47 ~ 0.04255; no rational of denominator <= 24 lies there, so the
-    # witness comes from the chain divided by gcd(h, h').  At 87/2048:
+    # witness comes from the roots of h / gcd(h, h').  At 87/2048:
     # 95*87 - 4*2048 = 73 and 47*87 - 2*2048 = -7, so
     # f = (73 * -7 / 2048^2)^3 = -511^3 / 2^66.
     report = positive_on_open_unit_interval((P(-4, 95) * P(-2, 47)) ** 3)
@@ -446,18 +397,42 @@ def test_violated_through_the_divided_chain():
     assert report.witness_value == F(-511 ** 3, 2 ** 66)
 
 
-def test_holds_on_a_squarefree_h_runs_euclid_once(monkeypatch):
-    # h, h' open the chain; every later member is one remainder
+def test_dyadic_roots_are_found_at_the_midpoints():
+    # ((64t - 1)(64t - 3)(128t - 5))^2 >= 0: its roots 1/64, 5/128 and
+    # 3/64 are dyadic with denominators past the scan.  Bisecting (0, 1] at
+    # midpoints, (0, 1/16] still holds all three; (0, 1/32] holds 1/64
+    # alone, and (1/32, 1/16] splits at 3/64 and then at 5/128, whose
+    # right-closed halves hold one root each.  The first interval has
+    # h > 0 at both ends, h(0) = 15^2 and h(1/32) = 1, and its rational
+    # root 1/64 is the witness.
+    f = (P(-1, 64) * P(-3, 64) * P(-5, 128)) ** 2
+    h, _, _ = _strip_unit_interval_roots(f)
+    assert _isolating_intervals(h)[1] == [
+        (F(0), F(1, 32)), (F(1, 32), F(5, 128)), (F(5, 128), F(3, 64))
+    ]
+    report = positive_on_open_unit_interval(f)
+    assert (report.witness, report.witness_value) == (F(1, 64), 0)
+
+
+def test_holds_runs_no_euclid(monkeypatch):
+    # HOLDS is proved by bisection alone, even where it needs to split;
+    # only a root of h in (0, 1) sends it through Euclid
     calls = []
-
-    def counting_irem(a, b):
-        calls.append(len(a))
-        return _irem(a, b)
-
-    monkeypatch.setattr(series, "_irem", counting_irem)
-    for f in (P(1, -2, 0, 2), P(3, -1) * P(1, 0, 1) * P(5, -2, 1)):
-        calls.clear()
+    irem = series._irem
+    monkeypatch.setattr(series, "_irem", lambda a, b: calls.append(len(a)) or irem(a, b))
+    for f in (P(1, -2, 0, 2), P(3, -1) * P(1, 0, 1) * P(5, -2, 1), P(101, -400, 400)):
         report = positive_on_open_unit_interval(f)
         assert report.holds
-        assert report.certificate.chain_length >= 3
-        assert len(calls) == report.certificate.chain_length - 2
+    assert calls == []
+
+
+def test_a_cluster_past_the_depth_bound_still_holds():
+    # (2^40 t - a)^2 + 1 has the roots (a +- i) / 2^40, so Descartes needs
+    # about 40 bisections to clear them, past the bound of 32.  Euclid
+    # then finds no real root, and bisection finishes without the bound.
+    a = 3 * 2 ** 38 + 12345
+    f = P(-a, 2 ** 40) ** 2 + P(1)
+    report = positive_on_open_unit_interval(f)
+    assert report.holds
+    assert max(k for k, _ in report.certificate.leaves) > series._MAX_DEPTH
+    assert sturm_positivity(f).holds
