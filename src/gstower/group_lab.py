@@ -891,6 +891,8 @@ def parse_group_text(text: str):
     p = int(take("prime"))
     k = int(take("order exponent"))
     d = int(take("generator count"))
+    if d < 0:
+        raise ValueError(f"negative generator count {d}")
     order = int(take("element count"))
     if order != _checked_order(p, k):
         raise ValueError(f"element count {order} != {p}^{k}")
@@ -901,6 +903,8 @@ def parse_group_text(text: str):
     images = tuple(int(take("generator image")) for _ in range(d))
     G = FiniteGroupTable(p, mul, generators=images or None)
     r = int(take("relator count"))
+    if r < 0:
+        raise ValueError(f"negative relator count {r}")
     words = [parse_word(take(f"relator {i}"), d) for i in range(r)]
     extra = next(toks, None)
     if extra is not None:

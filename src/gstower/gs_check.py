@@ -91,8 +91,10 @@ def check_inequality(
     RELAXED mode checks gs_lhs - prod (1 - t^n)^(a_n) > 0, which is a
     weaker requirement.  Exact arithmetic throughout.
 
-    EXACT mode decides positivity at degree (p - 1) * sum(n * a_n),
-    RELAXED at degree sum(n * a_n).
+    EXACT mode decides positivity at degree (p - 1) * sum(n * a_n) plus
+    the deepest relator level (1487 on the published p = 11 minimum),
+    RELAXED at degree max(deepest level, sum(n * a_n)), or lower where
+    the leading terms cancel.
     """
     lhs = gs_lhs_poly(profile)
     if mode is CheckMode.EXACT:

@@ -9,11 +9,12 @@ Fraction appears only for evaluation points, witnesses, bisection
 midpoints and returned values.  No floats are ever consulted for a
 verdict.
 
-The decider scans small-denominator points first, then proves HOLDS by
-Descartes bisection (Vincent-Collins-Akritas) on the stripped polynomial
-h: its dyadic leaves are a certificate that `gstower.certify` replays.
-Only when a root of h is found or suspected does it take one Euclid,
-h / gcd(h, h'), to isolate the roots for the witness search.
+The decider scans small-denominator points first, then walks the
+stripped polynomial h once by Descartes bisection (Vincent-Collins-
+Akritas): the dyadic leaves are a HOLDS certificate that `gstower.certify`
+replays, and the root cells isolate the roots for the witness search.
+Euclid, h / gcd(h, h'), runs only for a walk stalled at the depth bound
+or a root of even multiplicity.
 """
 from __future__ import annotations
 
@@ -179,10 +180,6 @@ class ExactPoly:
         return cls._normalized([n * (den // d) for n, d in pairs], den)
 
     @classmethod
-    def zero(cls) -> "ExactPoly":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "ExactPoly":
         return cls((1,))
 
@@ -203,10 +200,6 @@ class ExactPoly:
         """Degree, with the convention degree(0) = -1."""
         return len(self.nums) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
     def __add__(self, other: "ExactPoly") -> "ExactPoly":
         den = lcm(self.den, other.den)
         a = [c * (den // self.den) for c in self.nums]
@@ -219,16 +212,8 @@ class ExactPoly:
     def __sub__(self, other: "ExactPoly") -> "ExactPoly":
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "ExactPoly") -> "ExactPoly":
         return ExactPoly._normalized(_imul(self.nums, other.nums), self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def scale(self, s) -> "ExactPoly":
-        num, den = _num_den(s)
-        return ExactPoly._normalized([c * num for c in self.nums], self.den * den)
 
     def __pow__(self, e: int) -> "ExactPoly":
         if e < 0:
@@ -249,28 +234,6 @@ class ExactPoly:
             return Fraction(0)
         return Fraction(_ieval_scaled(self.nums, t), self.den * den ** self.degree)
 
-    def derivative(self) -> "ExactPoly":
-        return ExactPoly._normalized(_iderivative(self.nums), self.den)
-
-    def __str__(self) -> str:
-        if not self.nums:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(c)
-            elif i == 1:
-                term = "t" if abs(c) == 1 else f"{abs(c)}*t"
-            else:
-                term = f"t^{i}" if abs(c) == 1 else f"{abs(c)}*t^{i}"
-            if not parts:
-                parts.append(term if c > 0 else ("-" + term if i else str(c)))
-            else:
-                parts.append(("+ " if c > 0 else "- ") + term)
-        return " ".join(parts)
-
 
 # ---------------------------------------------------------------------------
 # Positivity on the open interval (0, 1)
@@ -280,9 +243,6 @@ class ExactPoly:
 class Verdict(str, enum.Enum):
     HOLDS = "HOLDS"
     VIOLATED = "VIOLATED"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -322,12 +282,7 @@ def _strip_unit_interval_roots(f: ExactPoly) -> tuple[list[int], int, int]:
     k1 = 0
     while sum(h) == 0:
         # h = (1-t) q with q_i = sum of h_0..h_i
-        q: list[int] = []
-        acc = 0
-        for c in h[:-1]:
-            acc += c
-            q.append(acc)
-        h = _itrim(q)
+        h = _itrim(list(accumulate(h[:-1])))
         k1 += 1
     return h, k0, k1
 
@@ -351,10 +306,10 @@ def _small_denominator_scan(h: Sequence[int], max_den: int = 24) -> Fraction | N
 # (1 + x)^n q(1 / (1 + x)) bound the roots in the open node and match
 # their count's parity; 0 and 1 are exact (Collins and Akritas, 1976).
 
-# A repeated root of h in (0, 1) keeps two variations at every depth, so
-# past this depth a node with two or more sends h to the root isolation
-# below.  A HOLDS target gets there only when complex roots crowd (0, 1);
-# the benchmark's targets need at most 2 halvings.
+# A root of h in (0, 1) that is repeated and not dyadic keeps two
+# variations at every depth, so a node still unsplit at this depth sends
+# h through Euclid.  A HOLDS target gets there only when complex roots
+# crowd (0, 1); the benchmark's targets need at most 2 halvings.
 _MAX_DEPTH = 32
 
 
@@ -388,48 +343,42 @@ def _variations(cs: Iterable[int]) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def _descartes_leaves(h: list[int], max_depth: int | None = None) -> list[tuple[int, int]] | None:
-    """The leaves of Descartes bisection of (0, 1) for h, left to right:
-    nodes without variation and with h nonzero at both ends.  None when a
-    node shows a root of h (one variation, or a zero at a dyadic end) or
-    keeps two or more variations past max_depth."""
-    leaves = []
+def _descartes_walk(
+    h: list[int], max_depth: int | None = None
+) -> tuple[list[tuple[int, int]], list[tuple[Fraction, Fraction]], bool]:
+    """Descartes bisection of (0, 1) for h, left to right: the leaves,
+    nodes without variation and with h nonzero at both ends; the root
+    cells, a node with one variation and nonzero ends as the open (lo, hi)
+    holding one simple root, and a dyadic root r as (r, r); and whether a
+    node with two or more variations, or one variation and a zero end, was
+    met at max_depth, where the walk stops with partial leaves and cells."""
+    leaves, cells = [], []
     stack = [(0, 0, h)]
     while stack:
         k, i, q = stack.pop()
+        if i & 1 and not q[0]:
+            # a right half starts at its parent's midpoint
+            cells.append((Fraction(i, 1 << k),) * 2)
         t = _descartes_transform(q)
         v = _variations(t)
-        if not (t[0] and t[-1]) or v == 1:
-            return None
         if v == 0:
-            leaves.append((k, i))
-            continue
-        if max_depth is not None and k >= max_depth:
-            return None
-        left = _halve(q)
-        stack.append((k + 1, 2 * i + 1, _taylor_shift(left)))
-        stack.append((k + 1, 2 * i, left))
-    return leaves
-
-
-def _root_cells(q: list[int], k: int = 0, i: int = 0) -> list[tuple[Fraction, Fraction]]:
-    """The roots of a squarefree q in node (k, i), left to right: a dyadic
-    root r as (r, r), any other as the open leaf (lo, hi) that holds it
-    alone and has no root at either end."""
-    t = _descartes_transform(q)
-    v = _variations(t)
-    if v == 0 or (v == 1 and t[0] and t[-1]):
-        return [(Fraction(i, 1 << k), Fraction(i + 1, 1 << k))] * v
-    left = _halve(q)
-    right = _taylor_shift(left)
-    mid = Fraction(2 * i + 1, 2 << k)
-    return _root_cells(left, k + 1, 2 * i) + [(mid, mid)] * (right[0] == 0) + \
-        _root_cells(right, k + 1, 2 * i + 1)
+            if t[0] and t[-1]:  # else h vanishes only at its ends
+                leaves.append((k, i))
+        elif v == 1 and t[0] and t[-1]:
+            cells.append((Fraction(i, 1 << k), Fraction(i + 1, 1 << k)))
+        elif max_depth is not None and k >= max_depth:
+            return leaves, cells, True
+        else:
+            left = _halve(q)
+            stack += [(k + 1, 2 * i + 1, _taylor_shift(left)), (k + 1, 2 * i, left)]
+    return leaves, cells, False
 
 
 def _split(lo: Fraction, hi: Fraction, roots) -> list[tuple[Fraction, Fraction]]:
     """Bisect (lo, hi] until each part holds one root of `roots`; the
-    parts that hold one, left to right."""
+    parts that hold one, left to right.  A cell has no root at its ends,
+    and only a part holding two cells is split, so no cell is ever split:
+    counting roots by their cells is exact."""
     inside = [(a, b) for a, b in roots if lo <= a and b <= hi and lo < b]
     if len(inside) <= 1:
         return [(lo, hi)] * len(inside)
@@ -437,19 +386,12 @@ def _split(lo: Fraction, hi: Fraction, roots) -> list[tuple[Fraction, Fraction]]
     return _split(lo, mid, inside) + _split(mid, hi, inside)
 
 
-def _isolating_intervals(h: list[int]) -> tuple[list[int], list[tuple[Fraction, Fraction]]]:
-    """h_sf = h / gcd(h, h') and the intervals (lo, hi] that bisecting
-    (0, 1] at midpoints yields, each holding one distinct root of h.
-
-    A root cell is a dyadic interval with no root at its ends, and
-    bisection only splits intervals that hold two roots, so it never
-    splits a cell: counting roots by their cells gives the exact counts.
-    """
+def _squarefree_part(h: list[int]) -> list[int]:
+    """h / gcd(h, h'), by one Euclid."""
     a, b = h, _iderivative(h)
     while b:
         a, b = b, _irem(a, b)
-    h_sf = _idiv_exact(h, a) if len(a) > 1 else h
-    return h_sf, _split(Fraction(0), Fraction(1), _root_cells(h_sf))
+    return _idiv_exact(h, a) if len(a) > 1 else h
 
 
 def _rational_roots_in(h_sf: list[int], lo: Fraction, hi: Fraction) -> Fraction | None:
@@ -512,11 +454,11 @@ def positive_on_open_unit_interval(f: ExactPoly) -> PositivityReport:
     f(witness) <= 0, searched smallest-denominator first, so witnesses
     stay human-readable.  A HOLDS verdict carries a Descartes certificate:
     dyadic leaves tiling (0, 1) on which h has no root, plus the positive
-    sample at 1/2.  Only when bisection meets a root, or a cluster too
-    deep to settle, does h go through Euclid for gcd(h, h') and the
-    isolating intervals of its distinct roots.
+    sample at 1/2.  The same walk isolates the roots of h; only a walk
+    stalled at the depth bound, or a root of even multiplicity, sends h
+    through Euclid for h / gcd(h, h').
     """
-    if f.is_zero:
+    if not f.nums:
         raise ZeroPolynomialError("positivity of the zero polynomial is undefined")
 
     h, _, _ = _strip_unit_interval_roots(f)
@@ -525,11 +467,18 @@ def positive_on_open_unit_interval(f: ExactPoly) -> PositivityReport:
     if w is not None:
         return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
 
-    leaves = _descartes_leaves(h, _MAX_DEPTH)
-    if leaves is None:
-        h_sf, intervals = _isolating_intervals(h)
-        # each interval holds a root of h in (0, 1): find a rational witness
-        for lo, hi in intervals:
+    leaves, cells, stalled = _descartes_walk(h, _MAX_DEPTH)
+    h_sf = None
+    if stalled:
+        # a repeated root, or a cluster too deep to settle
+        h_sf = _squarefree_part(h)
+        cells = _descartes_walk(h_sf)[1]
+        if not cells:
+            # no root after all: a complex cluster near (0, 1), settled deeper
+            leaves = _descartes_walk(h)[0]
+    if cells:
+        # each interval holds one distinct root of h: find a rational witness
+        for lo, hi in _split(Fraction(0), Fraction(1), cells):
             vlo, vhi = _ieval_scaled(h, lo), _ieval_scaled(h, hi)
             if 0 < lo < 1 and vlo <= 0:
                 return PositivityReport(Verdict.VIOLATED, witness=lo, witness_value=f(lo))
@@ -538,15 +487,15 @@ def positive_on_open_unit_interval(f: ExactPoly) -> PositivityReport:
             if vlo * vhi < 0:
                 w = _refine_witness(h, lo, hi, lo_positive=vlo > 0)
                 return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
+            # no sign change: a root of even multiplicity
+            if h_sf is None:
+                h_sf = _squarefree_part(h)
             root = _rational_roots_in(h_sf, lo, hi)
             if root is not None:
                 return PositivityReport(Verdict.VIOLATED, witness=root, witness_value=f(root))
-        if intervals:
-            raise NoRationalWitnessError(
-                "polynomial vanishes in (0,1) only at irrational points of even multiplicity"
-            )
-        # no root after all: a complex cluster near (0, 1), settled deeper
-        leaves = _descartes_leaves(h)
+        raise NoRationalWitnessError(
+            "polynomial vanishes in (0,1) only at irrational points of even multiplicity"
+        )
 
     # the scan found h(1/2) > 0
     sample = Fraction(1, 2)

@@ -273,6 +273,26 @@ def test_grouplab_file_with_an_undeclared_relator(tmp_path, capsys):
     assert "'X1X1X1'" in err
 
 
+def test_grouplab_file_with_a_negative_generator_count(tmp_path, capsys):
+    path = tmp_path / "c3.grp"
+    path.write_text("3 1 -1\n3\n0 1 2\n1 2 0\n2 0 1\n0\n")
+    code, out, err = run(capsys, "grouplab", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "negative generator count -1" in err
+
+
+def test_grouplab_file_with_a_negative_relator_count(tmp_path, capsys):
+    text = format_group_file(builtin_presentation("cyclic:1", 3).target)
+    assert text.endswith("\n0\n")
+    path = tmp_path / "c3.grp"
+    path.write_text(text[:-2] + "-1\n")
+    code, out, err = run(capsys, "grouplab", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "negative relator count -1" in err
+
+
 def test_nonprime_is_an_input_error(capsys):
     code, _, err = run(capsys, "caps", "--p", "9", "--nmax", "4")
     assert code == 2

@@ -3,9 +3,11 @@
 Oracle values are worked by hand in the comments; nothing here depends on
 the modules under test for its expected numbers.
 """
+import sys
 import time
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -18,11 +20,12 @@ from gstower.series import (
     Verdict,
     ZeroPolynomialError,
     _descartes_transform,
+    _descartes_walk,
     _idiv_exact,
     _ieval_scaled,
     _imul,
     _iprimitive,
-    _isolating_intervals,
+    _split,
     _strip_unit_interval_roots,
     _taylor_shift,
     positive_on_open_unit_interval,
@@ -60,7 +63,7 @@ def test_addition_and_subtraction():
 def test_degree_and_trailing_zero_normalization():
     assert P(1, 0, 0).degree == 0
     assert P(0).degree == -1
-    assert ExactPoly.zero().degree == -1
+    assert ExactPoly(()).degree == -1
     assert P(0, 0, 5).degree == 2
 
 
@@ -78,11 +81,6 @@ def test_evaluation_is_exact():
     assert f(F(1, 3)) == F(11, 27)
     assert f(F(0)) == 1
     assert f(F(1)) == 1
-
-
-def test_derivative():
-    # d/dt (1 - 2t + 3t^3) = -2 + 9t^2
-    assert P(1, -2, 0, 3).derivative().coeffs == (F(-2), F(0), F(9))
 
 
 def test_monomial_constructor():
@@ -160,7 +158,7 @@ def test_negative_constant_polynomial():
 
 def test_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomialError):
-        positive_on_open_unit_interval(ExactPoly.zero())
+        positive_on_open_unit_interval(P(0))
 
 
 def test_irrational_touch_point_has_no_rational_witness():
@@ -316,6 +314,12 @@ def test_exact_division_recovers_the_primitive_factor(a, b):
 # Descartes bisection against the Sturm-chain decider it replaced
 # ---------------------------------------------------------------------------
 
+def _isolating_intervals(h_sf):
+    """The intervals (lo, hi] that bisecting (0, 1] at midpoints yields
+    around the root cells of the squarefree h_sf, one root each."""
+    return _split(F(0), F(1), _descartes_walk(h_sf)[1])
+
+
 def _decide(decider, f):
     try:
         return decider(f)
@@ -358,8 +362,12 @@ def products_with_repeats(draw):
 @example((P(-1, 64) * P(-3, 64) * P(-5, 128)) ** 2)
 @given(products_with_repeats())
 def test_descartes_decides_like_the_sturm_oracle(f):
-    new = _decide(positive_on_open_unit_interval, f)
+    with mock.patch.object(series, "_irem", wraps=series._irem) as irem:
+        new = _decide(positive_on_open_unit_interval, f)
     old = _decide(sturm_positivity, f)
+    h, _, _ = _strip_unit_interval_roots(f)
+    # Euclid only where a root repeats (or a cluster stalls the walk)
+    assert not irem.called or len(_sturm_chain(h)[-1]) > 1
     if old is None or new is None:
         assert old is new
         return
@@ -368,9 +376,13 @@ def test_descartes_decides_like_the_sturm_oracle(f):
     if new.holds:
         assert old.certificate.roots_in_interval == 0
         assert new.certificate.sample_value == old.certificate.sample_value
-    h, _, _ = _strip_unit_interval_roots(f)
     if len(h) > 1:
-        assert _isolating_intervals(h)[1] == sturm_isolating_intervals(h)[1]
+        h_sf, intervals = sturm_isolating_intervals(h)
+        assert _isolating_intervals(h_sf) == intervals
+        _, cells, stalled = _descartes_walk(h, series._MAX_DEPTH)
+        if not stalled:
+            # the decider's cells of h itself, simple or dyadic roots
+            assert _split(F(0), F(1), cells) == intervals
 
 
 def test_holds_on_a_repeated_factor():
@@ -397,6 +409,19 @@ def test_violated_through_the_divided_chain():
     assert report.witness_value == F(-511 ** 3, 2 ** 66)
 
 
+def test_simple_roots_past_the_scan_take_no_euclid():
+    # (95t - 4)(47t - 2) is negative only between 4/95 and 2/47, past the
+    # scan as above.  Both roots are simple, so the walk of h isolates
+    # them in cells of one variation and no gcd is taken.  Bisecting
+    # (0, 1] at midpoints separates them at (43/1024, 87/2048] and
+    # (87/2048, 11/256]; h(87/2048) = 73 * -7 / 2048^2 = -511 / 2^22.
+    with mock.patch.object(series, "_irem", wraps=series._irem) as irem:
+        report = positive_on_open_unit_interval(P(-4, 95) * P(-2, 47))
+    assert (report.verdict, report.witness, report.witness_value) == \
+        (Verdict.VIOLATED, F(87, 2048), F(-511, 2 ** 22))
+    assert not irem.called
+
+
 def test_dyadic_roots_are_found_at_the_midpoints():
     # ((64t - 1)(64t - 3)(128t - 5))^2 >= 0: its roots 1/64, 5/128 and
     # 3/64 are dyadic with denominators past the scan.  Bisecting (0, 1] at
@@ -406,8 +431,8 @@ def test_dyadic_roots_are_found_at_the_midpoints():
     # h > 0 at both ends, h(0) = 15^2 and h(1/32) = 1, and its rational
     # root 1/64 is the witness.
     f = (P(-1, 64) * P(-3, 64) * P(-5, 128)) ** 2
-    h, _, _ = _strip_unit_interval_roots(f)
-    assert _isolating_intervals(h)[1] == [
+    h_sf = _iprimitive(_imul(_imul([-1, 64], [-3, 64]), [-5, 128]))
+    assert _isolating_intervals(h_sf) == [
         (F(0), F(1, 32)), (F(1, 32), F(5, 128)), (F(5, 128), F(3, 64))
     ]
     report = positive_on_open_unit_interval(f)
@@ -436,3 +461,12 @@ def test_a_cluster_past_the_depth_bound_still_holds():
     assert report.holds
     assert max(k for k, _ in report.certificate.leaves) > series._MAX_DEPTH
     assert sturm_positivity(f).holds
+
+
+def test_a_cluster_past_the_recursion_limit_still_holds():
+    # the same cluster 2^-1100 wide: every walk is a loop, so the 1100
+    # halvings it needs meet no recursion limit
+    a = 3 * 2 ** 1098 + 12345
+    report = positive_on_open_unit_interval(P(-a, 2 ** 1100) ** 2 + P(1))
+    assert report.holds
+    assert max(k for k, _ in report.certificate.leaves) > sys.getrecursionlimit()
