@@ -23,3 +23,13 @@ def holds_are_certified(request):
             if getattr(module, "positive_on_open_unit_interval", None) is decide:
                 mp.setattr(module, "positive_on_open_unit_interval", certified)
         yield
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """The polynomials handed to the small-denominator scan, call by call."""
+    calls = []
+    scan = gstower.series._small_denominator_scan
+    monkeypatch.setattr(gstower.series, "_small_denominator_scan",
+                        lambda h: calls.append(h) or scan(h))
+    return calls

@@ -133,17 +133,24 @@ def _timed(decide):
 
 # The budgets include replaying each certificate (holds_are_certified).
 
-def test_published_p11_minimum_holds_in_exact_mode_within_budget():
+# Both targets have no sign variation at the root node, so each HOLDS is
+# the one leaf (0, 1) and the small-denominator scan never runs.
+
+def test_published_p11_minimum_holds_in_exact_mode_within_budget(scan_calls):
     # degree 1482 (1479 after stripping); the Sturm chain took about a minute
     report, seconds = _timed(lambda: check_inequality(P11_PROFILE, P11_MINIMUM, CheckMode.EXACT))
     assert report.holds
-    assert seconds < 5.0
+    assert report.certificate.leaves == ((0, 0),)
+    assert scan_calls == []
+    assert seconds < 1.0
 
 
-def test_published_p11_minimum_holds_in_strict_mode_within_budget():
+def test_published_p11_minimum_holds_in_strict_mode_within_budget(scan_calls):
     report, seconds = _timed(lambda: strict_corollary_check(P11_PROFILE, P11_MINIMUM))
     assert report.holds
-    assert seconds < 20.0
+    assert report.certificate.leaves == ((0, 0),)
+    assert scan_calls == []
+    assert seconds < 5.0
 
 
 def test_feasible_sequence_passes_relaxed():

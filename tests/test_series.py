@@ -106,7 +106,7 @@ def test_arithmetic_commutes_with_evaluation(cs1, cs2, x):
 # positivity on the open unit interval
 # ---------------------------------------------------------------------------
 
-def test_positive_despite_interior_dip():
+def test_positive_despite_interior_dip(scan_calls):
     # 2t^3 - 2t + 1 dips to 1 - 4/(3*sqrt(3)) ~ 0.2302 near t ~ 0.577 but
     # stays positive.  On (0, 1), with q_j the coefficients,
     #   sum q_j (1 + x)^(3 - j) = (1+x)^3 - 2(1+x)^2 + 2 = x^3 + x^2 - x + 1
@@ -114,12 +114,14 @@ def test_positive_despite_interior_dip():
     #   8(1+x)^3 - 8(1+x)^2 + 2 = 8x^3 + 16x^2 + 8x + 2.
     # Right half, its shift 2x^3 + 6x^2 - 2x + 2:
     #   2(1+x)^3 - 2(1+x)^2 + 6(1+x) + 2 = 2x^3 + 4x^2 + 8x + 8.
-    # Neither half has a variation.  f(1/2) = 1/4 - 1 + 1 = 1/4.
+    # Neither half has a variation.  f(1/2) = 1/4 - 1 + 1 = 1/4.  The
+    # root's variations send h through the small-denominator scan first.
     report = positive_on_open_unit_interval(P(1, -2, 0, 2))
     assert report.verdict is Verdict.HOLDS
     assert report.certificate == DescartesCertificate(
         leaves=((1, 0), (1, 1)), sample_point=F(1, 2), sample_value=F(1, 4)
     )
+    assert len(scan_calls) == 1
 
 
 def test_violated_with_rational_witness():
@@ -385,16 +387,33 @@ def test_descartes_decides_like_the_sturm_oracle(f):
             assert _split(F(0), F(1), cells) == intervals
 
 
-def test_holds_on_a_repeated_factor():
+def test_holds_on_a_repeated_factor(scan_calls):
     # (1 + t^2)^2 (2 - t) is decided on h itself, with no gcd taken.  The
     # transform sum q_j (1 + x)^(n - j) is multiplicative: 1 + t^2 gives
     # (1 + x)^2 + 1 = x^2 + 2x + 2 and 2 - t gives 2(1 + x) - 1 = 2x + 1,
-    # so h's has positive coefficients only and (0, 1) is the one leaf.
+    # so h's has positive coefficients only and (0, 1) is the one leaf,
+    # settled without the small-denominator scan.
     # f(1/2) = (5/4)^2 (3/2) = 75/32.
     report = positive_on_open_unit_interval(P(1, 0, 1) ** 2 * P(2, -1))
     assert report.certificate == DescartesCertificate(
         leaves=((0, 0),), sample_point=F(1, 2), sample_value=F(75, 32)
     )
+    assert scan_calls == []
+
+
+def test_a_touch_point_is_found_by_the_scan_before_any_walk():
+    # (3t - 1)^2 (1 + t)^200 (3 + 4t + 2t^2) >= 0 is zero at 1/3, the
+    # scan's second point.  Its root node has variations, so the scan runs
+    # before any bisection; walking first would halve down to the depth
+    # bound around the double root.
+    f = P(-1, 3) ** 2 * P(1, 1) ** 200 * P(3, 4, 2)
+    started = time.perf_counter()
+    with mock.patch.object(series, "_descartes_walk", wraps=series._descartes_walk) as walk:
+        report = positive_on_open_unit_interval(f)
+    assert time.perf_counter() - started < 0.5
+    assert not walk.called
+    assert (report.verdict, report.witness, report.witness_value) == \
+        (Verdict.VIOLATED, F(1, 3), 0)
 
 
 def test_violated_through_the_divided_chain():
@@ -470,3 +489,19 @@ def test_a_cluster_past_the_recursion_limit_still_holds():
     report = positive_on_open_unit_interval(P(-a, 2 ** 1100) ** 2 + P(1))
     assert report.holds
     assert max(k for k, _ in report.certificate.leaves) > sys.getrecursionlimit()
+
+
+@pytest.mark.parametrize("b, a, witness, value", [
+    (2 ** 1100, 2 ** 1099 + 12345, F(2 ** 1099 + 12345, 2 ** 1100), 0),
+    (3 * 2 ** 1100, 3 * 2 ** 1099 + 12346, F(2 ** 1100 + 8231, 2 ** 1101), F(-1, 4)),
+], ids=["dyadic", "not-dyadic"])
+def test_a_root_pair_past_the_recursion_limit_is_violated(b, a, witness, value):
+    # (bt - a)(bt - a - 1) is negative only between its roots a/b and
+    # (a + 1)/b.  _split separates their cells after about 1100 midpoint
+    # splits, past the recursion limit, so it is a loop.  For b = 2^1100
+    # both roots are dyadic, and the left one is the witness, with f = 0.
+    # For b = 3 * 2^1100 neither is; 2a + 1 = 3 (2^1100 + 8231), so the
+    # roots' midpoint (2a + 1) / 2b is dyadic, and there bt - a = 1/2.
+    report = positive_on_open_unit_interval(P(-a, b) * P(-a - 1, b))
+    assert report.verdict is Verdict.VIOLATED
+    assert (report.witness, report.witness_value) == (witness, value)
