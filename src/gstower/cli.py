@@ -371,7 +371,9 @@ def _cmd_valid(args, fmt: str) -> int:
         if report.first_failure:
             print(f"first failure: {report.first_failure}")
         show = min(12, len(report.e))
-        print(f"c_1..c_{show}: {report.c[1:show + 1]}  -> limit {report.c_limit}")
+        last = len(report.c) - 1  # c_n is the order past N + 1
+        c = tuple(report.c[min(n, last)] for n in range(1, show + 1))
+        print(f"c_1..c_{show}: {c}  -> limit {report.c_limit}")
         print(f"e_1..e_{show}: {report.e[:show]}  -> limit {report.e_limit}")
     return 0 if report.valid else 1
 

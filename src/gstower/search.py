@@ -7,7 +7,9 @@ relaxed inequality after every increment.  Because the greedy sequence
 minimizes the product pointwise among cap-respecting sequences of equal
 sum, a violated greedy stage rules out every sequence of that sum; the
 brute-force routine verifies this downstream of nothing, by direct
-enumeration with exact witnesses.
+enumeration with exact witnesses.  It confirms each row of sequences
+that differ only in the last index by one comparison at the row's top
+entry; every sequence is still counted and confirmed.
 """
 from __future__ import annotations
 
@@ -149,7 +151,7 @@ class _ScaledPoint:
 
     @cached_property
     def factor_pows(self) -> list[list[int]]:
-        """factor_pows[n][e] = (v^n - u^n)^e for e <= cap(n); row 0 unused."""
+        """factor_pows[n][e] = (v^n - u^n)^e for e <= cap(n); row 0 is [1]."""
         u, v = self.t.numerator, self.t.denominator
         rows = [[1]]
         for n, cap in enumerate(self.caps, start=1):
@@ -186,6 +188,15 @@ def brute_force_infeasibility(
     positivity decision when no prepared point works.  Any sequence for
     which the inequality actually holds is reported, and all_violated
     set False.
+
+    Fixing a_1..a_(n_max - 1) leaves a row a_(n_max) = 0..top, with top
+    the cap or the sum still allowed.  With n = n_max, the test at
+    t = u/v for a_n = e reads L_num v^W <= N (1 - (u/v)^n)^e, W and N
+    taken over the prefix, and the right side shrinks as e grows: when
+    the top entry is violated at t = 1/2, so is the whole row, and one
+    comparison confirms its top + 1 sequences.  Only a row whose top
+    entry is not violated there is tested entry by entry.  `examined`
+    counts every sequence of every row.
     """
     if not is_prime(p) or p <= 7:
         raise ValueError("the cap table requires a prime p >= 11")
@@ -205,7 +216,11 @@ def brute_force_infeasibility(
     max_weight = sum(n * cap for n, cap in enumerate(cap_list, start=1))
     thresholds = [first.threshold(w) for w in range(max_weight + 1)]
 
-    seq = [0] * n_max
+    # seq[n] = a_n; level 0 is a dummy with the one entry 0, so that
+    # every row has a parent level, the one row of n_max = 1 too
+    caps = [0, *cap_list]
+    seq = [0] * (n_max + 1)
+    last, last_cap = factor_pows[n_max], cap_list[-1]
     examined = 0
     full_decisions = 0
     holds_examples: list[tuple[int, ...]] = []
@@ -213,32 +228,45 @@ def brute_force_infeasibility(
     def confirm_elsewhere() -> None:
         """Try every other point on a sequence t = 1/2 did not confirm."""
         nonlocal full_decisions
-        key = tuple(seq)
+        key = tuple(seq[1:])
         if any(point.violated(key) for point in rest):
             return
         full_decisions += 1
         target = lhs - relaxed_product_poly(DimensionSequence.from_values(p, key))
         if positive_on_open_unit_interval(target).holds:
-            holds_examples.append(_trim(seq))
+            holds_examples.append(_trim(key))
+
+    def confirm_row(top: int, prod: int, weight: int) -> None:
+        """Confirm a row entry by entry: its top entry is not violated at
+        t = 1/2, so some of its entries may not be."""
+        for e in range(top + 1):
+            if thresholds[weight + n_max * e] > prod * last[e]:
+                seq[n_max] = e
+                confirm_elsewhere()
+        seq[n_max] = 0
 
     def walk(n: int, budget: int, prod: int, weight: int) -> None:
         # prod and weight cover indices 1..n-1 at the first point
         nonlocal examined
         row = factor_pows[n]
-        top = min(cap_list[n - 1], budget)
-        if n == n_max:
-            examined += top + 1
+        top = min(caps[n], budget)
+        if n + 1 < n_max:
             for e in range(top + 1):
-                if thresholds[weight + n * e] > prod * row[e]:
-                    seq[n - 1] = e
-                    confirm_elsewhere()
-        else:
-            for e in range(top + 1):
-                seq[n - 1] = e
+                seq[n] = e
                 walk(n + 1, budget - e, prod * row[e], weight + n * e)
-        seq[n - 1] = 0
+        else:
+            # a_1..a_n fixed: the row a_(n_max) = 0..row_top, settled at
+            # its top entry when that is violated
+            for e in range(top + 1):
+                seq[n] = e
+                prod_e, weight_e = prod * row[e], weight + n * e
+                row_top = min(last_cap, budget - e)
+                examined += row_top + 1
+                if thresholds[weight_e + n_max * row_top] > prod_e * last[row_top]:
+                    confirm_row(row_top, prod_e, weight_e)
+        seq[n] = 0
 
-    walk(1, sum_limit, first.lhs_value.denominator, 0)
+    walk(0, sum_limit, first.lhs_value.denominator, 0)
     return BruteForceResult(
         prime=p,
         sum_limit=sum_limit,

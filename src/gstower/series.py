@@ -11,11 +11,12 @@ verdict.
 
 The decider checks h(1/2) > 0 for the stripped polynomial h, and a root
 transform without sign variation is a one-leaf HOLDS.  Otherwise it scans
-small-denominator points, then walks h by Descartes bisection (Vincent-
-Collins-Akritas): the dyadic leaves are a HOLDS certificate that
-`gstower.certify` replays, and the root cells isolate the roots for the
-witness search.  Euclid, h / gcd(h, h'), runs only for a walk stalled at
-the depth bound or a root of even multiplicity.
+the small-denominator points past 1/2, then walks h by Descartes
+bisection (Vincent-Collins-Akritas) from that same root transform: the
+dyadic leaves are a HOLDS certificate that `gstower.certify` replays,
+and the root cells isolate the roots for the witness search.  Euclid,
+h / gcd(h, h'), runs only for a walk stalled at the depth bound or a
+root of even multiplicity.
 """
 from __future__ import annotations
 
@@ -289,8 +290,9 @@ def _strip_unit_interval_roots(f: ExactPoly) -> tuple[list[int], int, int]:
 
 
 def _small_denominator_scan(h: Sequence[int], max_den: int = 24) -> Fraction | None:
-    """First rational in (0,1), ordered by denominator, where h <= 0."""
-    for q in range(2, max_den + 1):
+    """First rational in (0,1) past 1/2, ordered by denominator, where
+    h <= 0; the decider tries 1/2 itself, first."""
+    for q in range(3, max_den + 1):
         for num in range(1, q):
             if gcd(num, q) != 1:
                 continue
@@ -345,14 +347,17 @@ def _variations(cs: Iterable[int]) -> int:
 
 
 def _descartes_walk(
-    h: list[int], max_depth: int | None = None
+    h: list[int], max_depth: int | None = None, root: list[int] | None = None
 ) -> tuple[list[tuple[int, int]], list[tuple[Fraction, Fraction]], bool]:
     """Descartes bisection of (0, 1) for h, left to right: the leaves,
     nodes without variation and with h nonzero at both ends; the root
     cells, a node with one variation and nonzero ends as the open (lo, hi)
     holding one simple root, and a dyadic root r as (r, r); and whether a
     node with two or more variations, or one variation and a zero end, was
-    met at max_depth, where the walk stops with partial leaves and cells."""
+    met at max_depth, where the walk stops with partial leaves and cells.
+    root is h's own transform, when the caller has taken it already."""
+    if root is None:
+        root = _descartes_transform(h)
     leaves, cells = [], []
     stack = [(0, 0, h)]
     while stack:
@@ -360,7 +365,7 @@ def _descartes_walk(
         if i & 1 and not q[0]:
             # a right half starts at its parent's midpoint
             cells.append((Fraction(i, 1 << k),) * 2)
-        t = _descartes_transform(q)
+        t = _descartes_transform(q) if k else root
         v = _variations(t)
         if v == 0:
             if t[0] and t[-1]:  # else h vanishes only at its ends
@@ -474,11 +479,12 @@ def positive_on_open_unit_interval(f: ExactPoly) -> PositivityReport:
 
     # no variation at the root node: the walk's one leaf, and no scan
     leaves, cells, stalled = [(0, 0)], [], False
-    if _variations(_descartes_transform(h)):
+    root = _descartes_transform(h)
+    if _variations(root):
         w = _small_denominator_scan(h)
         if w is not None:
             return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
-        leaves, cells, stalled = _descartes_walk(h, _MAX_DEPTH)
+        leaves, cells, stalled = _descartes_walk(h, _MAX_DEPTH, root)
     h_sf = None
     if stalled:
         # a repeated root, or a cluster too deep to settle
@@ -486,7 +492,7 @@ def positive_on_open_unit_interval(f: ExactPoly) -> PositivityReport:
         cells = _descartes_walk(h_sf)[1]
         if not cells:
             # no root after all: a complex cluster near (0, 1), settled deeper
-            leaves = _descartes_walk(h)[0]
+            leaves = _descartes_walk(h, root=root)[0]
     if cells:
         # each interval holds one distinct root of h: find a rational witness
         for lo, hi in _split(Fraction(0), Fraction(1), cells):

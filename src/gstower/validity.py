@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le
+from operator import add
 from typing import Iterable, Sequence
 
 from .bounds import upper_caps
@@ -117,8 +117,9 @@ def is_valid(
     """Full validity report for a candidate sequence.
 
     Checks run in a fixed order so the first failure is deterministic:
-    caps, then monotonicity of c, then nonnegativity of e, then
-    stabilization of both tails.
+    caps, then nonnegativity of e, then stabilization of both tails.  c
+    needs no check of its own: the transform rejects a negative b, and c
+    is the partial sums of b, so it never decreases.
     """
     if profile is None:
         profile = default_profile()
@@ -137,10 +138,6 @@ def is_valid(
     caps_ok = cap_fail is None
     if first_failure is None and cap_fail:
         first_failure = cap_fail
-
-    c_monotone = all(map(le, data.c, data.c[1:]))
-    if first_failure is None and not c_monotone:
-        first_failure = "c sequence is not non-decreasing"
 
     e_nonnegative = min(e) >= 0
     if first_failure is None and not e_nonnegative:

@@ -89,7 +89,8 @@ def sturm_positivity(f) -> PositivityReport:
     """The replaced decider: same verdicts and witnesses, with a
     SturmCertificate on HOLDS."""
     h, k0, k1 = _strip_unit_interval_roots(f)
-    w = _small_denominator_scan(h)
+    half = Fraction(1, 2)
+    w = half if _ieval_scaled(h, half) <= 0 else _small_denominator_scan(h)
     if w is not None:
         return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
     chain = _sturm_chain(h)

@@ -180,6 +180,14 @@ def test_valid_csv_runs_to_the_horizon(capsys):
     assert lines[-1] == "17,0,3,2"
 
 
+def test_valid_table_prints_every_c_it_labels(capsys):
+    # p = 2, a = (1): b = (1, 1) and c = (0, 1, 2), so c_n is the order 2
+    # from n = 2 on.  The horizon is N + max level + margin = 1 + 2 + 8 = 11.
+    code, out, _ = run(capsys, "valid", "--p", "2", "--a", "1", "--levels", "2,2")
+    assert code == 1
+    assert "c_1..c_11: (1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2)  -> limit 2" in out.splitlines()
+
+
 def test_invalid_sequence_exits_1(capsys):
     code, payload = run_json(capsys, "valid", "--p", "11", "--a", "2")
     assert code == 1

@@ -155,6 +155,15 @@ def test_brute_force_reports_where_the_inequality_holds():
     assert res.full_decisions == 5
 
 
+def test_brute_force_at_the_benchmark_window_at_p13():
+    # the benchmark's largest sweep: 46 604 rows of the last index, each
+    # settled by its top entry, hold 450 074 sequences
+    res = brute_force_infeasibility(13, 22, n_max=10)
+    assert res.examined == 450074
+    assert res.all_violated
+    assert res.full_decisions == 0
+
+
 def test_brute_force_over_the_whole_proven_range_at_p13():
     # caps are proven for every n <= p - 2; no pruning, every sequence
     # of sum <= 22 on indices 1..11 is confirmed
@@ -241,8 +250,10 @@ def test_brute_force_matches_the_fraction_oracle(p, n_max, sum_limit):
         _oracle_brute_force(p, sum_limit, n_max)
 
 
-def test_brute_force_matches_the_fraction_oracle_where_it_holds():
-    # n_max = 9 reaches the feasible sequences from sum 23 on
-    res = brute_force_infeasibility(11, 24)
+@pytest.mark.parametrize("p", [11, 13])
+def test_brute_force_matches_the_fraction_oracle_where_it_holds(p):
+    # n_max = 9 reaches the feasible sequences from sum 23 on; their rows
+    # mix held and violated entries, which are confirmed one by one
+    res = brute_force_infeasibility(p, 24)
     assert not res.all_violated
-    assert _summary(res) == _oracle_brute_force(11, 24, 9)
+    assert _summary(res) == _oracle_brute_force(p, 24, 9)

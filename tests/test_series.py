@@ -441,6 +441,36 @@ def test_simple_roots_past_the_scan_take_no_euclid():
     assert not irem.called
 
 
+@pytest.mark.parametrize("f, verdict", [
+    # two simple roots between 4/95 and 2/47, past the scan (see above)
+    (P(-4, 95) * P(-2, 47), Verdict.VIOLATED),
+    # (20t - 10)^2 + 1 > 0, whose root transform 101x^2 - 198x + 101 has
+    # two variations: the walk halves (0, 1) once
+    (P(101, -400, 400), Verdict.HOLDS),
+])
+def test_the_walked_decision_takes_each_transform_and_h_half_once(f, verdict):
+    # Every node of the walk but the root is a half from _halve, two per
+    # split, so one transform per node is 1 + 2 * splits: the walk reuses
+    # the root transform the decider took before the scan.  Before the
+    # walk, h is evaluated once at each reduced u/q in (0, 1) with
+    # q <= 24, 1/2 first; the scan starts past 1/2, which the decider tried.
+    events = []
+    walk, evaluate = series._descartes_walk, series._ieval_scaled
+    with mock.patch.object(series, "_descartes_transform",
+                           wraps=series._descartes_transform) as transform, \
+            mock.patch.object(series, "_halve", wraps=series._halve) as halve, \
+            mock.patch.object(series, "_ieval_scaled",
+                              lambda h, t: events.append(t) or evaluate(h, t)), \
+            mock.patch.object(series, "_descartes_walk",
+                              lambda *a: events.append("walk") or walk(*a)):
+        report = positive_on_open_unit_interval(f)
+    assert report.verdict is verdict
+    assert halve.call_count >= 1
+    assert transform.call_count == 1 + 2 * halve.call_count
+    scanned = [F(u, q) for q in range(2, 25) for u in range(1, q) if gcd(u, q) == 1]
+    assert events[:events.index("walk")] == scanned
+
+
 def test_dyadic_roots_are_found_at_the_midpoints():
     # ((64t - 1)(64t - 3)(128t - 5))^2 >= 0: its roots 1/64, 5/128 and
     # 3/64 are dyadic with denominators past the scan.  Bisecting (0, 1] at
