@@ -471,11 +471,18 @@ def main(argv=None) -> int:
     if fmt == "csv" and args.command not in _CSV_COMMANDS:
         print(f"error: csv output is not available for {args.command}", file=sys.stderr)
         return 2
+    # exact values of large targets print past Python's int-to-str limit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _DISPATCH[args.command](args, fmt)
     except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

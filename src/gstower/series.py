@@ -11,12 +11,14 @@ verdict.
 
 The decider checks h(1/2) > 0 for the stripped polynomial h, and a root
 transform without sign variation is a one-leaf HOLDS.  Otherwise it scans
-the small-denominator points past 1/2, then walks h by Descartes
-bisection (Vincent-Collins-Akritas) from that same root transform: the
-dyadic leaves are a HOLDS certificate that `gstower.certify` replays,
-and the root cells isolate the roots for the witness search.  Euclid,
-h / gcd(h, h'), runs only for a walk stalled at the depth bound or a
-root of even multiplicity.
+the points past 1/2 with denominators up to 12, then walks h by
+Descartes bisection (Vincent-Collins-Akritas) in the Bernstein basis,
+from that same root transform, to depth 2.  A walk that ends there
+without a root is a HOLDS.  Else the scan goes on to denominator 24 and
+the walk resumes to its depth bound.  The dyadic leaves are a HOLDS
+certificate that `gstower.certify` replays, and the root cells isolate
+the roots for the witness search.  Euclid, h / gcd(h, h'), runs only for
+a walk stalled at the depth bound or a root of even multiplicity.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Sequence
 
 
@@ -289,10 +292,13 @@ def _strip_unit_interval_roots(f: ExactPoly) -> tuple[list[int], int, int]:
     return h, k0, k1
 
 
-def _small_denominator_scan(h: Sequence[int], max_den: int = 24) -> Fraction | None:
-    """First rational in (0,1) past 1/2, ordered by denominator, where
-    h <= 0; the decider tries 1/2 itself, first."""
-    for q in range(3, max_den + 1):
+def _small_denominator_scan(
+    h: Sequence[int], min_den: int = 3, max_den: int = 24
+) -> Fraction | None:
+    """First rational in (0,1) past 1/2 with denominator from min_den to
+    max_den, ordered by denominator, where h <= 0; the decider tries 1/2
+    itself, first."""
+    for q in range(min_den, max_den + 1):
         for num in range(1, q):
             if gcd(num, q) != 1:
                 continue
@@ -302,18 +308,30 @@ def _small_denominator_scan(h: Sequence[int], max_den: int = 24) -> Fraction | N
     return None
 
 
-# Descartes bisection.  A node (k, i) is the dyadic interval
-# (i / 2^k, (i + 1) / 2^k), carried as the integer polynomial q whose
-# (0, 1) maps onto it: the root node carries h, and the halves of a node
-# carry 2^n q(x / 2) and its Taylor shift by one.  The sign variations of
-# (1 + x)^n q(1 / (1 + x)) bound the roots in the open node and match
-# their count's parity; 0 and 1 are exact (Collins and Akritas, 1976).
+# Descartes bisection in the Bernstein basis.  A node (k, i) is the dyadic
+# interval (i / 2^k, (i + 1) / 2^k), mapped from (0, 1) by the integer
+# polynomial q(x) = 2^(kn) h((i + x) / 2^k), n the degree of h.  Written
+# as q = sum_k b_k C(n, k) x^k (1 - x)^(n - k), its transform
+# (1 + x)^n q(1 / (1 + x)) has the coefficients C(n, k) b_k, high degree
+# first.  So b has the transform's sign variations, which bound the roots
+# in the open node and match their count's parity, and b_0 = q(0) and
+# b_n = q(1) are exact (Collins and Akritas, 1976).  A node carries M b
+# for M = lcm_k C(n, k), an integer vector, and one de Casteljau triangle
+# gives both halves (Mourrain, Rouillier and Roy, 2005).
 
 # A root of h in (0, 1) that is repeated and not dyadic keeps two
 # variations at every depth, so a node still unsplit at this depth sends
 # h through Euclid.  A HOLDS target gets there only when complex roots
 # crowd (0, 1); 44 of the benchmark's 49 seed-1 targets are one leaf.
 _MAX_DEPTH = 32
+
+# Before the scan's larger denominators, the walk goes this deep, so it
+# splits at most three nodes there.  Every HOLDS certificate of the
+# benchmark's decide targets has its leaves at depth 2 or less, and the
+# witnesses past 1/2 that the benchmark and the published sequences meet
+# have denominators up to 12, found before any walk.
+_EARLY_DEPTH = 2
+_EARLY_DEN = 12
 
 
 def _suffix_sums(b: list[int]) -> list[int]:
@@ -324,21 +342,38 @@ def _suffix_sums(b: list[int]) -> list[int]:
     return b
 
 
-def _taylor_shift(q: list[int]) -> list[int]:
-    """q(x + 1)."""
-    return _suffix_sums(q[::-1])[::-1]
-
-
 def _descartes_transform(q: Sequence[int]) -> list[int]:
     """(1 + x)^n q(1 / (1 + x)), high degree first: its leading
     coefficient is q(0) and its constant q(1)."""
     return _suffix_sums(list(q))
 
 
-def _halve(q: Sequence[int]) -> list[int]:
-    """2^n q(x / 2), the left half of a node."""
-    n = len(q) - 1
-    return [c << (n - j) for j, c in enumerate(q)]
+def _bernstein(t: Sequence[int]) -> list[int]:
+    """M b from the transform t_k = C(n, k) b_k of q, with
+    M = lcm_k C(n, k) = lcm(1, ..., n + 1) / (n + 1): t_k times the
+    weight M / C(n, k), built from the one before."""
+    n = len(t) - 1
+    w = lcm(*range(1, n + 2)) // (n + 1)
+    out = [t[0] * w]
+    for k in range(n):
+        w = w * (k + 1) // (n - k)
+        out.append(t[k + 1] * w)
+    return out
+
+
+def _de_casteljau(b: list[int]) -> tuple[list[int], list[int]]:
+    """The halves of a node that carries b, each scaled by 2^n: rows of
+    pairwise sums S^(r)_k = S^(r-1)_k + S^(r-1)_(k+1) from S^(0) = b give
+    left_k = 2^(n-k) S^(k)_0 and right_k = 2^k S^(n-k)_k."""
+    n = len(b) - 1
+    firsts, lasts = [b[0]], [b[-1]]
+    for _ in range(n):
+        b = list(map(add, b, b[1:]))
+        firsts.append(b[0])
+        lasts.append(b[-1])
+    left = [c << (n - k) for k, c in enumerate(firsts)]
+    right = [c << k for k, c in enumerate(reversed(lasts))]
+    return left, right
 
 
 def _variations(cs: Iterable[int]) -> int:
@@ -346,38 +381,59 @@ def _variations(cs: Iterable[int]) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
+class _Walk:
+    """Descartes bisection of (0, 1) for h, left to right, that can stop
+    at a depth and resume there.  leaves are the nodes without variation
+    and with h nonzero at both ends; cells are the root cells, a node
+    with one variation and nonzero ends as the open (lo, hi) holding one
+    simple root, and a dyadic root r as (r, r); stalled says that the
+    last run met a node with two or more variations, or one variation and
+    a zero end, at its max_depth, and stopped there."""
+
+    def __init__(self, root: Sequence[int]):
+        self.leaves: list[tuple[int, int]] = []
+        self.cells: list[tuple[Fraction, Fraction]] = []
+        self.stalled = False
+        # (k, i, None) is the midpoint i / 2^k of a split, a root of h.  It
+        # sits between the halves, so its cell follows the left half's and
+        # is appended once, even when the walk stops and resumes.
+        self._stack = [(0, 0, _bernstein(root))]
+
+    def resume(self, max_depth: int | None = None) -> "_Walk":
+        """Walk on, left to right, until done or a node at max_depth
+        needs a split; None is no bound."""
+        leaves, cells, stack = self.leaves, self.cells, self._stack
+        self.stalled = False
+        while stack:
+            k, i, b = stack.pop()
+            if b is None:
+                cells.append((Fraction(i, 1 << k),) * 2)
+                continue
+            v = _variations(b)
+            if v == 0:
+                if b[0] and b[-1]:  # else h vanishes only at its ends
+                    leaves.append((k, i))
+            elif v == 1 and b[0] and b[-1]:
+                cells.append((Fraction(i, 1 << k), Fraction(i + 1, 1 << k)))
+            elif max_depth is not None and k >= max_depth:
+                stack.append((k, i, b))
+                self.stalled = True
+                break
+            else:
+                left, right = _de_casteljau(b)
+                stack.append((k + 1, 2 * i + 1, right))
+                if not right[0]:
+                    stack.append((k + 1, 2 * i + 1, None))
+                stack.append((k + 1, 2 * i, left))
+        return self
+
+
 def _descartes_walk(
     h: list[int], max_depth: int | None = None, root: list[int] | None = None
-) -> tuple[list[tuple[int, int]], list[tuple[Fraction, Fraction]], bool]:
-    """Descartes bisection of (0, 1) for h, left to right: the leaves,
-    nodes without variation and with h nonzero at both ends; the root
-    cells, a node with one variation and nonzero ends as the open (lo, hi)
-    holding one simple root, and a dyadic root r as (r, r); and whether a
-    node with two or more variations, or one variation and a zero end, was
-    met at max_depth, where the walk stops with partial leaves and cells.
-    root is h's own transform, when the caller has taken it already."""
-    if root is None:
-        root = _descartes_transform(h)
-    leaves, cells = [], []
-    stack = [(0, 0, h)]
-    while stack:
-        k, i, q = stack.pop()
-        if i & 1 and not q[0]:
-            # a right half starts at its parent's midpoint
-            cells.append((Fraction(i, 1 << k),) * 2)
-        t = _descartes_transform(q) if k else root
-        v = _variations(t)
-        if v == 0:
-            if t[0] and t[-1]:  # else h vanishes only at its ends
-                leaves.append((k, i))
-        elif v == 1 and t[0] and t[-1]:
-            cells.append((Fraction(i, 1 << k), Fraction(i + 1, 1 << k)))
-        elif max_depth is not None and k >= max_depth:
-            return leaves, cells, True
-        else:
-            left = _halve(q)
-            stack += [(k + 1, 2 * i + 1, _taylor_shift(left)), (k + 1, 2 * i, left)]
-    return leaves, cells, False
+) -> _Walk:
+    """The walk of h run to max_depth; root is h's own transform, when the
+    caller has taken it already."""
+    return _Walk(_descartes_transform(h) if root is None else root).resume(max_depth)
 
 
 def _split(lo: Fraction, hi: Fraction, roots) -> list[tuple[Fraction, Fraction]]:
@@ -465,9 +521,13 @@ def positive_on_open_unit_interval(f: ExactPoly) -> PositivityReport:
     from 1/2, so witnesses stay human-readable.  A HOLDS verdict carries a
     Descartes certificate: dyadic leaves tiling (0, 1) on which h has no
     root, plus the positive sample at 1/2; with no sign variation at the
-    root, (0, 1) is the one leaf and no scan runs.  The walk isolates the
-    roots of h; only a walk stalled at the depth bound, or a root of even
-    multiplicity, sends h through Euclid.
+    root, (0, 1) is the one leaf and no scan runs.  Otherwise the scan
+    tries denominators up to 12, then the walk goes to depth 2, and a
+    walk that ends there without a root is a HOLDS: h has no root in
+    (0, 1), so the rest of the scan could find nothing.  Else the scan
+    goes on to denominator 24, and the same walk resumes to its depth
+    bound and isolates the roots of h.  Only a walk stalled at that bound,
+    or a root of even multiplicity, sends h through Euclid.
     """
     if not f.nums:
         raise ZeroPolynomialError("positivity of the zero polynomial is undefined")
@@ -481,18 +541,25 @@ def positive_on_open_unit_interval(f: ExactPoly) -> PositivityReport:
     leaves, cells, stalled = [(0, 0)], [], False
     root = _descartes_transform(h)
     if _variations(root):
-        w = _small_denominator_scan(h)
+        w = _small_denominator_scan(h, 3, _EARLY_DEN)
         if w is not None:
             return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
-        leaves, cells, stalled = _descartes_walk(h, _MAX_DEPTH, root)
+        # a walk that ends without a root proves h > 0 at every scan point
+        walk = _descartes_walk(h, _EARLY_DEPTH, root)
+        if walk.cells or walk.stalled:
+            w = _small_denominator_scan(h, _EARLY_DEN + 1)
+            if w is not None:
+                return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
+            walk.resume(_MAX_DEPTH)
+        leaves, cells, stalled = walk.leaves, walk.cells, walk.stalled
     h_sf = None
     if stalled:
         # a repeated root, or a cluster too deep to settle
         h_sf = _squarefree_part(h)
-        cells = _descartes_walk(h_sf)[1]
+        cells = _descartes_walk(h_sf).cells
         if not cells:
             # no root after all: a complex cluster near (0, 1), settled deeper
-            leaves = _descartes_walk(h, root=root)[0]
+            leaves = walk.resume().leaves
     if cells:
         # each interval holds one distinct root of h: find a rational witness
         for lo, hi in _split(Fraction(0), Fraction(1), cells):

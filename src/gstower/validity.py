@@ -6,8 +6,9 @@ filtration expansion gives c_n, and the recursion
     sum_i r_i c_(n-i) - d c_(n-1) = 1 + e_n      (r_0 = 1, r_1 = 0)
 
 defines the defect sequence e_n.  A sequence is valid when it respects
-the proven caps, e stays nonnegative, and both c and e stabilize; the
-terminal value of 1 + e_n is (r + 1 - d) times the group order.
+the proven caps and e stays nonnegative.  Both c and e stabilize by
+construction; the terminal value of 1 + e_n is (r + 1 - d) times the
+group order.
 
 Codimensions travel as one tuple (c_0, ..., c_M) ending at the group
 order, transformed (JenningsData.c) or measured (augmentation_powers);
@@ -79,7 +80,6 @@ class ValidityReport:
     horizon: int
     caps_ok: bool
     e_nonnegative: bool
-    stabilized: bool
     order_exponent: int
     c_limit: int
     e_limit: int
@@ -89,6 +89,16 @@ class ValidityReport:
     @property
     def valid(self) -> bool:
         return self.verdict == "VALID"
+
+    @property
+    def stabilized(self) -> bool:
+        """Always True: e_n = e_limit for every n > N + L, N the
+        stabilization index and L = max(levels, 1).  The transform asserts
+        that c = (c_0, ..., c_(N+1)) ends at the order, and c_n reads as
+        the order past its end, so at such n every c_(n-k) of the
+        recursion (k = 0, 1 and each level) is the order, and
+        1 + e_n = (r + 1 - d) * order."""
+        return True
 
 
 def _caps_failure(a: DimensionSequence, profile: RelationProfile) -> str | None:
@@ -117,9 +127,10 @@ def is_valid(
     """Full validity report for a candidate sequence.
 
     Checks run in a fixed order so the first failure is deterministic:
-    caps, then nonnegativity of e, then stabilization of both tails.  c
-    needs no check of its own: the transform rejects a negative b, and c
-    is the partial sums of b, so it never decreases.
+    caps, then nonnegativity of e.  c needs no check of its own: the
+    transform rejects a negative b, and c is the partial sums of b, so it
+    never decreases.  Both tails stabilize by construction (see
+    ValidityReport.stabilized).
     """
     if profile is None:
         profile = default_profile()
@@ -144,12 +155,6 @@ def is_valid(
         n_bad = next(n for n, v in enumerate(e, start=1) if v < 0)
         first_failure = f"e_{n_bad} = {e[n_bad - 1]} is negative"
 
-    stab_from = n_stab + max(profile.max_level, 1)
-    # c_(N+1) = order is asserted by the transform, so only e can fail
-    stabilized = all(v == e_limit for v in e[stab_from:])
-    if first_failure is None and not stabilized:
-        first_failure = "tail values have not stabilized inside the horizon"
-
     verdict = "VALID" if first_failure is None else "INVALID"
     return ValidityReport(
         prime=a.prime,
@@ -161,7 +166,6 @@ def is_valid(
         horizon=horizon,
         caps_ok=caps_ok,
         e_nonnegative=e_nonnegative,
-        stabilized=stabilized,
         order_exponent=data.order_exponent,
         c_limit=order,
         e_limit=e_limit,

@@ -27,9 +27,10 @@ def holds_are_certified(request):
 
 @pytest.fixture
 def scan_calls(monkeypatch):
-    """The polynomials handed to the small-denominator scan, call by call."""
+    """The arguments of the small-denominator scan, call by call: the
+    polynomial and the range of denominators, (h, min_den, max_den)."""
     calls = []
     scan = gstower.series._small_denominator_scan
     monkeypatch.setattr(gstower.series, "_small_denominator_scan",
-                        lambda h: calls.append(h) or scan(h))
+                        lambda h, *dens: calls.append((h, *dens)) or scan(h, *dens))
     return calls

@@ -1,6 +1,10 @@
 """Command-line interface: output formats, exit codes, round trips."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +71,31 @@ def test_check_holds_exit_code(capsys):
     assert code == 0
     assert payload["verdict"] == "HOLDS"
     assert payload["witness"] is None
+
+
+def test_an_exact_value_past_the_int_to_str_limit_is_printed():
+    # at p = 10007 the value at 1/2 has more than 4 300 digits, Python's
+    # default limit for printing an int; a fresh interpreter has it set
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "gstower.cli", "--json", "check", "--mode", "exact",
+         "--p", "10007", "--d", "3", "--levels", "3,3,3", "--a", "3"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert (done.returncode, done.stderr) == (1, "")
+    payload = json.loads(done.stdout)
+    assert (payload["verdict"], payload["witness"]) == ("VIOLATED", "1/2")
+    assert len(payload["witness_value"]) > 4300
+
+
+def test_the_int_to_str_limit_is_restored_after_a_command(capsys):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str limit")
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, "ztypes")[0] == 0
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_check_defaults_to_relaxed_mode(capsys):

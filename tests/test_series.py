@@ -6,7 +6,7 @@ the modules under test for its expected numbers.
 import sys
 import time
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, lcm
 from unittest import mock
 
 import pytest
@@ -19,6 +19,8 @@ from gstower.series import (
     NoRationalWitnessError,
     Verdict,
     ZeroPolynomialError,
+    _bernstein,
+    _de_casteljau,
     _descartes_transform,
     _descartes_walk,
     _idiv_exact,
@@ -27,10 +29,10 @@ from gstower.series import (
     _iprimitive,
     _split,
     _strip_unit_interval_roots,
-    _taylor_shift,
     positive_on_open_unit_interval,
 )
 from sturm_oracle import _sturm_chain, sturm_isolating_intervals, sturm_positivity
+from taylor_walk_oracle import taylor_walk
 
 # every HOLDS certificate met in this module is replayed by gstower.certify
 pytestmark = pytest.mark.usefixtures("holds_are_certified")
@@ -115,13 +117,15 @@ def test_positive_despite_interior_dip(scan_calls):
     # Right half, its shift 2x^3 + 6x^2 - 2x + 2:
     #   2(1+x)^3 - 2(1+x)^2 + 6(1+x) + 2 = 2x^3 + 4x^2 + 8x + 8.
     # Neither half has a variation.  f(1/2) = 1/4 - 1 + 1 = 1/4.  The
-    # root's variations send h through the small-denominator scan first.
+    # root's variations send h through the scan of denominators up to 12
+    # first; the walk then ends at depth 1 without a root, so the scan
+    # of the larger denominators never runs.
     report = positive_on_open_unit_interval(P(1, -2, 0, 2))
     assert report.verdict is Verdict.HOLDS
     assert report.certificate == DescartesCertificate(
         leaves=((1, 0), (1, 1)), sample_point=F(1, 2), sample_value=F(1, 4)
     )
-    assert len(scan_calls) == 1
+    assert [dens for _, *dens in scan_calls] == [[3, 12]]
 
 
 def test_violated_with_rational_witness():
@@ -294,12 +298,25 @@ def test_integer_sturm_chain_matches_fraction_signs(h):
             assert _sign(_ieval_scaled(member, t)) == _sign(_fraction_eval(ref, t))
 
 
+def _bernstein_eval(b, x):
+    """sum_k b_k C(n, k) x^k (1 - x)^(n - k)."""
+    n = len(b) - 1
+    return sum(c * comb(n, k) * x ** k * (1 - x) ** (n - k) for k, c in enumerate(b))
+
+
 @given(int_coeff_lists, st.fractions(min_value=0, max_denominator=60))
-def test_taylor_shift_and_descartes_transform_evaluate_as_substitutions(q, x):
+def test_descartes_transform_and_de_casteljau_halves_evaluate_as_substitutions(q, x):
     n = len(q) - 1
-    assert _fraction_eval(_taylor_shift(q), x) == _fraction_eval(q, x + 1)
     assert _fraction_eval(_descartes_transform(q)[::-1], x) == \
         (1 + x) ** n * _fraction_eval(q, 1 / (1 + x))
+    # the node's vector is M q in the Bernstein basis, M = lcm_k C(n, k),
+    # and each half is 2^n M q on its half of (0, 1)
+    m = lcm(*(comb(n, k) for k in range(n + 1)))
+    b = _bernstein(_descartes_transform(q))
+    left, right = _de_casteljau(b)
+    assert _bernstein_eval(b, x) == m * _fraction_eval(q, x)
+    assert _bernstein_eval(left, x) == m * 2 ** n * _fraction_eval(q, x / 2)
+    assert _bernstein_eval(right, x) == m * 2 ** n * _fraction_eval(q, (1 + x) / 2)
 
 
 @given(int_coeff_lists, st.fractions(max_denominator=60))
@@ -319,7 +336,7 @@ def test_exact_division_recovers_the_primitive_factor(a, b):
 def _isolating_intervals(h_sf):
     """The intervals (lo, hi] that bisecting (0, 1] at midpoints yields
     around the root cells of the squarefree h_sf, one root each."""
-    return _split(F(0), F(1), _descartes_walk(h_sf)[1])
+    return _split(F(0), F(1), _descartes_walk(h_sf).cells)
 
 
 def _decide(decider, f):
@@ -381,10 +398,27 @@ def test_descartes_decides_like_the_sturm_oracle(f):
     if len(h) > 1:
         h_sf, intervals = sturm_isolating_intervals(h)
         assert _isolating_intervals(h_sf) == intervals
-        _, cells, stalled = _descartes_walk(h, series._MAX_DEPTH)
-        if not stalled:
+        walk = _descartes_walk(h, series._MAX_DEPTH)
+        if not walk.stalled:
             # the decider's cells of h itself, simple or dyadic roots
-            assert _split(F(0), F(1), cells) == intervals
+            assert _split(F(0), F(1), walk.cells) == intervals
+
+
+@settings(deadline=None, max_examples=300)
+@example(P(1, 0, 1) ** 2 * P(2, -1))
+@example((P(-4, 95) * P(-2, 47)) ** 3)
+@example(P(1, 0, -4, 0, 4) * P(3, 1))
+@example(P(0, 1) ** 2 * P(1, -1) ** 3 * P(-1, 3) ** 2)
+@example((P(-1, 64) * P(-3, 64) * P(-5, 128)) ** 2)
+@given(products_with_repeats())
+def test_the_bernstein_walk_walks_like_the_taylor_walk(f):
+    h, _, _ = _strip_unit_interval_roots(f)
+    for depth in (2, series._MAX_DEPTH):
+        walk = _descartes_walk(h, depth)
+        assert (walk.leaves, walk.cells, walk.stalled) == taylor_walk(h, depth)
+    # stopped at depth 2 and resumed, it ends as if run to the bound at once
+    walk = _descartes_walk(h, 2).resume(series._MAX_DEPTH)
+    assert (walk.leaves, walk.cells, walk.stalled) == taylor_walk(h, series._MAX_DEPTH)
 
 
 def test_holds_on_a_repeated_factor(scan_calls):
@@ -441,34 +475,52 @@ def test_simple_roots_past_the_scan_take_no_euclid():
     assert not irem.called
 
 
-@pytest.mark.parametrize("f, verdict", [
-    # two simple roots between 4/95 and 2/47, past the scan (see above)
-    (P(-4, 95) * P(-2, 47), Verdict.VIOLATED),
+@pytest.mark.parametrize("f, verdict, depths", [
+    # two simple roots between 4/95 and 2/47, past the scan (see above):
+    # the walk stalls at depth 2, so the scan goes on to denominator 24
+    # and the walk resumes to the bound
+    (P(-4, 95) * P(-2, 47), Verdict.VIOLATED, [2, series._MAX_DEPTH]),
     # (20t - 10)^2 + 1 > 0, whose root transform 101x^2 - 198x + 101 has
-    # two variations: the walk halves (0, 1) once
-    (P(101, -400, 400), Verdict.HOLDS),
+    # two variations: the walk halves (0, 1) once and ends without a root
+    (P(101, -400, 400), Verdict.HOLDS, [2]),
 ])
-def test_the_walked_decision_takes_each_transform_and_h_half_once(f, verdict):
-    # Every node of the walk but the root is a half from _halve, two per
-    # split, so one transform per node is 1 + 2 * splits: the walk reuses
-    # the root transform the decider took before the scan.  Before the
-    # walk, h is evaluated once at each reduced u/q in (0, 1) with
-    # q <= 24, 1/2 first; the scan starts past 1/2, which the decider tried.
-    events = []
-    walk, evaluate = series._descartes_walk, series._ieval_scaled
+def test_the_walked_decision_scans_and_walks_in_order(f, verdict, depths):
+    # h is evaluated once at 1/2 and then at each reduced u/q in (0, 1)
+    # with q <= 12, before the walk runs to depth 2; only a walk that
+    # meets a root or stalls sends h on through q <= 24 before it resumes.
+    # One root transform is taken, before the scan.  The walk is a full
+    # binary tree whose terminal nodes are its leaves and cells (h has no
+    # root at 0, 1 or a midpoint), and each of its internal nodes is
+    # split by one de Casteljau triangle, none twice.
+    events, splits, walks = [], [], []
+    evaluate, resume, split = series._ieval_scaled, series._Walk.resume, series._de_casteljau
+
+    def logged_resume(walk, max_depth=None):
+        events.append(("walk", max_depth))
+        walks.append(walk)
+        return resume(walk, max_depth)
+
     with mock.patch.object(series, "_descartes_transform",
                            wraps=series._descartes_transform) as transform, \
-            mock.patch.object(series, "_halve", wraps=series._halve) as halve, \
+            mock.patch.object(series, "_de_casteljau", lambda b: splits.append(b) or split(b)), \
             mock.patch.object(series, "_ieval_scaled",
                               lambda h, t: events.append(t) or evaluate(h, t)), \
-            mock.patch.object(series, "_descartes_walk",
-                              lambda *a: events.append("walk") or walk(*a)):
+            mock.patch.object(series._Walk, "resume", logged_resume):
         report = positive_on_open_unit_interval(f)
     assert report.verdict is verdict
-    assert halve.call_count >= 1
-    assert transform.call_count == 1 + 2 * halve.call_count
-    scanned = [F(u, q) for q in range(2, 25) for u in range(1, q) if gcd(u, q) == 1]
-    assert events[:events.index("walk")] == scanned
+    assert transform.call_count == 1
+
+    def scanned(lo, hi):
+        return [F(u, q) for q in range(lo, hi + 1) for u in range(1, q) if gcd(u, q) == 1]
+
+    expected = [F(1, 2)] + scanned(3, 12) + [("walk", 2)]
+    if len(depths) > 1:
+        expected += scanned(13, 24) + [("walk", series._MAX_DEPTH)]
+    assert events[:len(expected)] == expected
+    assert [e for e in events if isinstance(e, tuple)] == [("walk", d) for d in depths]
+    walk = walks[0]
+    assert all(w is walk for w in walks) and not walk.stalled
+    assert len(splits) == len(walk.leaves) + len(walk.cells) - 1 >= 1
 
 
 def test_dyadic_roots_are_found_at_the_midpoints():

@@ -93,6 +93,31 @@ class TestIsValid:
         a = DimensionSequence.from_values(17, P17_EXAMPLE)
         assert is_valid(a) == is_valid(a)
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        p=st.sampled_from([3, 5, 7, 11]),
+        entries=st.dictionaries(
+            st.integers(min_value=1, max_value=4),
+            st.integers(min_value=1, max_value=3),
+            min_size=1,
+            max_size=3,
+        ),
+        d=st.integers(min_value=0, max_value=4),
+        levels=st.lists(st.integers(min_value=2, max_value=7), max_size=3),
+        margin=st.integers(min_value=1, max_value=5),
+    )
+    def test_the_tail_is_e_limit(self, p, entries, d, levels, margin):
+        # why ValidityReport.stabilized is always True: past N + max(levels,
+        # 1), every c of the recursion is the order
+        a = DimensionSequence.from_dict(p, entries)
+        profile = RelationProfile(d, tuple(levels))
+        report = is_valid(a, profile, horizon_margin=margin)
+        n_stab = jennings_transform(a).stabilization_index
+        tail = report.e[n_stab + max(profile.max_level, 1):]
+        assert len(tail) == margin
+        assert set(tail) == {report.e_limit}
+        assert report.stabilized
+
     def test_horizon_margin_guard(self):
         a = DimensionSequence.from_values(17, P17_EXAMPLE)
         with pytest.raises(ValueError):
