@@ -9,16 +9,21 @@ Fraction appears only for evaluation points, witnesses, bisection
 midpoints and returned values.  No floats are ever consulted for a
 verdict.
 
-The decider checks h(1/2) > 0 for the stripped polynomial h, and a root
-transform without sign variation is a one-leaf HOLDS.  Otherwise it scans
-the points past 1/2 with denominators up to 12, then walks h by
-Descartes bisection (Vincent-Collins-Akritas) in the Bernstein basis,
-from that same root transform, to depth 2.  A walk that ends there
-without a root is a HOLDS.  Else the scan goes on to denominator 24 and
-the walk resumes to its depth bound.  The dyadic leaves are a HOLDS
-certificate that `gstower.certify` replays, and the root cells isolate
-the roots for the witness search.  Euclid, h / gcd(h, h'), runs only for
-a walk stalled at the depth bound or a root of even multiplicity.
+The decider checks h(1/2) > 0 for the stripped polynomial h.  Its
+targets have the shape Golod-Shafarevich arguments rely on: only the low
+coefficients are negative.  Where every coefficient past t^m is >= 0, h
+lies above its head h_0 + ... + h_m t^m on (0, 1), so a head that a walk
+to depth 2 proves positive is a HOLDS for h, with no work on the rest of
+h.  Past the heads, a root transform of h without sign variation is a
+one-leaf HOLDS.  Otherwise the decider scans the points past 1/2 with
+denominators up to 12, then walks h by Descartes bisection
+(Vincent-Collins-Akritas) in the Bernstein basis, from that same root
+transform, to depth 2.  A walk that ends there without a root is a
+HOLDS.  Else the scan goes on to denominator 24 and the walk resumes to
+its depth bound.  The dyadic leaves are a HOLDS certificate that
+`gstower.certify` replays, and the root cells isolate the roots for the
+witness search.  Euclid, h / gcd(h, h'), runs only for a walk stalled at
+the depth bound or a root of even multiplicity.
 """
 from __future__ import annotations
 
@@ -254,16 +259,23 @@ class Verdict(str, enum.Enum):
 class DescartesCertificate:
     """Proof of a HOLDS verdict, replayed by `gstower.certify`.
 
+    f = t^k0 (1 - t)^k1 h, and H = h_0 + ... + h_n t^n is the head of h
+    of degree n = head_degree (all of h when head_degree is its degree).
+    Every coefficient of h past the head is >= 0, so h >= H on (0, 1).
     Each leaf (k, i) is the dyadic interval (i / 2^k, (i + 1) / 2^k), and
-    in order the leaves tile (0, 1).  With q(x) = 2^(kn) h((i + x) / 2^k)
+    in order the leaves tile (0, 1).  With q(x) = 2^(kn) H((i + x) / 2^k)
     mapping (0, 1) onto a leaf, (1 + x)^n q(1 / (1 + x)) has no sign
-    variation and nonzero end coefficients, so h has no root on the
-    closed leaf.  The positive sample then fixes the sign on all of (0, 1).
+    variation and nonzero end coefficients, so H has no root on the
+    closed leaf.  H and f are positive at the sample, which fixes the
+    sign of H, and so of h and f, on all of (0, 1).
     """
 
     leaves: tuple[tuple[int, int], ...]
     sample_point: Fraction
     sample_value: Fraction
+    head_degree: int
+    k0: int
+    k1: int
 
 
 @dataclass(frozen=True)
@@ -322,14 +334,17 @@ def _small_denominator_scan(
 # A root of h in (0, 1) that is repeated and not dyadic keeps two
 # variations at every depth, so a node still unsplit at this depth sends
 # h through Euclid.  A HOLDS target gets there only when complex roots
-# crowd (0, 1); 44 of the benchmark's 49 seed-1 targets are one leaf.
+# crowd (0, 1); every HOLDS target of the benchmark and of the published
+# minima settles on a head at depth 2 or less.
 _MAX_DEPTH = 32
 
-# Before the scan's larger denominators, the walk goes this deep, so it
-# splits at most three nodes there.  Every HOLDS certificate of the
-# benchmark's decide targets has its leaves at depth 2 or less, and the
-# witnesses past 1/2 that the benchmark and the published sequences meet
-# have denominators up to 12, found before any walk.
+# Each head is walked this deep, and so is h before the scan's larger
+# denominators, so a walk splits at most three nodes there.  Every HOLDS
+# certificate of the benchmark's decide targets and of the published
+# minima at p = 11 to 31 has its leaves at depth 2 or less, on a head of
+# degree 56 or less, and the witnesses past 1/2 that the benchmark and
+# the published sequences meet have denominators up to 12, found before
+# h is walked.
 _EARLY_DEPTH = 2
 _EARLY_DEN = 12
 
@@ -436,6 +451,26 @@ def _descartes_walk(
     return _Walk(_descartes_transform(h) if root is None else root).resume(max_depth)
 
 
+def _settled_head(h: list[int], sample: Fraction) -> tuple[int, list[tuple[int, int]]] | None:
+    """(m, leaves) for the first head h_0 + ... + h_m t^m that a walk to
+    _EARLY_DEPTH proves positive on (0, 1), or None.  The heads tried
+    have m = m0 + 1, 2 (m0 + 1) and 4 (m0 + 1) below the degree of h, m0
+    the last index with h_m0 < 0 (m0 + 1 = 0 when there is none).  A
+    head positive at t = 1 and without a root in (0, 1) is positive on
+    (0, 1), and its last leaf reaches 1.  One that is not positive at the
+    sample has a root in (0, 1), so it is skipped without a walk."""
+    start = max((j for j, c in enumerate(h) if c < 0), default=-1) + 1
+    for m in (start, 2 * start, 4 * start):
+        if m >= len(h) - 1:
+            break
+        head = h[:m + 1]
+        if sum(head) > 0 and _ieval_scaled(head, sample) > 0:
+            walk = _descartes_walk(head, _EARLY_DEPTH)
+            if not walk.cells and not walk.stalled:
+                return m, walk.leaves
+    return None
+
+
 def _split(lo: Fraction, hi: Fraction, roots) -> list[tuple[Fraction, Fraction]]:
     """Bisect (lo, hi] until each part holds one root of `roots`; the
     parts that hold one, left to right.  A cell has no root at its ends,
@@ -519,10 +554,13 @@ def positive_on_open_unit_interval(f: ExactPoly) -> PositivityReport:
     open-interval verdict).  A VIOLATED verdict carries an exact rational
     witness with f(witness) <= 0, searched smallest-denominator first
     from 1/2, so witnesses stay human-readable.  A HOLDS verdict carries a
-    Descartes certificate: dyadic leaves tiling (0, 1) on which h has no
-    root, plus the positive sample at 1/2; with no sign variation at the
-    root, (0, 1) is the one leaf and no scan runs.  Otherwise the scan
-    tries denominators up to 12, then the walk goes to depth 2, and a
+    Descartes certificate: dyadic leaves tiling (0, 1) on which a head of
+    h has no root, plus the positive sample at 1/2.  A head settled by a
+    walk to depth 2 is tried first, and it returns before the root
+    transform of h and the scan; the witness of a VIOLATED verdict does
+    not depend on it.  Else the head is h itself: with no sign variation
+    at the root, (0, 1) is the one leaf and no scan runs.  Otherwise the
+    scan tries denominators up to 12, then the walk goes to depth 2, and a
     walk that ends there without a root is a HOLDS: h has no root in
     (0, 1), so the rest of the scan could find nothing.  Else the scan
     goes on to denominator 24, and the same walk resumes to its depth
@@ -532,10 +570,15 @@ def positive_on_open_unit_interval(f: ExactPoly) -> PositivityReport:
     if not f.nums:
         raise ZeroPolynomialError("positivity of the zero polynomial is undefined")
 
-    h, _, _ = _strip_unit_interval_roots(f)
+    h, k0, k1 = _strip_unit_interval_roots(f)
     sample = Fraction(1, 2)
     if _ieval_scaled(h, sample) <= 0:
         return PositivityReport(Verdict.VIOLATED, witness=sample, witness_value=f(sample))
+    settled = _settled_head(h, sample)
+    if settled is not None:
+        head_degree, leaves = settled
+        cert = DescartesCertificate(tuple(leaves), sample, f(sample), head_degree, k0, k1)
+        return PositivityReport(Verdict.HOLDS, certificate=cert)
 
     # no variation at the root node: the walk's one leaf, and no scan
     leaves, cells, stalled = [(0, 0)], [], False
@@ -582,5 +625,5 @@ def positive_on_open_unit_interval(f: ExactPoly) -> PositivityReport:
         )
 
     # h(1/2) > 0 was checked first
-    cert = DescartesCertificate(tuple(leaves), sample, f(sample))
+    cert = DescartesCertificate(tuple(leaves), sample, f(sample), len(h) - 1, k0, k1)
     return PositivityReport(Verdict.HOLDS, certificate=cert)

@@ -109,7 +109,9 @@ def test_check_inequality_holds_for_cyclic_data():
 
 def test_exact_holds_certificate_is_pinned():
     # (0, 1/2) is one leaf; (1/2, 1) splits into (1/2, 5/8), (5/8, 3/4)
-    # and (3/4, 1)
+    # and (3/4, 1).  f = t^2 h with h of degree 39, negative at t^3 to
+    # t^11; the heads of degree 12 and 24 do not settle at depth 2, and
+    # 48 is past the degree, so the proof is on all of h.
     profile = RelationProfile(2, (3, 7))
     a = DimensionSequence.from_values(3, [2, 3, 3])
     report = check_inequality(profile, a, CheckMode.EXACT)
@@ -117,6 +119,7 @@ def test_exact_holds_certificate_is_pinned():
         leaves=((1, 0), (3, 4), (3, 5), (2, 3)),
         sample_point=F(1, 2),
         sample_value=F(802014546469, 2199023255552),
+        head_degree=39, k0=2, k1=0,
     )
 
 
@@ -133,14 +136,22 @@ def _timed(decide):
 
 # The budgets include replaying each certificate (holds_are_certified).
 
-# Both targets have no sign variation at the root node, so each HOLDS is
-# the one leaf (0, 1) and the small-denominator scan never runs.
+# f = t^8 h, times (1 - t) in strict mode.  In exact mode h is
+# 2 + 2t - 4t^2 - 8t^3 - 5t^4 - 7t^5 - 5t^6 - 4t^7 + 4t^8 + 11t^9 + ...,
+# with its last negative coefficient at t^7, and every later one >= 0.
+# So the heads tried have degree 8, 16 and 32.  The head of degree 8 is
+# 2 + 2 - 4 - 8 - 5 - 7 - 5 - 4 + 4 = -25 at t = 1, below 0, so it has a
+# root in (1/2, 1); the right half of the head of degree 16 still has two
+# sign variations at depth 2; the head of degree 32 has none on either
+# half.  In strict mode the last negative coefficient is at t^9, and the
+# head of degree 40 settles the same way.  No scan runs, and the root
+# transform of h (degree 1479 and 2958) is never taken.
 
 def test_published_p11_minimum_holds_in_exact_mode_within_budget(scan_calls):
-    # degree 1482 (1479 after stripping); the Sturm chain took about a minute
     report, seconds = _timed(lambda: check_inequality(P11_PROFILE, P11_MINIMUM, CheckMode.EXACT))
     assert report.holds
-    assert report.certificate.leaves == ((0, 0),)
+    assert (report.certificate.head_degree, report.certificate.leaves) == (32, ((1, 0), (1, 1)))
+    assert (report.certificate.k0, report.certificate.k1) == (8, 0)
     assert scan_calls == []
     assert seconds < 1.0
 
@@ -148,9 +159,29 @@ def test_published_p11_minimum_holds_in_exact_mode_within_budget(scan_calls):
 def test_published_p11_minimum_holds_in_strict_mode_within_budget(scan_calls):
     report, seconds = _timed(lambda: strict_corollary_check(P11_PROFILE, P11_MINIMUM))
     assert report.holds
-    assert report.certificate.leaves == ((0, 0),)
+    assert (report.certificate.head_degree, report.certificate.leaves) == (40, ((1, 0), (1, 1)))
+    assert (report.certificate.k0, report.certificate.k1) == (8, 1)
     assert scan_calls == []
     assert seconds < 5.0
+
+
+@pytest.mark.parametrize("p", [23, 31])
+@pytest.mark.parametrize("mode, head_degree", [("exact", 16), ("strict", 20)])
+def test_published_minimum_at_larger_p_holds_on_a_short_head_within_budget(
+        p, mode, head_degree, scan_calls):
+    # The same sequence and levels.  h has degree 3255 (exact) and 6510
+    # (strict) at p = 23, 4439 and 8878 at p = 31; its last negative
+    # coefficient is at t^7 or t^9 as at p = 11, and the heads of degree
+    # 16 and 20, the second tried, settle.
+    a = DimensionSequence.from_values(p, [2, 1, 1, 1, 2, 2, 3, 5, 6])
+    if mode == "exact":
+        report, seconds = _timed(lambda: check_inequality(P11_PROFILE, a, CheckMode.EXACT))
+    else:
+        report, seconds = _timed(lambda: strict_corollary_check(P11_PROFILE, a))
+    assert report.holds
+    assert report.certificate.head_degree == head_degree
+    assert scan_calls == []
+    assert seconds < 0.5
 
 
 def test_feasible_sequence_passes_relaxed():
@@ -221,11 +252,13 @@ class TestStrictCorollary:
         # strict --p 3 --d 1 --levels 3 --a 1: the target is
         # (1 - t + t^3 - (2/3) t^5)(1 + t + t^2) - 1
         #   = (1/3) t^4 (1 - t)(3 + 4t + 2t^2),
-        # and h = 3 + 4t + 2t^2 has positive coefficients, so (0, 1) is the
-        # one leaf.  f(1/2) = (1/3)(1/16)(1/2)(11/2) = 11/192.
+        # and h = 3 + 4t + 2t^2 has positive coefficients, so its head of
+        # degree 0, the constant 3, lies below it on (0, 1), and (0, 1) is
+        # the one leaf.  f(1/2) = (1/3)(1/16)(1/2)(11/2) = 11/192.
         report = strict_corollary_check(
             RelationProfile(1, (3,)), DimensionSequence.from_values(3, [1])
         )
         assert report.certificate == DescartesCertificate(
-            leaves=((0, 0),), sample_point=F(1, 2), sample_value=F(11, 192)
+            leaves=((0, 0),), sample_point=F(1, 2), sample_value=F(11, 192),
+            head_degree=0, k0=4, k1=1,
         )

@@ -119,11 +119,14 @@ def test_positive_despite_interior_dip(scan_calls):
     # Neither half has a variation.  f(1/2) = 1/4 - 1 + 1 = 1/4.  The
     # root's variations send h through the scan of denominators up to 12
     # first; the walk then ends at depth 1 without a root, so the scan
-    # of the larger denominators never runs.
+    # of the larger denominators never runs.  The one head tried, past the
+    # last negative coefficient, is 1 - 2t + 0t^2, negative at t = 1, so
+    # the proof is on h itself, of degree 3.
     report = positive_on_open_unit_interval(P(1, -2, 0, 2))
     assert report.verdict is Verdict.HOLDS
     assert report.certificate == DescartesCertificate(
-        leaves=((1, 0), (1, 1)), sample_point=F(1, 2), sample_value=F(1, 4)
+        leaves=((1, 0), (1, 1)), sample_point=F(1, 2), sample_value=F(1, 4),
+        head_degree=3, k0=0, k1=0,
     )
     assert [dens for _, *dens in scan_calls] == [[3, 12]]
 
@@ -404,6 +407,40 @@ def test_descartes_decides_like_the_sturm_oracle(f):
             assert _split(F(0), F(1), walk.cells) == intervals
 
 
+@st.composite
+def golod_shafarevich_forms(draw):
+    """t^k0 (1 - t)^k1 h, where h has negative coefficients only among its
+    first 12 and a nonnegative tail, the shape of the package's targets:
+    1 - dt + ... on the relator side times a series with positive
+    coefficients."""
+    head = [draw(st.integers(1, 40))] + draw(st.lists(st.integers(-40, 25), max_size=11))
+    tail = draw(st.lists(st.integers(0, 30), max_size=48))
+    return P(*[0] * draw(st.integers(0, 2)), *head, *tail) * P(1, -1) ** draw(st.integers(0, 2))
+
+
+# t (1 - t) (1 - t + t^2 + 3t^3 + 5t^4): the head 1 - t + t^2 past the
+# last negative coefficient has no variation on (0, 1), so it settles
+SETTLED_ON_A_HEAD = P(0, 1) * P(1, -1) * P(1, -1, 1, 3, 5)
+
+
+@settings(deadline=None, max_examples=200)
+@example(SETTLED_ON_A_HEAD)
+@given(golod_shafarevich_forms())
+def test_golod_shafarevich_forms_are_decided_like_the_sturm_oracle(f):
+    # every HOLDS, proved on a head of h or on h itself, is replayed by
+    # the module's holds_are_certified
+    new = _decide(positive_on_open_unit_interval, f)
+    old = _decide(sturm_positivity, f)
+    if old is None or new is None:
+        assert old is new
+        return
+    assert (new.verdict, new.witness, new.witness_value) == \
+        (old.verdict, old.witness, old.witness_value)
+    if f == SETTLED_ON_A_HEAD:
+        h, _, _ = _strip_unit_interval_roots(f)
+        assert new.certificate.head_degree == 2 < len(h) - 1
+
+
 @settings(deadline=None, max_examples=300)
 @example(P(1, 0, 1) ** 2 * P(2, -1))
 @example((P(-4, 95) * P(-2, 47)) ** 3)
@@ -426,11 +463,13 @@ def test_holds_on_a_repeated_factor(scan_calls):
     # transform sum q_j (1 + x)^(n - j) is multiplicative: 1 + t^2 gives
     # (1 + x)^2 + 1 = x^2 + 2x + 2 and 2 - t gives 2(1 + x) - 1 = 2x + 1,
     # so h's has positive coefficients only and (0, 1) is the one leaf,
-    # settled without the small-denominator scan.
-    # f(1/2) = (5/4)^2 (3/2) = 75/32.
+    # settled without the small-denominator scan.  h = 2 - t + 4t^2 - 2t^3
+    # + 2t^4 - t^5 has its last negative coefficient at its degree, so
+    # there is no shorter head.  f(1/2) = (5/4)^2 (3/2) = 75/32.
     report = positive_on_open_unit_interval(P(1, 0, 1) ** 2 * P(2, -1))
     assert report.certificate == DescartesCertificate(
-        leaves=((0, 0),), sample_point=F(1, 2), sample_value=F(75, 32)
+        leaves=((0, 0),), sample_point=F(1, 2), sample_value=F(75, 32),
+        head_degree=5, k0=0, k1=0,
     )
     assert scan_calls == []
 
@@ -438,14 +477,23 @@ def test_holds_on_a_repeated_factor(scan_calls):
 def test_a_touch_point_is_found_by_the_scan_before_any_walk():
     # (3t - 1)^2 (1 + t)^200 (3 + 4t + 2t^2) >= 0 is zero at 1/3, the
     # scan's second point.  Its root node has variations, so the scan runs
-    # before any bisection; walking first would halve down to the depth
-    # bound around the double root.
+    # before h is bisected; walking h first would halve down to the depth
+    # bound around the double root.  Only heads of h, shorter than h, are
+    # walked before the scan, and none deeper than depth 2: h has degree
+    # 204 and negative coefficients at t^45 to t^57, so the heads tried
+    # have degree 58, which is negative at 1/2, and 116, whose walk stalls
+    # at depth 2.
     f = P(-1, 3) ** 2 * P(1, 1) ** 200 * P(3, 4, 2)
+    h, _, _ = _strip_unit_interval_roots(f)
+    walked = []
+    walk = series._descartes_walk
     started = time.perf_counter()
-    with mock.patch.object(series, "_descartes_walk", wraps=series._descartes_walk) as walk:
+    with mock.patch.object(series, "_descartes_walk",
+                           lambda q, *args: walked.append((q, *args)) or walk(q, *args)):
         report = positive_on_open_unit_interval(f)
     assert time.perf_counter() - started < 0.5
-    assert not walk.called
+    assert all(len(q) < len(h) and q == h[:len(q)] and args == [series._EARLY_DEPTH]
+               for q, *args in walked)
     assert (report.verdict, report.witness, report.witness_value) == \
         (Verdict.VIOLATED, F(1, 3), 0)
 
