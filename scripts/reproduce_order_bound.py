@@ -26,10 +26,20 @@ def main(argv=None) -> int:
         help="skip the exhaustive confirmation sweep below the optimum",
     )
     args = parser.parse_args(argv)
-    a, b = (int(x) for x in args.ab.split(","))
+    # exit 1 means the sweep found a counterexample, so a bad argument
+    # exits 2 with a one-line reason, as the gstower CLI does
+    try:
+        a, b = (int(x) for x in args.ab.split(","))
+    except ValueError:
+        print(f"error: --ab takes two integers a,b, got {args.ab!r}", file=sys.stderr)
+        return 2
 
     t0 = time.monotonic()
-    result = min_order_search(args.p, a, b)
+    try:
+        result = min_order_search(args.p, a, b)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"p = {args.p}, abelianization (a, b) = ({a}, {b})")
     print(f"violated stages before the optimum: {len(result.violation_trace)}")
     for step in result.violation_trace:

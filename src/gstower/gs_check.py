@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .jennings import DimensionSequence, jennings_transform
+from .jennings import DimensionSequence, jennings_transform, one_minus_product
 from .series import ExactPoly, PositivityReport, positive_on_open_unit_interval
 
 
@@ -66,11 +66,8 @@ def gs_lhs_poly(profile: RelationProfile) -> ExactPoly:
 
 def relaxed_product_poly(a: DimensionSequence) -> ExactPoly:
     """The product of (1 - t^n)^(a_n) over the support of a."""
-    out = ExactPoly.one()
-    for n, an in a.entries:
-        factor = ExactPoly.from_coeffs([1] + [0] * (n - 1) + [-1])
-        out = out * factor ** an
-    return out
+    # the leading coefficient is +-1, so the list is already normalized
+    return ExactPoly(tuple(one_minus_product(a, a.weighted_degree + 1)))
 
 
 class CheckMode(str, enum.Enum):

@@ -8,10 +8,12 @@ coefficients are the dimensions of the graded pieces of the augmentation
 filtration; partial sums give the codimension sequence c_n.
 
 Each factor 1 + t^n + ... + t^((p-1)n) is palindromic, so b is too, and
-only b_0..b_(N//2) are computed, modulo t^(N//2 + 1), then mirrored.
-Multiplying by 1 - t^(pn) is one shifted subtraction of the coefficient
-list, and dividing by 1 - t^n is a running sum over each residue class
-mod n; both only look back, so the truncation is exact.
+only b_0..b_(H-1), H = N//2 + 1, are computed, then mirrored.  The
+numerators multiply to D(t^p), D(s) the product of (1 - s^n)^(a_n): the
+first ceil(H/p) coefficients of D are placed at the multiples of p, then
+divided by each (1 - t^n)^(a_n), a running sum over each residue class
+mod n.  Truncation mod t^H is a ring map and 1 - t^n is a unit of Z[[t]],
+so this gives b_0..b_(H-1) exactly.
 """
 from __future__ import annotations
 
@@ -143,19 +145,15 @@ class JenningsData:
         return self.c[n]
 
 
-def _apply_factor(coeffs: list[int], n: int, p: int, a_n: int, length: int) -> list[int]:
-    """coeffs times (1 + t^n + ... + t^((p-1)n))^a_n, modulo t^length."""
-    out = coeffs[:length] + [0] * (length - len(coeffs))
-    pn = p * n
-    for _ in range(a_n):
-        # times 1 - t^(pn): both slices are copies of the old list
-        out[pn:] = map(sub, out[pn:], out[:-pn])
-    for r in range(min(n, length)):
-        # divided by (1 - t^n)^a_n: running sums in the residue class r
-        column = out[r::n]
-        for _ in range(a_n):
-            column = accumulate(column)
-        out[r::n] = column
+def one_minus_product(a: DimensionSequence, length: int) -> list[int]:
+    """Coefficients of the product of (1 - t^n)^(a_n) over the support of
+    a, modulo t^length (length >= 1)."""
+    out = [1] + [0] * (length - 1)
+    for n, an in a.entries:
+        for _ in range(an):
+            # times 1 - t^n: both slices are copies of the old list, empty
+            # when n >= length
+            out[n:] = map(sub, out[n:], out[:-n])
     return out
 
 
@@ -168,11 +166,16 @@ def jennings_transform(a: DimensionSequence) -> JenningsData:
     """
     p = a.prime
     degree = (p - 1) * a.weighted_degree
-    half, reach = [1], 0
+    length = degree // 2 + 1
+    half = [0] * length
+    half[::p] = one_minus_product(a, -(-length // p))
     for n, an in a.entries:
-        # the partial product has degree reach: no zeros past it are kept
-        reach += (p - 1) * n * an
-        half = _apply_factor(half, n, p, an, min(reach, degree // 2) + 1)
+        for r in range(min(n, length)):
+            # divided by (1 - t^n)^a_n: running sums in the residue class r
+            column = half[r::n]
+            for _ in range(an):
+                column = accumulate(column)
+            half[r::n] = column
     # b_(N-i) = b_i: mirror the first ceil(N/2) coefficients
     b = tuple(half + half[:degree - degree // 2][::-1])
     n_stab = len(b) - 1

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gstower.gs_check import (
     CheckMode,
@@ -19,7 +19,7 @@ from gstower.gs_check import (
     ztype_pair_poly,
 )
 from gstower.jennings import DimensionSequence
-from gstower.series import DescartesCertificate, Verdict
+from gstower.series import DescartesCertificate, ExactPoly, Verdict
 
 F = Fraction
 
@@ -62,6 +62,25 @@ def test_relaxed_product_poly():
     # a = {a_1 = 2}: (1 - t)^2 = 1 - 2t + t^2
     a = DimensionSequence.from_values(11, [2])
     assert [int(c) for c in relaxed_product_poly(a).coeffs] == [1, -2, 1]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    entries=st.dictionaries(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=5),
+        max_size=5,
+    )
+)
+@example(entries={})  # the empty product is 1
+@example(entries={2: 3, 7: 1})  # gaps in the support
+@example(entries={1: 2, 5: 4, 11: 2})
+def test_relaxed_product_poly_is_the_product_of_its_factors(entries):
+    a = DimensionSequence.from_dict(11, entries)
+    expected = ExactPoly.one()
+    for n, an in entries.items():
+        expected = expected * ExactPoly.from_coeffs([1] + [0] * (n - 1) + [-1]) ** an
+    assert relaxed_product_poly(a) == expected
 
 
 class TestZtypeClassification:
@@ -199,15 +218,21 @@ def test_feasible_sequence_passes_relaxed():
         max_size=4,
     )
 )
+@example(entries={1: 2, 2: 2, 3: 2})  # strict HOLDS, so all three do
 def test_exact_implies_relaxed(entries):
-    # pointwise on (0,1) the reciprocal expansion bound sits above the
-    # bare product (1-t^n)^(a_n), so clearing the exact bar clears the
-    # relaxed one; the greedy search relies on the contrapositive
+    # strict => exact => relaxed.  For r >= d the strict slack term
+    # (1 - d + r)(1 - p^-A) t^(N+m) * jennings_poly is >= 0 on (0,1), so
+    # clearing the strict bar clears the exact one.  Pointwise on (0,1)
+    # the reciprocal expansion bound sits above the bare product
+    # (1-t^n)^(a_n), so clearing the exact bar clears the relaxed one;
+    # the greedy search relies on the contrapositive
     profile = RelationProfile(2, (3, 7))
     a = DimensionSequence.from_dict(11, entries)
+    strict = strict_corollary_check(profile, a)
     exact = check_inequality(profile, a, CheckMode.EXACT)
-    if exact.holds:
-        assert check_inequality(profile, a, CheckMode.RELAXED).holds
+    relaxed = check_inequality(profile, a, CheckMode.RELAXED)
+    assert exact.holds or not strict.holds
+    assert relaxed.holds or not exact.holds
 
 
 class TestThresholds:

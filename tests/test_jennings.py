@@ -160,6 +160,9 @@ def _sliding_window_factor(coeffs, n, p):
 @example(p=2, values=[0, 0, 1])  # N = 3, odd
 @example(p=2, values=[2, 0, 1])  # N = 5, odd
 @example(p=17, values=[6, 6, 6, 6, 6, 6])
+@example(p=17, values=[1])  # half length 9 < p: the numerator is just 1
+@example(p=13, values=[0] * 11 + [1])  # index 12 past the numerator length 6
+@example(p=31, values=[2, 1, 1, 1, 2])
 def test_transform_matches_the_sliding_window_oracle(p, values):
     a = DimensionSequence.from_values(p, values)
     coeffs = [1]

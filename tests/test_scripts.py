@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -25,3 +27,21 @@ def test_reproduce_order_bound_default_run():
     assert done.returncode == 0, done.stderr
     assert "minimal sum: 23 at a = (2,1,1,1,2,2,3,5,6)" in done.stdout.splitlines()
     assert "all violated: True" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["--p", "7"], "error: the cap table requires a prime p >= 11"),
+        (["--ab", "1"], "error: --ab takes two integers a,b, got '1'"),
+    ],
+)
+def test_reproduce_order_bound_rejects_a_bad_argument_with_exit_2(args, reason):
+    # exit 1 is reserved for a counterexample below the optimum
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reproduce_order_bound.py"), *args],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [reason]
+    assert done.stdout == ""
