@@ -530,7 +530,7 @@ def _heisenberg_relators(p: int, _) -> tuple[tuple[int, ...], ...]:
 #: the built-in families: name -> (its argument in "name:arg", or None
 #: for a family without one; table builder (p, arg); relators (p, arg))
 BUILTIN_GROUPS = {
-    "cyclic": ("k", build_cyclic, lambda p, k: ((1,) * p ** k,)),
+    "cyclic": ("k", build_cyclic, lambda p, k: ((1,) * p ** k,) if k else ()),
     "elemab": ("d", build_elem_abelian, _elemab_relators),
     "heisenberg": (None, lambda p, _: build_heisenberg(p), _heisenberg_relators),
 }

@@ -14,16 +14,15 @@ targets have the shape Golod-Shafarevich arguments rely on: only the low
 coefficients are negative.  Where every coefficient past t^m is >= 0, h
 lies above its head h_0 + ... + h_m t^m on (0, 1), so a head that a walk
 to depth 2 proves positive is a HOLDS for h, with no work on the rest of
-h.  Past the heads, a root transform of h without sign variation is a
-one-leaf HOLDS.  Otherwise the decider scans the points past 1/2 with
+h.  Past the heads, the decider scans the points past 1/2 with
 denominators up to 12, then walks h by Descartes bisection
-(Vincent-Collins-Akritas) in the Bernstein basis, from that same root
-transform, to depth 2.  A walk that ends there without a root is a
-HOLDS.  Else the scan goes on to denominator 24 and the walk resumes to
-its depth bound.  The dyadic leaves are a HOLDS certificate that
-`gstower.certify` replays, and the root cells isolate the roots for the
-witness search.  Euclid, h / gcd(h, h'), runs only for a walk stalled at
-the depth bound or a root of even multiplicity.
+(Vincent-Collins-Akritas) in the Bernstein basis to depth 2.  A walk
+that ends there without a root is a HOLDS; a root node without sign
+variation is its one leaf.  Else the scan goes on to denominator 24 and
+the walk resumes to its depth bound.  The dyadic leaves are a HOLDS
+certificate that `gstower.certify` replays, and the root cells isolate
+the roots for the witness search.  Euclid, h / gcd(h, h'), runs only
+for a walk stalled at the depth bound or a root of even multiplicity.
 """
 from __future__ import annotations
 
@@ -349,18 +348,15 @@ _EARLY_DEPTH = 2
 _EARLY_DEN = 12
 
 
-def _suffix_sums(b: list[int]) -> list[int]:
-    """In place, the Taylor shift p(x + 1) of the polynomial p whose
-    coefficients b lists high degree first: n passes of suffix sums."""
+def _descartes_transform(q: Sequence[int]) -> list[int]:
+    """(1 + x)^n q(1 / (1 + x)), high degree first: its leading
+    coefficient is q(0) and its constant q(1).  Read high degree first, q
+    is the polynomial x^n q(1 / x), and n passes of suffix sums are its
+    Taylor shift by 1."""
+    b = list(q)
     for m in range(len(b), 1, -1):
         b[:m] = accumulate(b[:m])
     return b
-
-
-def _descartes_transform(q: Sequence[int]) -> list[int]:
-    """(1 + x)^n q(1 / (1 + x)), high degree first: its leading
-    coefficient is q(0) and its constant q(1)."""
-    return _suffix_sums(list(q))
 
 
 def _bernstein(t: Sequence[int]) -> list[int]:
@@ -443,12 +439,9 @@ class _Walk:
         return self
 
 
-def _descartes_walk(
-    h: list[int], max_depth: int | None = None, root: list[int] | None = None
-) -> _Walk:
-    """The walk of h run to max_depth; root is h's own transform, when the
-    caller has taken it already."""
-    return _Walk(_descartes_transform(h) if root is None else root).resume(max_depth)
+def _descartes_walk(h: list[int], max_depth: int | None = None) -> _Walk:
+    """The walk of h run to max_depth."""
+    return _Walk(_descartes_transform(h)).resume(max_depth)
 
 
 def _settled_head(h: list[int], sample: Fraction) -> tuple[int, list[tuple[int, int]]] | None:
@@ -556,16 +549,15 @@ def positive_on_open_unit_interval(f: ExactPoly) -> PositivityReport:
     from 1/2, so witnesses stay human-readable.  A HOLDS verdict carries a
     Descartes certificate: dyadic leaves tiling (0, 1) on which a head of
     h has no root, plus the positive sample at 1/2.  A head settled by a
-    walk to depth 2 is tried first, and it returns before the root
-    transform of h and the scan; the witness of a VIOLATED verdict does
-    not depend on it.  Else the head is h itself: with no sign variation
-    at the root, (0, 1) is the one leaf and no scan runs.  Otherwise the
-    scan tries denominators up to 12, then the walk goes to depth 2, and a
-    walk that ends there without a root is a HOLDS: h has no root in
-    (0, 1), so the rest of the scan could find nothing.  Else the scan
-    goes on to denominator 24, and the same walk resumes to its depth
-    bound and isolates the roots of h.  Only a walk stalled at that bound,
-    or a root of even multiplicity, sends h through Euclid.
+    walk to depth 2 is tried first, and it returns before any work on all
+    of h; the witness of a VIOLATED verdict does not depend on it.  Else
+    the head is h itself: the scan tries denominators up to 12, then the
+    walk of h goes to depth 2, and a walk that ends there without a root
+    is a HOLDS: h has no root in (0, 1), so the rest of the scan could
+    find nothing.  Else the scan goes on to denominator 24, and the same
+    walk resumes to its depth bound and isolates the roots of h.  Only a
+    walk stalled at that bound, or a root of even multiplicity, sends h
+    through Euclid.
     """
     if not f.nums:
         raise ZeroPolynomialError("positivity of the zero polynomial is undefined")
@@ -580,23 +572,19 @@ def positive_on_open_unit_interval(f: ExactPoly) -> PositivityReport:
         cert = DescartesCertificate(tuple(leaves), sample, f(sample), head_degree, k0, k1)
         return PositivityReport(Verdict.HOLDS, certificate=cert)
 
-    # no variation at the root node: the walk's one leaf, and no scan
-    leaves, cells, stalled = [(0, 0)], [], False
-    root = _descartes_transform(h)
-    if _variations(root):
-        w = _small_denominator_scan(h, 3, _EARLY_DEN)
+    w = _small_denominator_scan(h, 3, _EARLY_DEN)
+    if w is not None:
+        return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
+    # a walk that ends without a root proves h > 0 at every scan point
+    walk = _descartes_walk(h, _EARLY_DEPTH)
+    if walk.cells or walk.stalled:
+        w = _small_denominator_scan(h, _EARLY_DEN + 1)
         if w is not None:
             return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
-        # a walk that ends without a root proves h > 0 at every scan point
-        walk = _descartes_walk(h, _EARLY_DEPTH, root)
-        if walk.cells or walk.stalled:
-            w = _small_denominator_scan(h, _EARLY_DEN + 1)
-            if w is not None:
-                return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
-            walk.resume(_MAX_DEPTH)
-        leaves, cells, stalled = walk.leaves, walk.cells, walk.stalled
+        walk.resume(_MAX_DEPTH)
+    leaves, cells = walk.leaves, walk.cells
     h_sf = None
-    if stalled:
+    if walk.stalled:
         # a repeated root, or a cluster too deep to settle
         h_sf = _squarefree_part(h)
         cells = _descartes_walk(h_sf).cells

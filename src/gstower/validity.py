@@ -143,12 +143,9 @@ def is_valid(
     order = data.order
     e_limit = stabilized_defect(profile, order)
 
-    first_failure: str | None = None
-
     cap_fail = _caps_failure(a, profile)
     caps_ok = cap_fail is None
-    if first_failure is None and cap_fail:
-        first_failure = cap_fail
+    first_failure = cap_fail
 
     e_nonnegative = min(e) >= 0
     if first_failure is None and not e_nonnegative:

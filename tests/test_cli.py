@@ -243,6 +243,20 @@ def test_grouplab_builtin(capsys):
     assert payload["verdict"] == "HOLDS"
 
 
+def test_grouplab_trivial_group_as_cyclic_and_elemab(capsys):
+    # cyclic:0 and elemab:0 are both the trivial group: no generator and
+    # no relator, so all four checks run on the empty presentation
+    payloads = []
+    for kind in ("cyclic:0", "elemab:0"):
+        code, payload = run_json(capsys, "grouplab", "--group", kind, "--p", "3")
+        assert code == 0
+        assert payload["order"] == 1
+        payloads.append(payload)
+    assert payloads[0]["checks"] == payloads[1]["checks"] == {
+        "jennings": True, "lazard": True, "recursion": True, "fox": True,
+    }
+
+
 def test_grouplab_builds_one_table(capsys, monkeypatch):
     built = []
     init = FiniteGroupTable.__init__

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gstower import series
 from gstower.gs_check import (
     CheckMode,
     InvalidHypothesisError,
@@ -201,6 +202,38 @@ def test_published_minimum_at_larger_p_holds_on_a_short_head_within_budget(
     assert report.certificate.head_degree == head_degree
     assert scan_calls == []
     assert seconds < 0.5
+
+
+@pytest.mark.parametrize("mode, head_lengths", [("exact", [17, 33]), ("strict", [21, 41])])
+def test_a_violated_target_past_one_half_takes_no_transform_of_h(
+        mode, head_lengths, monkeypatch):
+    # a_9 = 5, one below the p = 11 minimum, is VIOLATED, first at 4/7 in
+    # the scan of denominators up to 12.  Its heads are walked first and
+    # do not settle, but h itself (1390 coefficients in exact mode, 2779
+    # in strict) is never transformed: the scan runs before its walk.
+    # witness_value is f(4/7) in closed form: J(t) = prod_n ((1 - t^(11n))
+    # / (1 - t^n))^(a_n) of degree N = 10 * sum(n a_n) = 1390, and the
+    # strict slack (1 - d + r)(1 - 11^-22) t^(N + 7), with 1 - d + r = 1
+    # and 22 = sum(a_n).
+    a = DimensionSequence.from_values(11, [2, 1, 1, 1, 2, 2, 3, 5, 5])
+    lengths = []
+    transform = series._descartes_transform
+    monkeypatch.setattr(series, "_descartes_transform",
+                        lambda q: lengths.append(len(q)) or transform(q))
+    if mode == "exact":
+        report = check_inequality(P11_PROFILE, a, CheckMode.EXACT)
+    else:
+        report = strict_corollary_check(P11_PROFILE, a)
+    t = F(4, 7)
+    jennings = 1
+    for n, a_n in a.entries:
+        jennings *= ((1 - t ** (11 * n)) / (1 - t ** n)) ** a_n
+    lhs = 1 - 2 * t + t ** 3 + t ** 7
+    if mode == "strict":
+        lhs -= (1 - F(1, 11 ** 22)) * t ** (1390 + 7)
+    assert (report.verdict, report.witness, report.witness_value) == \
+        (Verdict.VIOLATED, t, lhs * jennings - 1)
+    assert lengths == head_lengths
 
 
 def test_feasible_sequence_passes_relaxed():

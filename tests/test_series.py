@@ -462,16 +462,17 @@ def test_holds_on_a_repeated_factor(scan_calls):
     # (1 + t^2)^2 (2 - t) is decided on h itself, with no gcd taken.  The
     # transform sum q_j (1 + x)^(n - j) is multiplicative: 1 + t^2 gives
     # (1 + x)^2 + 1 = x^2 + 2x + 2 and 2 - t gives 2(1 + x) - 1 = 2x + 1,
-    # so h's has positive coefficients only and (0, 1) is the one leaf,
-    # settled without the small-denominator scan.  h = 2 - t + 4t^2 - 2t^3
-    # + 2t^4 - t^5 has its last negative coefficient at its degree, so
-    # there is no shorter head.  f(1/2) = (5/4)^2 (3/2) = 75/32.
+    # so h's has positive coefficients only and (0, 1) is the one leaf of
+    # the walk to depth 2, after the scan of denominators up to 12.
+    # h = 2 - t + 4t^2 - 2t^3 + 2t^4 - t^5 has its last negative
+    # coefficient at its degree, so there is no shorter head.
+    # f(1/2) = (5/4)^2 (3/2) = 75/32.
     report = positive_on_open_unit_interval(P(1, 0, 1) ** 2 * P(2, -1))
     assert report.certificate == DescartesCertificate(
         leaves=((0, 0),), sample_point=F(1, 2), sample_value=F(75, 32),
         head_degree=5, k0=0, k1=0,
     )
-    assert scan_calls == []
+    assert [dens for _, *dens in scan_calls] == [[3, 12]]
 
 
 def test_a_touch_point_is_found_by_the_scan_before_any_walk():
@@ -534,14 +535,16 @@ def test_simple_roots_past_the_scan_take_no_euclid():
 ])
 def test_the_walked_decision_scans_and_walks_in_order(f, verdict, depths):
     # h is evaluated once at 1/2 and then at each reduced u/q in (0, 1)
-    # with q <= 12, before the walk runs to depth 2; only a walk that
-    # meets a root or stalls sends h on through q <= 24 before it resumes.
-    # One root transform is taken, before the scan.  The walk is a full
-    # binary tree whose terminal nodes are its leaves and cells (h has no
-    # root at 0, 1 or a midpoint), and each of its internal nodes is
-    # split by one de Casteljau triangle, none twice.
+    # with q <= 12, before the walk takes the one transform of h and runs
+    # to depth 2; only a walk that meets a root or stalls sends h on
+    # through q <= 24 before it resumes.  h has no head shorter than
+    # itself to try.  The walk is a full binary tree whose terminal nodes
+    # are its leaves and cells (h has no root at 0, 1 or a midpoint), and
+    # each of its internal nodes is split by one de Casteljau triangle,
+    # none twice.
     events, splits, walks = [], [], []
     evaluate, resume, split = series._ieval_scaled, series._Walk.resume, series._de_casteljau
+    transform = series._descartes_transform
 
     def logged_resume(walk, max_depth=None):
         events.append(("walk", max_depth))
@@ -549,19 +552,19 @@ def test_the_walked_decision_scans_and_walks_in_order(f, verdict, depths):
         return resume(walk, max_depth)
 
     with mock.patch.object(series, "_descartes_transform",
-                           wraps=series._descartes_transform) as transform, \
+                           lambda q: events.append("transform") or transform(q)), \
             mock.patch.object(series, "_de_casteljau", lambda b: splits.append(b) or split(b)), \
             mock.patch.object(series, "_ieval_scaled",
                               lambda h, t: events.append(t) or evaluate(h, t)), \
             mock.patch.object(series._Walk, "resume", logged_resume):
         report = positive_on_open_unit_interval(f)
     assert report.verdict is verdict
-    assert transform.call_count == 1
+    assert events.count("transform") == 1
 
     def scanned(lo, hi):
         return [F(u, q) for q in range(lo, hi + 1) for u in range(1, q) if gcd(u, q) == 1]
 
-    expected = [F(1, 2)] + scanned(3, 12) + [("walk", 2)]
+    expected = [F(1, 2)] + scanned(3, 12) + ["transform", ("walk", 2)]
     if len(depths) > 1:
         expected += scanned(13, 24) + [("walk", series._MAX_DEPTH)]
     assert events[:len(expected)] == expected
