@@ -4,17 +4,24 @@ A relation profile (d generators, relator degrees k with multiplicity)
 has the polynomial sum r_k t^k - d t + 1.  For a finite group with
 dimension sequence a, that polynomial must strictly dominate the product
 of the factors (1 - t^n)^(a_n) / (1 - t^(np))^(a_n) on (0, 1); the
-relaxed variant drops the denominators.  Both checks reduce to exact
-positivity of a polynomial on the open unit interval.
+relaxed variant drops the denominators.  Both checks, and the strict
+one with its slack term, are read first at t = 1/2 from the product
+form, in a few integer products: a negative value there is a violation
+at 1/2 without expanding anything.  Else the target is expanded as one
+integer list, the left side's few terms each adding one shifted copy of
+the filtration coefficients, and decided by exact positivity on the
+open unit interval.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
+from typing import Sequence
 
 from .jennings import DimensionSequence, jennings_transform, one_minus_product
-from .series import ExactPoly, PositivityReport, positive_on_open_unit_interval
+from .series import ExactPoly, PositivityReport, Verdict, positive_on_open_unit_interval
 
 
 class InvalidHypothesisError(ValueError):
@@ -52,16 +59,21 @@ class RelationProfile:
         return self.levels[-1] if self.levels else 0
 
 
+def _lhs_terms(profile: RelationProfile) -> dict[int, int]:
+    """The nonzero terms {k: coefficient} of sum_k r_k t^k - d t + 1."""
+    terms = {0: 1, 1: -profile.d}
+    for k in profile.levels:
+        terms[k] = terms.get(k, 0) + 1
+    return {k: c for k, c in terms.items() if c}
+
+
 def gs_lhs_poly(profile: RelationProfile) -> ExactPoly:
     """sum_k r_k t^k - d t + 1."""
-    coeffs = [0] * (profile.max_level + 1)
-    coeffs[0] = 1
-    if len(coeffs) < 2:
-        coeffs.append(0)
-    coeffs[1] = -profile.d
-    for k in profile.levels:
-        coeffs[k] += 1
-    return ExactPoly.from_coeffs(coeffs)
+    terms = _lhs_terms(profile)
+    coeffs = [0] * (max(terms) + 1)
+    for k, c in terms.items():
+        coeffs[k] = c
+    return ExactPoly(tuple(coeffs))
 
 
 def relaxed_product_poly(a: DimensionSequence) -> ExactPoly:
@@ -75,6 +87,59 @@ class CheckMode(str, enum.Enum):
     RELAXED = "RELAXED"
 
 
+def _scaled_at_half(terms: dict[int, int]) -> int:
+    """2^m g(1/2) for the integer polynomial g with these terms, m its degree."""
+    m = max(terms)
+    return sum(c << (m - k) for k, c in terms.items())
+
+
+def _factors_at_half(a: DimensionSequence, k: int) -> int:
+    """The product of (2^(kn) - 1)^(a_n) over the support of a.
+
+    At t = 1/2 the relaxed product of (1 - t^n)^(a_n) is the k = 1
+    product over 2^sum(n a_n), and the filtration polynomial, a product
+    of factors (1 - t^(pn)) / (1 - t^n) = (2^(pn) - 1) / (2^((p-1)n)
+    (2^n - 1)), is the k = p product over 2^N times the k = 1 one,
+    N = (p - 1) sum(n a_n)."""
+    out = 1
+    for n, an in a.entries:
+        out *= ((1 << k * n) - 1) ** an
+    return out
+
+
+def _violated_at_half(num: int, den: int) -> PositivityReport:
+    """The decider's verdict on a target whose value at 1/2 is num / den < 0."""
+    return PositivityReport(Verdict.VIOLATED, witness=Fraction(1, 2),
+                            witness_value=Fraction(num, den))
+
+
+def _sparse_times(terms: dict[int, int], b: Sequence[int]) -> list[int]:
+    """sum_k c_k t^k times b, one shifted slice addition per term."""
+    n = len(b)
+    out = [0] * (max(terms) + n)
+    for k, c in terms.items():
+        out[k:k + n] = map(add, out[k:k + n], b if c == 1 else [c * x for x in b])
+    return out
+
+
+def _filtration_target(terms: dict[int, int], den: int, a: DimensionSequence) -> PositivityReport:
+    """Decide g jennings_poly / den - 1 > 0 on (0, 1), for den > 0 and
+    g the integer polynomial with these terms.
+
+    The value at 1/2 comes from the product form first, and a negative
+    one is the verdict.  Else g times the filtration coefficients is
+    expanded as one integer list."""
+    # J(1/2) = _factors_at_half(a, p) / (2^N _factors_at_half(a, 1))
+    shift = (a.prime - 1) * a.weighted_degree + max(terms)
+    scale = den * _factors_at_half(a, 1) << shift
+    value = _scaled_at_half(terms) * _factors_at_half(a, a.prime) - scale
+    if value < 0:
+        return _violated_at_half(value, scale)
+    nums = _sparse_times(terms, jennings_transform(a).b)
+    nums[0] -= den
+    return positive_on_open_unit_interval(ExactPoly._normalized(nums, den))
+
+
 def check_inequality(
     profile: RelationProfile,
     a: DimensionSequence,
@@ -86,22 +151,29 @@ def check_inequality(
     polynomial, so the decision is about
         gs_lhs * jennings_poly - 1 > 0 on (0, 1);
     RELAXED mode checks gs_lhs - prod (1 - t^n)^(a_n) > 0, which is a
-    weaker requirement.  Exact arithmetic throughout.
+    weaker requirement.  Exact arithmetic throughout.  Either target is
+    read at t = 1/2 from its product form first, and a negative value
+    there is the VIOLATED verdict at 1/2 before anything is expanded.
 
     EXACT mode decides positivity at degree (p - 1) * sum(n * a_n) plus
     the deepest relator level (1487 on the published p = 11 minimum),
     RELAXED at degree max(deepest level, sum(n * a_n)), or lower where
     the leading terms cancel.
     """
-    lhs = gs_lhs_poly(profile)
+    terms = _lhs_terms(profile)
     if mode is CheckMode.EXACT:
-        jp = jennings_transform(a).jennings_poly
-        target = lhs * jp - ExactPoly.one()
-    elif mode is CheckMode.RELAXED:
-        target = lhs - relaxed_product_poly(a)
-    else:
+        return _filtration_target(terms, 1, a)
+    if mode is not CheckMode.RELAXED:
         raise ValueError(f"unknown mode {mode!r}")
-    return positive_on_open_unit_interval(target)
+    w, m = a.weighted_degree, max(terms)
+    value = (_scaled_at_half(terms) << w) - (_factors_at_half(a, 1) << m)
+    if value < 0:
+        return _violated_at_half(value, 1 << m + w)
+    nums = [-c for c in one_minus_product(a, w + 1)]
+    nums += [0] * (m + 1 - len(nums))
+    for k, c in terms.items():
+        nums[k] += c
+    return positive_on_open_unit_interval(ExactPoly._normalized(nums))
 
 
 def ztype_pair_poly(m1: int, m2: int) -> ExactPoly:
@@ -149,8 +221,10 @@ def medgs_violation_sample(d: int, m: int, r: int) -> tuple[Fraction, Fraction]:
 
     Only the evaluation is exact; the point itself is a float-seeded
     approximation, which is fine because any nonpositive value proves the
-    violation.
+    violation.  Needs d >= 1, m >= 2 and r >= 1, as medgs_threshold does.
     """
+    if d < 1 or m < 2 or r < 1:
+        raise ValueError("need d >= 1, m >= 2 and r >= 1")
     t_star = Fraction((d / (m * r)) ** (1.0 / (m - 1))).limit_denominator(10 ** 6)
     poly = gs_lhs_poly(RelationProfile.from_counts(d, {m: r}))
     return t_star, poly(t_star)
@@ -165,19 +239,19 @@ def strict_corollary_check(
     the order of a and m the deepest relation degree.
 
     Multiplying through by the filtration polynomial turns it into exact
-    polynomial positivity on (0, 1).  Requires r >= d so the slack term
-    is nonnegative.
+    polynomial positivity on (0, 1), read at t = 1/2 from the product
+    form first, as in EXACT mode.  Requires r >= d so the slack term is
+    nonnegative.
     """
     if profile.r < profile.d:
         raise InvalidHypothesisError(
             f"need r >= d, got r = {profile.r}, d = {profile.d}"
         )
-    data = jennings_transform(a)
-    jp = data.jennings_poly
-    n_stab = data.stabilization_index
-    slack = Fraction(1 - profile.d + profile.r) * (
-        1 - Fraction(1, a.prime ** a.order_exponent)
-    )
-    slack_term = ExactPoly.monomial(n_stab + profile.max_level, slack)
-    target = (gs_lhs_poly(profile) - slack_term) * jp - ExactPoly.one()
-    return positive_on_open_unit_interval(target)
+    # times p^A: the slack is the integer (1 - d + r)(p^A - 1) at t^(N+m)
+    order = a.prime ** a.order_exponent
+    terms = {k: c * order for k, c in _lhs_terms(profile).items()}
+    slack = (1 - profile.d + profile.r) * (order - 1)
+    if slack:
+        at = (a.prime - 1) * a.weighted_degree + profile.max_level
+        terms[at] = terms.get(at, 0) - slack
+    return _filtration_target(terms, order, a)

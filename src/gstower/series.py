@@ -98,13 +98,16 @@ def _iderivative(a: Sequence[int]) -> list[int]:
 
 def _ieval_scaled(a: Sequence[int], t) -> int:
     """den^deg(a) * a(t) for t = num/den with den > 0: an integer with
-    the sign of a(t), by Horner's rule without fractions."""
+    the sign of a(t), by Horner's rule without fractions.
+
+    From the low end, sum_i a_i num^i den^(deg - i): at t = 1/q the
+    power of num stays 1, so each coefficient costs one small product."""
     num, den = t.numerator, t.denominator
     acc = 0
     power = 1
-    for c in reversed(a):
-        acc = acc * num + c * power
-        power *= den
+    for c in a:
+        acc = acc * den + c * power
+        power *= num
     return acc
 
 

@@ -64,6 +64,31 @@ def test_check_violated_exit_code(capsys):
     assert "/" in payload["witness_value"] or payload["witness_value"].lstrip("-").isdigit()
 
 
+@pytest.mark.parametrize("command, value", [
+    (["check", "--mode", "exact"], "-659/512"),
+    (["strict"], "-15865/12288"),
+    (["check"], "-1/2"),
+])
+def test_a_target_negative_at_one_half_exits_1_with_its_value(capsys, command, value):
+    code, payload = run_json(capsys, *command, "--p", "3", "--d", "3",
+                             "--levels", "3,3,3", "--a", "1,1")
+    assert code == 1
+    assert (payload["verdict"], payload["witness"], payload["witness_value"]) == \
+        ("VIOLATED", "1/2", value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--mode", "exact", "--p", "3", "--d", "0", "--levels", "", "--a", ""],
+    ["check", "--p", "3", "--d", "1", "--levels", "", "--a", "1"],
+    ["strict", "--p", "3", "--d", "0", "--levels", "", "--a", ""],
+])
+def test_the_zero_target_exits_2(capsys, argv):
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 2
+    assert out == ""
+    assert "positivity of the zero polynomial is undefined" in err
+
+
 def test_check_holds_exit_code(capsys):
     code, payload = run_json(
         capsys, "check", "--p", "3", "--d", "1", "--levels", "3", "--a", "1",

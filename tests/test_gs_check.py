@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gstower import series
+from gstower import gs_check, series
 from gstower.gs_check import (
     CheckMode,
     InvalidHypothesisError,
@@ -19,8 +19,14 @@ from gstower.gs_check import (
     strict_corollary_check,
     ztype_pair_poly,
 )
-from gstower.jennings import DimensionSequence
-from gstower.series import DescartesCertificate, ExactPoly, Verdict
+from gstower.jennings import DimensionSequence, pn_inverse_poly
+from gstower.series import (
+    DescartesCertificate,
+    ExactPoly,
+    PositivityReport,
+    Verdict,
+    ZeroPolynomialError,
+)
 
 F = Fraction
 
@@ -236,6 +242,102 @@ def test_a_violated_target_past_one_half_takes_no_transform_of_h(
     assert lengths == head_lengths
 
 
+def _decide(mode, profile, a):
+    if mode == "strict":
+        return strict_corollary_check(profile, a)
+    return check_inequality(profile, a, CheckMode(mode.upper()))
+
+
+def _expanded_target(mode, profile, a):
+    """The target as ExactPoly products and a Fraction slack: the oracle
+    for the value at 1/2 read from the product form and for the target
+    built as one integer list."""
+    lhs = gs_lhs_poly(profile)
+    if mode == "relaxed":
+        product = ExactPoly.one()
+        for n, an in a.entries:
+            product = product * ExactPoly.from_coeffs([1] + [0] * (n - 1) + [-1]) ** an
+        return lhs - product
+    jp = ExactPoly.one()
+    for n, an in a.entries:
+        jp = jp * pn_inverse_poly(n, a.prime) ** an
+    if mode == "strict":
+        slack = (1 - profile.d + profile.r) * (1 - F(1, a.prime ** a.order_exponent))
+        lhs = lhs - ExactPoly.monomial(jp.degree + profile.max_level, slack)
+    return lhs * jp - ExactPoly.one()
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    mode=st.sampled_from(["relaxed", "exact", "strict"]),
+    p=st.sampled_from([2, 3, 5, 7]),
+    d=st.integers(min_value=0, max_value=4),
+    levels=st.lists(st.integers(min_value=2, max_value=9), max_size=5),
+    entries=st.dictionaries(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=2),
+        max_size=3,
+    ),
+)
+@example(mode="exact", p=3, d=2, levels=[3, 7], entries={})  # empty a
+@example(mode="strict", p=3, d=2, levels=[3, 7], entries={})  # no slack: p^0 - 1 = 0
+@example(mode="exact", p=5, d=2, levels=[3, 7], entries={2: 2, 5: 1})  # gapped support
+@example(mode="strict", p=5, d=2, levels=[3, 7], entries={1: 2, 4: 1})  # r = d
+@example(mode="relaxed", p=3, d=2, levels=[], entries={1: 1})  # r = 0
+@example(mode="strict", p=3, d=0, levels=[], entries={1: 1, 2: 1})  # r = d = 0
+@example(mode="exact", p=3, d=0, levels=[], entries={})  # the zero target
+@example(mode="relaxed", p=3, d=3, levels=[3, 3, 3], entries={1: 1, 2: 1})
+def test_value_at_one_half_and_integer_target_match_the_expanded_target(
+        mode, p, d, levels, entries):
+    # Negative at 1/2 is the VIOLATED report the decider gives first, and
+    # then no target is built; else the decider gets exactly the oracle's
+    # normalized target.
+    if mode == "strict":
+        d = min(d, len(levels))
+    profile = RelationProfile(d, tuple(levels))
+    a = DimensionSequence.from_dict(p, entries)
+    expected = _expanded_target(mode, profile, a)
+    at_half = expected(F(1, 2))
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gs_check, "positive_on_open_unit_interval", built.append)
+        report = _decide(mode, profile, a)
+    if built:
+        assert built == [expected]
+        assert at_half >= 0
+    else:
+        assert report == PositivityReport(Verdict.VIOLATED, F(1, 2), at_half)
+        assert at_half < 0
+
+
+#: d = 3 and three relations at level 3 fail at 1/2 in every mode
+NEGATIVE_AT_HALF = RelationProfile(3, (3, 3, 3)), DimensionSequence.from_values(3, [1, 1])
+
+
+@pytest.mark.parametrize("mode, value", [
+    ("relaxed", F(-1, 2)), ("exact", F(-659, 512)), ("strict", F(-15865, 12288)),
+])
+def test_a_target_negative_at_one_half_is_decided_without_expanding_it(mode, value, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a target negative at 1/2 was expanded")
+
+    monkeypatch.setattr(gs_check, "jennings_transform", refuse)
+    monkeypatch.setattr(gs_check, "positive_on_open_unit_interval", refuse)
+    report = _decide(mode, *NEGATIVE_AT_HALF)
+    assert report == PositivityReport(Verdict.VIOLATED, F(1, 2), value)
+
+
+@pytest.mark.parametrize("mode, d, values", [
+    ("exact", 0, []),  # 1 * 1 - 1
+    ("relaxed", 1, [1]),  # lhs = 1 - t equals the product
+    ("strict", 0, []),  # the slack (1 - 0 + 0)(1 - p^0) is 0
+])
+def test_the_zero_target_reaches_the_decider_and_raises(mode, d, values):
+    # its value at 1/2 is 0, not negative, so no verdict is read there
+    with pytest.raises(ZeroPolynomialError):
+        _decide(mode, RelationProfile(d, ()), DimensionSequence.from_values(3, values))
+
+
 def test_feasible_sequence_passes_relaxed():
     # the minimal p = 11 sequence found by the search
     profile = RelationProfile(2, (3, 7))
@@ -279,6 +381,13 @@ class TestThresholds:
             medgs_threshold(0, 2)
         with pytest.raises(ValueError):
             medgs_threshold(2, 1)
+
+    @pytest.mark.parametrize("d, m, r", [(0, 3, 1), (-1, 3, 1), (2, 1, 1), (2, 3, 0)])
+    def test_violation_sample_bad_arguments(self, d, m, r):
+        # d = 0 used to give the point 0, d < 0 a complex float root, and
+        # m = 1 or r = 0 a division by zero
+        with pytest.raises(ValueError):
+            medgs_violation_sample(d, m, r)
 
     def test_violation_sample_below_threshold(self):
         # r = 3 <= 4 = threshold(3,3): the sampled point must certify
