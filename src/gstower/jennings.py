@@ -125,7 +125,6 @@ class JenningsData:
     """Expanded filtration data of a dimension sequence."""
 
     prime: int
-    jennings_poly: ExactPoly
     b: tuple[int, ...]
     c: tuple[int, ...]
     stabilization_index: int
@@ -188,8 +187,6 @@ def jennings_transform(a: DimensionSequence) -> JenningsData:
         raise AssertionError("negative graded dimension")
     return JenningsData(
         prime=p,
-        # integer coefficients with b_N = 1: already the normalized form
-        jennings_poly=ExactPoly(b),
         b=b,
         c=c,
         stabilization_index=n_stab,

@@ -9,13 +9,13 @@ Fraction appears only for evaluation points, witnesses, bisection
 midpoints and returned values.  No floats are ever consulted for a
 verdict.
 
-The decider checks h(1/2) > 0 for the stripped polynomial h.  Its
-targets have the shape Golod-Shafarevich arguments rely on: only the low
-coefficients are negative.  Where every coefficient past t^m is >= 0, h
-lies above its head h_0 + ... + h_m t^m on (0, 1), so a head that a walk
-to depth 2 proves positive is a HOLDS for h, with no work on the rest of
-h.  Past the heads, the decider scans the points past 1/2 with
-denominators up to 12, then walks h by Descartes bisection
+The decider strips the roots at 0 and 1, leaving h.  Its targets have
+the shape Golod-Shafarevich arguments rely on: only the low coefficients
+are negative.  Where every coefficient past t^m is >= 0, h lies above
+its head h_0 + ... + h_m t^m on (0, 1), so a head that a walk to depth 2
+proves positive is a HOLDS for h, with no work on the rest of h.  Past
+the heads, the decider scans the points in (0, 1) with denominators up
+to 12, 1/2 first, then walks h by Descartes bisection
 (Vincent-Collins-Akritas) in the Bernstein basis to depth 2.  A walk
 that ends there without a root is a HOLDS; a root node without sign
 variation is its one leaf.  Else the scan goes on to denominator 24 and
@@ -174,6 +174,12 @@ class ExactPoly:
     nums: tuple[int, ...]
     den: int = 1
 
+    def __post_init__(self):
+        if self.den <= 0:
+            raise ValueError(f"denominator {self.den} is not positive")
+        if self.nums and not self.nums[-1]:
+            raise ValueError("trailing zero numerator")
+
     @classmethod
     def _normalized(cls, nums: list[int], den: int = 1) -> "ExactPoly":
         _itrim(nums)
@@ -268,13 +274,12 @@ class DescartesCertificate:
     in order the leaves tile (0, 1).  With q(x) = 2^(kn) H((i + x) / 2^k)
     mapping (0, 1) onto a leaf, (1 + x)^n q(1 / (1 + x)) has no sign
     variation and nonzero end coefficients, so H has no root on the
-    closed leaf.  H and f are positive at the sample, which fixes the
-    sign of H, and so of h and f, on all of (0, 1).
+    closed leaf, except at t = 0 and t = 1.  So H has no root in (0, 1),
+    and H(0) = h_0 > 0 fixes its sign: H, h and f are positive on all of
+    (0, 1).
     """
 
     leaves: tuple[tuple[int, int], ...]
-    sample_point: Fraction
-    sample_value: Fraction
     head_degree: int
     k0: int
     k1: int
@@ -307,11 +312,11 @@ def _strip_unit_interval_roots(f: ExactPoly) -> tuple[list[int], int, int]:
 
 
 def _small_denominator_scan(
-    h: Sequence[int], min_den: int = 3, max_den: int = 24
+    h: Sequence[int], min_den: int = 2, max_den: int = 24
 ) -> Fraction | None:
-    """First rational in (0,1) past 1/2 with denominator from min_den to
-    max_den, ordered by denominator, where h <= 0; the decider tries 1/2
-    itself, first."""
+    """First rational in (0,1) with denominator from min_den to max_den,
+    ordered by denominator and then by numerator, where h <= 0: 1/2 is
+    the first point."""
     for q in range(min_den, max_den + 1):
         for num in range(1, q):
             if gcd(num, q) != 1:
@@ -447,20 +452,22 @@ def _descartes_walk(h: list[int], max_depth: int | None = None) -> _Walk:
     return _Walk(_descartes_transform(h)).resume(max_depth)
 
 
-def _settled_head(h: list[int], sample: Fraction) -> tuple[int, list[tuple[int, int]]] | None:
+def _settled_head(h: list[int]) -> tuple[int, list[tuple[int, int]]] | None:
     """(m, leaves) for the first head h_0 + ... + h_m t^m that a walk to
     _EARLY_DEPTH proves positive on (0, 1), or None.  The heads tried
     have m = m0 + 1, 2 (m0 + 1) and 4 (m0 + 1) below the degree of h, m0
     the last index with h_m0 < 0 (m0 + 1 = 0 when there is none).  A
     head positive at t = 1 and without a root in (0, 1) is positive on
-    (0, 1), and its last leaf reaches 1.  One that is not positive at the
-    sample has a root in (0, 1), so it is skipped without a walk."""
+    [0, 1), since h_0 != 0, and its last leaf reaches 1.  One that is not
+    positive at 1/2 has a root in (0, 1), so it is skipped without a
+    walk; when h(1/2) <= 0 every head is, as a head lies below h there.
+    Nothing of h past the heads is evaluated."""
     start = max((j for j, c in enumerate(h) if c < 0), default=-1) + 1
     for m in (start, 2 * start, 4 * start):
         if m >= len(h) - 1:
             break
         head = h[:m + 1]
-        if sum(head) > 0 and _ieval_scaled(head, sample) > 0:
+        if sum(head) > 0 and _ieval_scaled(head, Fraction(1, 2)) > 0:
             walk = _descartes_walk(head, _EARLY_DEPTH)
             if not walk.cells and not walk.stalled:
                 return m, walk.leaves
@@ -551,31 +558,29 @@ def positive_on_open_unit_interval(f: ExactPoly) -> PositivityReport:
     witness with f(witness) <= 0, searched smallest-denominator first
     from 1/2, so witnesses stay human-readable.  A HOLDS verdict carries a
     Descartes certificate: dyadic leaves tiling (0, 1) on which a head of
-    h has no root, plus the positive sample at 1/2.  A head settled by a
-    walk to depth 2 is tried first, and it returns before any work on all
-    of h; the witness of a VIOLATED verdict does not depend on it.  Else
-    the head is h itself: the scan tries denominators up to 12, then the
-    walk of h goes to depth 2, and a walk that ends there without a root
-    is a HOLDS: h has no root in (0, 1), so the rest of the scan could
-    find nothing.  Else the scan goes on to denominator 24, and the same
-    walk resumes to its depth bound and isolates the roots of h.  Only a
-    walk stalled at that bound, or a root of even multiplicity, sends h
-    through Euclid.
+    h has no root, its sign fixed by h(0) > 0.  A head settled by a walk
+    to depth 2 is tried first, and it returns having evaluated nothing of
+    h or f past the head; when h(1/2) <= 0 no head settles, so the
+    witness of a VIOLATED verdict does not depend on it.  Else the head
+    is h itself: the scan tries denominators up to 12, 1/2 first, then
+    the walk of h goes to depth 2, and a walk that ends there without a
+    root is a HOLDS: h has no root in (0, 1), so the rest of the scan
+    could find nothing.  Else the scan goes on to denominator 24, and the
+    same walk resumes to its depth bound and isolates the roots of h.
+    Only a walk stalled at that bound, or a root of even multiplicity,
+    sends h through Euclid.
     """
     if not f.nums:
         raise ZeroPolynomialError("positivity of the zero polynomial is undefined")
 
     h, k0, k1 = _strip_unit_interval_roots(f)
-    sample = Fraction(1, 2)
-    if _ieval_scaled(h, sample) <= 0:
-        return PositivityReport(Verdict.VIOLATED, witness=sample, witness_value=f(sample))
-    settled = _settled_head(h, sample)
+    settled = _settled_head(h)
     if settled is not None:
         head_degree, leaves = settled
-        cert = DescartesCertificate(tuple(leaves), sample, f(sample), head_degree, k0, k1)
+        cert = DescartesCertificate(tuple(leaves), head_degree, k0, k1)
         return PositivityReport(Verdict.HOLDS, certificate=cert)
 
-    w = _small_denominator_scan(h, 3, _EARLY_DEN)
+    w = _small_denominator_scan(h, 2, _EARLY_DEN)
     if w is not None:
         return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
     # a walk that ends without a root proves h > 0 at every scan point
@@ -615,6 +620,6 @@ def positive_on_open_unit_interval(f: ExactPoly) -> PositivityReport:
             "polynomial vanishes in (0,1) only at irrational points of even multiplicity"
         )
 
-    # h(1/2) > 0 was checked first
-    cert = DescartesCertificate(tuple(leaves), sample, f(sample), len(h) - 1, k0, k1)
+    # h(1/2) > 0 from the scan and no root in (0, 1), so h_0 > 0
+    cert = DescartesCertificate(tuple(leaves), len(h) - 1, k0, k1)
     return PositivityReport(Verdict.HOLDS, certificate=cert)

@@ -233,5 +233,6 @@ def gs_equality_eval(
     c_series = c_head(t) + order * t ** (n_stab + 1) / (1 - t)
     e_series = e_head(t) + e_limit * t ** (tail_start + 1) / (1 - t)
 
-    rhs = 1 / data.jennings_poly(t) + e_series / c_series
+    # integer coefficients with b_N = 1: already the normalized form
+    rhs = 1 / ExactPoly(data.b)(t) + e_series / c_series
     return lhs, rhs

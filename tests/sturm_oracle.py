@@ -35,8 +35,6 @@ class SturmCertificate:
     chain_length: int
     stripped_zero_multiplicity: int
     stripped_one_multiplicity: int
-    sample_point: Fraction
-    sample_value: Fraction
 
 
 def _sturm_chain(h: list[int]) -> list[list[int]]:
@@ -89,20 +87,17 @@ def sturm_positivity(f) -> PositivityReport:
     """The replaced decider: same verdicts and witnesses, with a
     SturmCertificate on HOLDS."""
     h, k0, k1 = _strip_unit_interval_roots(f)
-    half = Fraction(1, 2)
-    w = half if _ieval_scaled(h, half) <= 0 else _small_denominator_scan(h)
+    w = _small_denominator_scan(h)
     if w is not None:
         return PositivityReport(Verdict.VIOLATED, witness=w, witness_value=f(w))
     chain = _sturm_chain(h)
     v0 = _sign_changes(p[0] for p in chain)
     v1 = _sign_changes(sum(p) for p in chain)
     if v0 == v1:
-        sample = Fraction(1, 2)
         cert = SturmCertificate(
             roots_in_interval=0, sign_changes_at_zero=v0,
             sign_changes_at_one=v1, chain_length=len(chain),
             stripped_zero_multiplicity=k0, stripped_one_multiplicity=k1,
-            sample_point=sample, sample_value=f(sample),
         )
         return PositivityReport(Verdict.HOLDS, certificate=cert)
     h_sf, intervals = sturm_isolating_intervals(h)

@@ -2,6 +2,8 @@
 rejects each kind of broken certificate."""
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -20,12 +22,27 @@ def P(*coeffs) -> ExactPoly:
 # variations, so the proof needs the two halves.  Its last negative
 # coefficient is at t^1, and a head past it is all of f, of degree 2.
 DIP = P(101, -400, 400)
-DIP_CERTIFICATE = DescartesCertificate(((1, 0), (1, 1)), F(1, 2), F(1), 2, 0, 0)
+DIP_CERTIFICATE = DescartesCertificate(((1, 0), (1, 1)), 2, 0, 0)
 
 
 def test_the_decider_certificate_is_accepted():
     assert positive_on_open_unit_interval(DIP).certificate == DIP_CERTIFICATE
     check_certificate(DIP, DIP_CERTIFICATE)
+
+
+def test_the_checker_evaluates_nothing():
+    # the sign comes from f's denominator and the head's constant term
+    with mock.patch.object(ExactPoly, "__call__", autospec=True) as call:
+        check_certificate(DIP, DIP_CERTIFICATE)
+        check_certificate(HEADED, HEADED_CERTIFICATE)
+    assert not call.called
+
+
+def test_a_negative_denominator_is_rejected():
+    # ExactPoly refuses it; the checker does not rely on that
+    f = SimpleNamespace(nums=DIP.nums, den=-1)
+    with pytest.raises(InvalidCertificateError, match="denominator"):
+        check_certificate(f, DIP_CERTIFICATE)
 
 
 def test_endpoint_roots_of_f_are_allowed():
@@ -68,22 +85,16 @@ def test_a_root_at_a_dyadic_end_is_rejected():
     # (4t - 1)^2 (1 + t) is zero at 1/4 only; on (0, 1/4), (1/4, 1/2) and
     # (1/2, 1) it has no sign variation, but it vanishes at 1/4
     f = P(-1, 4) ** 2 * P(1, 1)
-    cert = DescartesCertificate(((2, 0), (2, 1), (1, 1)), F(1, 2), f(F(1, 2)), 3, 0, 0)
+    cert = DescartesCertificate(((2, 0), (2, 1), (1, 1)), 3, 0, 0)
     with pytest.raises(InvalidCertificateError, match="vanishes at an end"):
         check_certificate(f, cert)
 
 
-def test_a_nonpositive_sample_is_rejected():
+def test_a_negative_f_is_rejected():
     # -DIP has no root in (0, 1) either, and the leaves prove it, but it
-    # is negative there
-    cert = replace(DIP_CERTIFICATE, sample_value=F(-1))
-    with pytest.raises(InvalidCertificateError, match="not positive"):
-        check_certificate(-DIP, cert)
-
-
-def test_a_sample_value_that_f_does_not_take_is_rejected():
-    with pytest.raises(InvalidCertificateError, match="not positive"):
-        check_certificate(DIP, replace(DIP_CERTIFICATE, sample_value=F(2)))
+    # is negative there, as its constant term -101 shows
+    with pytest.raises(InvalidCertificateError, match="head is not positive at 0"):
+        check_certificate(-DIP, DIP_CERTIFICATE)
 
 
 # t (1 - t) h for h = 1 - t + t^2 + 3t^3 + 5t^4.  The last negative
@@ -91,7 +102,7 @@ def test_a_sample_value_that_f_does_not_take_is_rejected():
 # (0, 1), with the transform (1 + x)^2 - (1 + x) + 1 = x^2 + x + 1: no
 # variation, so (0, 1) is the one leaf of the head of degree 2.
 HEADED = P(0, 1) * P(1, -1) * P(1, -1, 1, 3, 5)
-HEADED_CERTIFICATE = DescartesCertificate(((0, 0),), F(1, 2), HEADED(F(1, 2)), 2, 1, 1)
+HEADED_CERTIFICATE = DescartesCertificate(((0, 0),), 2, 1, 1)
 
 
 def test_the_decider_proves_on_a_head():
@@ -100,12 +111,11 @@ def test_the_decider_proves_on_a_head():
 
 
 def test_a_negative_coefficient_past_the_head_is_rejected():
-    # with 5t^4 turned to -5t^4, h(1) = -1 and f < 0 near 1; f(1/2) > 0
-    # still, and the head is the same
+    # with 5t^4 turned to -5t^4, h(1) = -1 and f < 0 near 1; the head is
+    # the same
     f = P(0, 1) * P(1, -1) * P(1, -1, 1, 3, -5)
-    cert = replace(HEADED_CERTIFICATE, sample_value=f(F(1, 2)))
     with pytest.raises(InvalidCertificateError, match="past the head is negative"):
-        check_certificate(f, cert)
+        check_certificate(f, HEADED_CERTIFICATE)
 
 
 def test_a_head_below_the_last_negative_coefficient_is_rejected():
@@ -128,12 +138,12 @@ def test_a_head_degree_out_of_range_is_rejected(head_degree):
         check_certificate(HEADED, replace(HEADED_CERTIFICATE, head_degree=head_degree))
 
 
-def test_a_head_negative_at_the_sample_is_rejected():
+def test_a_head_negative_at_0_is_rejected():
     # 20t^3 - 1 is 3/2 at 1/2, but negative near 0.  Its head of degree 2
     # is the constant -1, without a sign variation or a root, and the
-    # coefficient past it is 20 >= 0: only the head's sign at the sample
-    # shows that the head is below 0, not above it.
+    # coefficient past it is 20 >= 0: only the head's sign at 0 shows
+    # that the head is below 0, not above it.
     f = P(-1, 0, 0, 20)
-    cert = DescartesCertificate(((0, 0),), F(1, 2), F(3, 2), 2, 0, 0)
-    with pytest.raises(InvalidCertificateError, match="head is not positive"):
+    cert = DescartesCertificate(((0, 0),), 2, 0, 0)
+    with pytest.raises(InvalidCertificateError, match="head is not positive at 0"):
         check_certificate(f, cert)

@@ -143,8 +143,6 @@ def test_exact_holds_certificate_is_pinned():
     report = check_inequality(profile, a, CheckMode.EXACT)
     assert report.certificate == DescartesCertificate(
         leaves=((1, 0), (3, 4), (3, 5), (2, 3)),
-        sample_point=F(1, 2),
-        sample_value=F(802014546469, 2199023255552),
         head_degree=39, k0=2, k1=0,
     )
 
@@ -194,18 +192,26 @@ def test_published_p11_minimum_holds_in_strict_mode_within_budget(scan_calls):
 @pytest.mark.parametrize("p", [23, 31])
 @pytest.mark.parametrize("mode, head_degree", [("exact", 16), ("strict", 20)])
 def test_published_minimum_at_larger_p_holds_on_a_short_head_within_budget(
-        p, mode, head_degree, scan_calls):
+        p, mode, head_degree, scan_calls, monkeypatch):
     # The same sequence and levels.  h has degree 3255 (exact) and 6510
     # (strict) at p = 23, 4439 and 8878 at p = 31; its last negative
     # coefficient is at t^7 or t^9 as at p = 11, and the heads of degree
-    # 16 and 20, the second tried, settle.
+    # 16 and 20, the second tried, settle.  Nothing past the head is
+    # evaluated: neither h nor f is read at 1/2, and the certificate
+    # carries no value.
     a = DimensionSequence.from_values(p, [2, 1, 1, 1, 2, 2, 3, 5, 6])
+    lengths = []
+    ieval = series._ieval_scaled
+    monkeypatch.setattr(series, "_ieval_scaled",
+                        lambda q, t: lengths.append(len(q)) or ieval(q, t))
+    monkeypatch.setattr(ExactPoly, "__call__", lambda f, t: pytest.fail("f evaluated"))
     if mode == "exact":
         report, seconds = _timed(lambda: check_inequality(P11_PROFILE, a, CheckMode.EXACT))
     else:
         report, seconds = _timed(lambda: strict_corollary_check(P11_PROFILE, a))
     assert report.holds
     assert report.certificate.head_degree == head_degree
+    assert lengths and max(lengths) <= head_degree + 1
     assert scan_calls == []
     assert seconds < 0.5
 
@@ -421,11 +427,10 @@ class TestStrictCorollary:
         #   = (1/3) t^4 (1 - t)(3 + 4t + 2t^2),
         # and h = 3 + 4t + 2t^2 has positive coefficients, so its head of
         # degree 0, the constant 3, lies below it on (0, 1), and (0, 1) is
-        # the one leaf.  f(1/2) = (1/3)(1/16)(1/2)(11/2) = 11/192.
+        # the one leaf.
         report = strict_corollary_check(
             RelationProfile(1, (3,)), DimensionSequence.from_values(3, [1])
         )
         assert report.certificate == DescartesCertificate(
-            leaves=((0, 0),), sample_point=F(1, 2), sample_value=F(11, 192),
-            head_degree=0, k0=4, k1=1,
+            leaves=((0, 0),), head_degree=0, k0=4, k1=1,
         )

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gstower import series
+from gstower.certify import check_certificate
 from gstower.series import (
     DescartesCertificate,
     ExactPoly,
@@ -69,6 +70,14 @@ def test_degree_and_trailing_zero_normalization():
     assert P(0, 0, 5).degree == 2
 
 
+@pytest.mark.parametrize("nums, den", [((1,), 0), ((1,), -1), ((2,), -3), ((1, 0), 1), ((0,), 1)])
+def test_a_bad_form_is_refused(nums, den):
+    # a denominator <= 0 would flip or lose the sign of every value, and a
+    # trailing zero numerator would give (1, 0) degree 1, unequal to (1,)
+    with pytest.raises(ValueError):
+        ExactPoly(nums, den)
+
+
 def test_power():
     # (1 + t)^4 = 1 + 4t + 6t^2 + 4t^3 + t^4
     assert (P(1, 1) ** 4).coeffs == (F(1), F(4), F(6), F(4), F(1))
@@ -116,19 +125,18 @@ def test_positive_despite_interior_dip(scan_calls):
     #   8(1+x)^3 - 8(1+x)^2 + 2 = 8x^3 + 16x^2 + 8x + 2.
     # Right half, its shift 2x^3 + 6x^2 - 2x + 2:
     #   2(1+x)^3 - 2(1+x)^2 + 6(1+x) + 2 = 2x^3 + 4x^2 + 8x + 8.
-    # Neither half has a variation.  f(1/2) = 1/4 - 1 + 1 = 1/4.  The
-    # root's variations send h through the scan of denominators up to 12
-    # first; the walk then ends at depth 1 without a root, so the scan
-    # of the larger denominators never runs.  The one head tried, past the
-    # last negative coefficient, is 1 - 2t + 0t^2, negative at t = 1, so
-    # the proof is on h itself, of degree 3.
+    # Neither half has a variation.  The one head tried, past the last
+    # negative coefficient, is 1 - 2t + 0t^2, negative at t = 1, so the
+    # proof is on h itself, of degree 3.  The root's variations send h
+    # through the scan of denominators up to 12 first, from 1/2; the walk
+    # then ends at depth 1 without a root, so the scan of the larger
+    # denominators never runs.
     report = positive_on_open_unit_interval(P(1, -2, 0, 2))
     assert report.verdict is Verdict.HOLDS
     assert report.certificate == DescartesCertificate(
-        leaves=((1, 0), (1, 1)), sample_point=F(1, 2), sample_value=F(1, 4),
-        head_degree=3, k0=0, k1=0,
+        leaves=((1, 0), (1, 1)), head_degree=3, k0=0, k1=0,
     )
-    assert [dens for _, *dens in scan_calls] == [[3, 12]]
+    assert [dens for _, *dens in scan_calls] == [[2, 12]]
 
 
 def test_violated_with_rational_witness():
@@ -187,12 +195,14 @@ def test_huge_constant_does_not_slow_the_irrational_touch_point():
 
 
 @settings(deadline=None, max_examples=40)
-@example(a=123456789012345678901234567891, b=987654321098765432109876543211)
-@given(st.integers(1, 10 ** 12), st.integers(2, 10 ** 12))
-def test_touch_point_with_a_large_denominator_is_the_witness(a, b):
+@example((123456789012345678901234567891, 987654321098765432109876543211))
+@given(st.integers(2, 10 ** 12).flatmap(lambda b: st.tuples(st.integers(1, b - 1), st.just(b))))
+def test_touch_point_with_a_large_denominator_is_the_witness(ab):
     # (b t - a)^2 (t + 1) is positive on (0, 1) except at a/b, where it
-    # vanishes, so a/b is the only possible witness.
-    assume(a < b and gcd(a, b) == 1)
+    # vanishes, so a/b is the only possible witness.  a < b is drawn, not
+    # filtered, which leaves too few inputs for Hypothesis on some seeds.
+    a, b = ab
+    assume(gcd(a, b) == 1)
     started = time.perf_counter()
     report = positive_on_open_unit_interval(P(-a, b) ** 2 * P(1, 1))
     assert time.perf_counter() - started < 1.0
@@ -397,7 +407,7 @@ def test_descartes_decides_like_the_sturm_oracle(f):
         (old.verdict, old.witness, old.witness_value)
     if new.holds:
         assert old.certificate.roots_in_interval == 0
-        assert new.certificate.sample_value == old.certificate.sample_value
+        check_certificate(f, new.certificate)
     if len(h) > 1:
         h_sf, intervals = sturm_isolating_intervals(h)
         assert _isolating_intervals(h_sf) == intervals
@@ -466,13 +476,11 @@ def test_holds_on_a_repeated_factor(scan_calls):
     # the walk to depth 2, after the scan of denominators up to 12.
     # h = 2 - t + 4t^2 - 2t^3 + 2t^4 - t^5 has its last negative
     # coefficient at its degree, so there is no shorter head.
-    # f(1/2) = (5/4)^2 (3/2) = 75/32.
     report = positive_on_open_unit_interval(P(1, 0, 1) ** 2 * P(2, -1))
     assert report.certificate == DescartesCertificate(
-        leaves=((0, 0),), sample_point=F(1, 2), sample_value=F(75, 32),
-        head_degree=5, k0=0, k1=0,
+        leaves=((0, 0),), head_degree=5, k0=0, k1=0,
     )
-    assert [dens for _, *dens in scan_calls] == [[3, 12]]
+    assert [dens for _, *dens in scan_calls] == [[2, 12]]
 
 
 def test_a_touch_point_is_found_by_the_scan_before_any_walk():
@@ -534,8 +542,8 @@ def test_simple_roots_past_the_scan_take_no_euclid():
     (P(101, -400, 400), Verdict.HOLDS, [2]),
 ])
 def test_the_walked_decision_scans_and_walks_in_order(f, verdict, depths):
-    # h is evaluated once at 1/2 and then at each reduced u/q in (0, 1)
-    # with q <= 12, before the walk takes the one transform of h and runs
+    # h is evaluated at each reduced u/q in (0, 1) with q <= 12, 1/2
+    # first, before the walk takes the one transform of h and runs
     # to depth 2; only a walk that meets a root or stalls sends h on
     # through q <= 24 before it resumes.  h has no head shorter than
     # itself to try.  The walk is a full binary tree whose terminal nodes
@@ -564,7 +572,7 @@ def test_the_walked_decision_scans_and_walks_in_order(f, verdict, depths):
     def scanned(lo, hi):
         return [F(u, q) for q in range(lo, hi + 1) for u in range(1, q) if gcd(u, q) == 1]
 
-    expected = [F(1, 2)] + scanned(3, 12) + ["transform", ("walk", 2)]
+    expected = scanned(2, 12) + ["transform", ("walk", 2)]
     if len(depths) > 1:
         expected += scanned(13, 24) + [("walk", series._MAX_DEPTH)]
     assert events[:len(expected)] == expected
