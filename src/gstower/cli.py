@@ -97,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         metavar="M",
-        help="extra recursion steps checked past stabilization (default 8)",
+        help="how many terminal defects e_n past N + L the valid report lists "
+        "(default 8); it checks nothing, the terminal regime is proven",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .gs_check import RelationProfile
 from .jennings import DimensionSequence, InvalidPrimeError, is_prime
-from .validity import defect_recursion
+from .validity import defect_recursion, stabilized_defect
 
 DEFAULT_SIZE_LIMIT = 343
 #: word_level gives up past this truncation degree
@@ -851,7 +851,7 @@ def verify_recursion(pres: PresentationData) -> RecursionReport:
     mismatches = tuple(
         n for n, (x, y) in enumerate(zip(e_direct, e_expected), start=1) if x != y
     )
-    terminal_ok = 1 + e_direct[-1] == (pres.r + 1 - pres.d) * order
+    terminal_ok = e_direct[-1] == stabilized_defect(pres.profile(), order)
     return RecursionReport(
         prime=G.prime,
         order=order,

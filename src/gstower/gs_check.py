@@ -69,11 +69,7 @@ def _lhs_terms(profile: RelationProfile) -> dict[int, int]:
 
 def gs_lhs_poly(profile: RelationProfile) -> ExactPoly:
     """sum_k r_k t^k - d t + 1."""
-    terms = _lhs_terms(profile)
-    coeffs = [0] * (max(terms) + 1)
-    for k, c in terms.items():
-        coeffs[k] = c
-    return ExactPoly(tuple(coeffs))
+    return ExactPoly(tuple(_sparse_times(_lhs_terms(profile), [1])))
 
 
 def relaxed_product_poly(a: DimensionSequence) -> ExactPoly:
@@ -87,24 +83,48 @@ class CheckMode(str, enum.Enum):
     RELAXED = "RELAXED"
 
 
-def _scaled_at_half(terms: dict[int, int]) -> int:
-    """2^m g(1/2) for the integer polynomial g with these terms, m its degree."""
+def _scaled_at(terms: dict[int, int], u: int, v: int) -> int:
+    """v^m g(u/v) for the integer polynomial g with these terms, m its degree."""
     m = max(terms)
-    return sum(c << (m - k) for k, c in terms.items())
+    return sum(c * u ** k * v ** (m - k) for k, c in terms.items())
 
 
-def _factors_at_half(a: DimensionSequence, k: int) -> int:
-    """The product of (2^(kn) - 1)^(a_n) over the support of a.
+def _factors_at(a: DimensionSequence, u: int, v: int) -> int:
+    """The product of (v^n - u^n)^(a_n) over the support of a.
 
-    At t = 1/2 the relaxed product of (1 - t^n)^(a_n) is the k = 1
-    product over 2^sum(n a_n), and the filtration polynomial, a product
-    of factors (1 - t^(pn)) / (1 - t^n) = (2^(pn) - 1) / (2^((p-1)n)
-    (2^n - 1)), is the k = p product over 2^N times the k = 1 one,
-    N = (p - 1) sum(n a_n)."""
+    At t = u/v the relaxed product of (1 - t^n)^(a_n) is this product
+    over v^W, W = sum(n a_n).  At t = 1/2 the filtration polynomial, a
+    product of factors (1 - t^(pn)) / (1 - t^n) = (2^(pn) - 1) /
+    (2^((p-1)n) (2^n - 1)), is the (u, v) = (1, 2^p) product over 2^N
+    times the (1, 2) one, N = (p - 1) W."""
     out = 1
     for n, an in a.entries:
-        out *= ((1 << k * n) - 1) ** an
+        out *= (v ** n - u ** n) ** an
     return out
+
+
+def lhs_at(profile: RelationProfile, t: Fraction) -> tuple[int, int]:
+    """The left side L = sum_k r_k t^k - d t + 1 at t = u/v, as the
+    numerator v^m L(t) over the denominator v^m, m the degree of L."""
+    terms = _lhs_terms(profile)
+    return _scaled_at(terms, t.numerator, t.denominator), t.denominator ** max(terms)
+
+
+def relaxed_at(profile: RelationProfile, a: DimensionSequence, t: Fraction) -> int:
+    """v^(m+W) (L(t) - prod (1 - t^n)^(a_n)) at t = u/v, W = sum(n a_n):
+    the relaxed target at t times a positive integer, in integers."""
+    num, den = lhs_at(profile, t)
+    u, v = t.numerator, t.denominator
+    return num * v ** a.weighted_degree - den * _factors_at(a, u, v)
+
+
+def relaxed_target(profile: RelationProfile, a: DimensionSequence) -> ExactPoly:
+    """L - prod (1 - t^n)^(a_n), expanded as one integer list."""
+    terms = _lhs_terms(profile)
+    nums = [-c for c in one_minus_product(a, max(max(terms), a.weighted_degree) + 1)]
+    for k, c in terms.items():
+        nums[k] += c
+    return ExactPoly._normalized(nums)
 
 
 def _violated_at_half(num: int, den: int) -> PositivityReport:
@@ -129,10 +149,10 @@ def _filtration_target(terms: dict[int, int], den: int, a: DimensionSequence) ->
     The value at 1/2 comes from the product form first, and a negative
     one is the verdict.  Else g times the filtration coefficients is
     expanded as one integer list."""
-    # J(1/2) = _factors_at_half(a, p) / (2^N _factors_at_half(a, 1))
+    # J(1/2) = _factors_at(a, 1, 2^p) / (2^N _factors_at(a, 1, 2))
     shift = (a.prime - 1) * a.weighted_degree + max(terms)
-    scale = den * _factors_at_half(a, 1) << shift
-    value = _scaled_at_half(terms) * _factors_at_half(a, a.prime) - scale
+    scale = den * _factors_at(a, 1, 2) << shift
+    value = _scaled_at(terms, 1, 2) * _factors_at(a, 1, 1 << a.prime) - scale
     if value < 0:
         return _violated_at_half(value, scale)
     nums = _sparse_times(terms, jennings_transform(a).b)
@@ -165,15 +185,10 @@ def check_inequality(
         return _filtration_target(terms, 1, a)
     if mode is not CheckMode.RELAXED:
         raise ValueError(f"unknown mode {mode!r}")
-    w, m = a.weighted_degree, max(terms)
-    value = (_scaled_at_half(terms) << w) - (_factors_at_half(a, 1) << m)
+    value = relaxed_at(profile, a, Fraction(1, 2))
     if value < 0:
-        return _violated_at_half(value, 1 << m + w)
-    nums = [-c for c in one_minus_product(a, w + 1)]
-    nums += [0] * (m + 1 - len(nums))
-    for k, c in terms.items():
-        nums[k] += c
-    return positive_on_open_unit_interval(ExactPoly._normalized(nums))
+        return _violated_at_half(value, 1 << max(terms) + a.weighted_degree)
+    return positive_on_open_unit_interval(relaxed_target(profile, a))
 
 
 def ztype_pair_poly(m1: int, m2: int) -> ExactPoly:

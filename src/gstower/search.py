@@ -14,7 +14,6 @@ entry; every sequence is still counted and confirmed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .bounds import upper_caps
@@ -22,8 +21,9 @@ from .gs_check import (
     CheckMode,
     RelationProfile,
     check_inequality,
-    gs_lhs_poly,
-    relaxed_product_poly,
+    lhs_at,
+    relaxed_at,
+    relaxed_target,
 )
 from .jennings import DimensionSequence, is_prime
 from .series import positive_on_open_unit_interval
@@ -135,46 +135,6 @@ _FAST_POINTS = (
 )
 
 
-class _ScaledPoint:
-    """The test lhs(t) - prod (1 - t^n)^(a_n) <= 0 at one rational
-    t = u/v, in integers.
-
-    With lhs(t) = L_num / L_den, N = L_den * prod (v^n - u^n)^(a_n) and
-    W = sum n * a_n, the test reads L_num * v^W <= N.  The tables are
-    built on first use, since most points are never reached.
-    """
-
-    def __init__(self, t: Fraction, lhs_value: Fraction, caps: list[int]):
-        self.t = t
-        self.lhs_value = lhs_value
-        self.caps = caps
-
-    @cached_property
-    def factor_pows(self) -> list[list[int]]:
-        """factor_pows[n][e] = (v^n - u^n)^e for e <= cap(n); row 0 is [1]."""
-        u, v = self.t.numerator, self.t.denominator
-        rows = [[1]]
-        for n, cap in enumerate(self.caps, start=1):
-            base = v ** n - u ** n
-            row = [1]
-            for _ in range(cap):
-                row.append(row[-1] * base)
-            rows.append(row)
-        return rows
-
-    def threshold(self, weight: int) -> int:
-        return self.lhs_value.numerator * self.t.denominator ** weight
-
-    def violated(self, seq: tuple[int, ...]) -> bool:
-        prod = self.lhs_value.denominator
-        weight = 0
-        for n, e in enumerate(seq, start=1):
-            if e:
-                prod *= self.factor_pows[n][e]
-                weight += n * e
-        return self.threshold(weight) <= prod
-
-
 def brute_force_infeasibility(
     p: int, sum_limit: int, n_max: int = 9
 ) -> BruteForceResult:
@@ -185,9 +145,11 @@ def brute_force_infeasibility(
     depth first with each branch bounded by the sum still allowed.  Each
     violation is confirmed by an exact nonpositive evaluation at a
     rational point (fast path, in integers), falling back to the full
-    positivity decision when no prepared point works.  Any sequence for
-    which the inequality actually holds is reported, and all_violated
-    set False.
+    positivity decision when no prepared point works.  gs_check owns the
+    target: `lhs_at` gives the left side at 1/2, `relaxed_at` tests the
+    other points and `relaxed_target` is the full decision's polynomial.
+    Any sequence for which the inequality actually holds is reported, and
+    all_violated set False.
 
     Fixing a_1..a_(n_max - 1) leaves a row a_(n_max) = 0..top, with top
     the cap or the sum still allowed.  With n = n_max, the test at
@@ -204,22 +166,21 @@ def brute_force_infeasibility(
         raise ValueError(f"the sum limit must be >= 0, got {sum_limit}")
     profile = RelationProfile(2, (3, 7))
     cap_list = upper_caps(p, n_max, ztype_37=True).as_list()
-    lhs = gs_lhs_poly(profile)
-
-    points = [
-        _ScaledPoint(t, lhs(t), cap_list)
-        for t in _FAST_POINTS
-        + tuple(Fraction(k, 20) for k in range(1, 20) if Fraction(k, 20) not in _FAST_POINTS)
-    ]
-    first, rest = points[0], points[1:]
-    factor_pows = first.factor_pows
-    max_weight = sum(n * cap for n, cap in enumerate(cap_list, start=1))
-    thresholds = [first.threshold(w) for w in range(max_weight + 1)]
-
     # seq[n] = a_n; level 0 is a dummy with the one entry 0, so that
     # every row has a parent level, the one row of n_max = 1 too
     caps = [0, *cap_list]
     seq = [0] * (n_max + 1)
+    # t = 1/2 tests every sequence: with L(1/2) = num / den and
+    # W = sum n a_n, the test num 2^W <= den prod (2^n - 1)^(a_n) reads
+    # off these tables
+    num, den = lhs_at(profile, Fraction(1, 2))
+    factor_pows = [[((1 << n) - 1) ** e for e in range(cap + 1)] for n, cap in enumerate(caps)]
+    max_weight = sum(n * cap for n, cap in enumerate(caps))
+    thresholds = [num << w for w in range(max_weight + 1)]
+    # the other points, tried in order on a sequence 1/2 does not confirm
+    rest = _FAST_POINTS[1:] + tuple(
+        Fraction(k, 20) for k in range(1, 20) if Fraction(k, 20) not in _FAST_POINTS
+    )
     last, last_cap = factor_pows[n_max], cap_list[-1]
     examined = 0
     full_decisions = 0
@@ -228,13 +189,12 @@ def brute_force_infeasibility(
     def confirm_elsewhere() -> None:
         """Try every other point on a sequence t = 1/2 did not confirm."""
         nonlocal full_decisions
-        key = tuple(seq[1:])
-        if any(point.violated(key) for point in rest):
+        a = DimensionSequence.from_values(p, seq[1:])
+        if any(relaxed_at(profile, a, t) <= 0 for t in rest):
             return
         full_decisions += 1
-        target = lhs - relaxed_product_poly(DimensionSequence.from_values(p, key))
-        if positive_on_open_unit_interval(target).holds:
-            holds_examples.append(_trim(key))
+        if positive_on_open_unit_interval(relaxed_target(profile, a)).holds:
+            holds_examples.append(_trim(seq[1:]))
 
     def confirm_row(top: int, prod: int, weight: int) -> None:
         """Confirm a row entry by entry: its top entry is not violated at
@@ -266,7 +226,7 @@ def brute_force_infeasibility(
                     confirm_row(row_top, prod_e, weight_e)
         seq[n] = 0
 
-    walk(0, sum_limit, first.lhs_value.denominator, 0)
+    walk(0, sum_limit, den, 0)
     return BruteForceResult(
         prime=p,
         sum_limit=sum_limit,

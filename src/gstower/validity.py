@@ -179,10 +179,11 @@ def mildness_defect(
     """The e sequence read as the obstruction to mildness: all zeros
     through the horizon exactly when the presentation-side polynomial
     equals the filtration series there.  Any finite group eventually has
-    e_n = (r + 1 - d)|G| - 1 > 0, so only infinite quotients are mild."""
+    e_n = (r + 1 - d)|G| - 1, nonzero for |G| > 1 and negative when
+    r < d, so only infinite quotients are mild."""
     data = jennings_transform(a)
-    if horizon is None:
-        horizon = data.stabilization_index + profile.max_level + 1
+    if horizon is None:  # the first terminal index: the lag is max(L, 1)
+        horizon = data.stabilization_index + max(profile.max_level, 1) + 1
     return defect_recursion(data.c, profile.d, profile.levels, horizon)
 
 

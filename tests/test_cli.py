@@ -257,6 +257,17 @@ def test_mildness(capsys):
     assert payload["e"][:6] == [0, 0, 0, 0, 1, 2]
 
 
+def test_mildness_reaches_the_terminal_defect_without_relations(capsys):
+    # C_3 with d = 1 and no relation: the recursion's lag is 1, not 0, so
+    # the horizon reaches e_4 = (r + 1 - d)|G| - 1 = -1, and it is not mild
+    args = ("mildness", "--p", "3", "--d", "1", "--levels", "", "--a", "1")
+    code, payload = run_json(capsys, *args)
+    assert code == 0
+    assert payload["e"] == [0, 0, 0, -1]
+    code, out, _ = run(capsys, *args)
+    assert "mild" not in out
+
+
 def test_grouplab_builtin(capsys):
     code, payload = run_json(capsys, "grouplab", "--group", "heisenberg", "--p", "3")
     assert code == 0

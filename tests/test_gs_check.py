@@ -316,6 +316,38 @@ def test_value_at_one_half_and_integer_target_match_the_expanded_target(
         assert at_half < 0
 
 
+@settings(deadline=None, max_examples=150)
+@given(
+    d=st.integers(min_value=0, max_value=4),
+    levels=st.lists(st.integers(min_value=2, max_value=9), max_size=5),
+    entries=st.dictionaries(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=3),
+        max_size=3,
+    ),
+    t=st.integers(min_value=2, max_value=24).flatmap(
+        lambda v: st.integers(min_value=1, max_value=v - 1).map(lambda u: F(u, v))),
+)
+@example(d=3, levels=[3, 3, 3], entries={1: 1, 2: 1}, t=F(1, 2))  # negative at 1/2
+@example(d=2, levels=[3, 7], entries={1: 2, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2}, t=F(5, 9))
+@example(d=1, levels=[], entries={1: 1}, t=F(1, 3))  # the zero target
+def test_relaxed_value_at_a_point_is_the_scaled_relaxed_target(d, levels, entries, t):
+    # v^(m+W) (lhs - relaxed product)(u/v) for reduced u/v, in integers;
+    # negative at 1/2, it is the VIOLATED value check_inequality reports
+    profile = RelationProfile(d, tuple(levels))
+    a = DimensionSequence.from_dict(7, entries)
+    lhs = gs_lhs_poly(profile)
+    v = t.denominator
+    assert gs_check.lhs_at(profile, t) == (v ** lhs.degree * lhs(t), v ** lhs.degree)
+    scale = v ** (lhs.degree + a.weighted_degree)
+    assert gs_check.relaxed_at(profile, a, t) == scale * (lhs - relaxed_product_poly(a))(t)
+    at_half = F(gs_check.relaxed_at(profile, a, F(1, 2)), 2 ** (lhs.degree + a.weighted_degree))
+    assert at_half == (lhs - relaxed_product_poly(a))(F(1, 2))
+    if at_half < 0:
+        report = check_inequality(profile, a, CheckMode.RELAXED)
+        assert report == PositivityReport(Verdict.VIOLATED, F(1, 2), at_half)
+
+
 #: d = 3 and three relations at level 3 fail at 1/2 in every mode
 NEGATIVE_AT_HALF = RelationProfile(3, (3, 3, 3)), DimensionSequence.from_values(3, [1, 1])
 

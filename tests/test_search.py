@@ -195,7 +195,8 @@ _ORACLE_POINTS = (
 
 def _oracle_brute_force(p, sum_limit, n_max):
     """Reference: filter the full product box by sum, confirm with
-    Fraction products at the prepared points, else decide in full."""
+    Fraction products at the prepared points, else decide in full and
+    count the full decision."""
     profile = RelationProfile(2, (3, 7))
     cap_list = upper_caps(p, n_max, ztype_37=True).as_list()
     lhs = gs_lhs_poly(profile)
@@ -209,7 +210,7 @@ def _oracle_brute_force(p, sum_limit, n_max):
             [{t: (1 - t ** n) ** e for t in points} for e in range(cap_list[n - 1] + 1)]
         )
 
-    def violated_at(seq):
+    def confirmed_at_a_point(seq):
         for t in points:
             prod = Fraction(1)
             for n, e in enumerate(seq, start=1):
@@ -217,25 +218,29 @@ def _oracle_brute_force(p, sum_limit, n_max):
                     prod *= factor_pow[n][e][t]
             if lhs_at[t] - prod <= 0:
                 return True
-        target = lhs - relaxed_product_poly(DimensionSequence.from_values(p, list(seq)))
-        return not positive_on_open_unit_interval(target).holds
+        return False
 
     examined = 0
+    full_decisions = 0
     holds_examples = []
     for seq in itertools.product(*(range(c + 1) for c in cap_list)):
         if sum(seq) > sum_limit:
             continue
         examined += 1
-        if not violated_at(seq):
+        if confirmed_at_a_point(seq):
+            continue
+        full_decisions += 1
+        target = lhs - relaxed_product_poly(DimensionSequence.from_values(p, list(seq)))
+        if positive_on_open_unit_interval(target).holds:
             trimmed = list(seq)
             while trimmed and trimmed[-1] == 0:
                 trimmed.pop()
             holds_examples.append(tuple(trimmed))
-    return examined, not holds_examples, tuple(holds_examples)
+    return examined, not holds_examples, tuple(holds_examples), full_decisions
 
 
 def _summary(res):
-    return res.examined, res.all_violated, res.holds_examples
+    return res.examined, res.all_violated, res.holds_examples, res.full_decisions
 
 
 @settings(deadline=None, max_examples=40)
