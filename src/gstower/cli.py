@@ -92,14 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="table",
         help="output format (csv only for sequence tables)",
     )
-    parser.add_argument(
-        "--horizon-margin",
-        type=int,
-        default=8,
-        metavar="M",
-        help="how many terminal defects e_n past N + L the valid report lists "
-        "(default 8); it checks nothing, the terminal regime is proven",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("ztypes", help="classify feasible odd level pairs for d=2, r=2")
@@ -334,7 +326,7 @@ def _cmd_valid(args, fmt: str) -> int:
     _require_prime(args.p)
     profile = RelationProfile(2, tuple(args.levels))
     a = DimensionSequence.from_values(args.p, args.a)
-    report = is_valid(a, profile, horizon_margin=args.horizon_margin)
+    report = is_valid(a, profile)
     if fmt == "json":
         _emit_json(
             {

@@ -839,15 +839,15 @@ def verify_recursion(pres: PresentationData) -> RecursionReport:
     of the defects, through stabilization.
 
     Identity per n:  sum_i r_i c_(n-i) - d c_(n-1) = 1 + e_n,
-    terminal value:  1 + e_n = (r + 1 - d) |G|  for n past the horizon.
+    terminal value:  1 + e_n = (r + 1 - d) |G|  at the horizon, the
+    recursion's first terminal index (the length of defect_recursion).
     """
     G = pres.target
     c = augmentation_powers(G)
     order = G.order
-    # c_n = |G| from M = len(c) - 1 on, so e_n is terminal from M + max lag
-    horizon = len(c) - 1 + max((1, *pres.levels))
+    e_expected = defect_recursion(c, pres.d, pres.levels)
+    horizon = len(e_expected)
     e_direct = defects_direct(pres, horizon)
-    e_expected = defect_recursion(c, pres.d, pres.levels, horizon)
     mismatches = tuple(
         n for n, (x, y) in enumerate(zip(e_direct, e_expected), start=1) if x != y
     )

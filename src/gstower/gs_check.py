@@ -241,8 +241,7 @@ def medgs_violation_sample(d: int, m: int, r: int) -> tuple[Fraction, Fraction]:
     if d < 1 or m < 2 or r < 1:
         raise ValueError("need d >= 1, m >= 2 and r >= 1")
     t_star = Fraction((d / (m * r)) ** (1.0 / (m - 1))).limit_denominator(10 ** 6)
-    poly = gs_lhs_poly(RelationProfile.from_counts(d, {m: r}))
-    return t_star, poly(t_star)
+    return t_star, Fraction(*lhs_at(RelationProfile.from_counts(d, {m: r}), t_star))
 
 
 def strict_corollary_check(

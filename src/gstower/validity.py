@@ -22,13 +22,9 @@ from operator import add
 from typing import Iterable, Sequence
 
 from .bounds import upper_caps
-from .gs_check import RelationProfile, gs_lhs_poly
+from .gs_check import RelationProfile, lhs_at
 from .jennings import DimensionSequence, jennings_transform
 from .series import ExactPoly
-
-
-class HorizonTooSmallError(ValueError):
-    """The requested horizon ends before stabilization can be observed."""
 
 
 class NotStabilizedError(ValueError):
@@ -41,26 +37,23 @@ def default_profile() -> RelationProfile:
 
 
 def defect_recursion(
-    c: Sequence[int], d: int, levels: Iterable[int], horizon: int
+    c: Sequence[int], d: int, levels: Iterable[int]
 ) -> tuple[int, ...]:
-    """e_1..e_horizon with 1 + e_n = c_n - d c_(n-1) + sum_k c_(n-k) over
-    the relation degrees k.  c is the codimension tuple (c_0, ..., c_M)
-    ending at the order: c_n = 0 for n < 0 and c_n = c_M for n > M."""
-    if horizon < 1:
-        return ()
+    """e_1..e_T with 1 + e_n = c_n - d c_(n-1) + sum_k c_(n-k) over the
+    relation degrees k.  c is the codimension tuple (c_0, ..., c_M)
+    ending at the order: c_n = 0 for n < 0 and c_n = c_M for n > M.
+
+    T = M + max(1, *levels), which callers read as the length of this
+    result, is the first terminal index: from there on every c_(n-k) of
+    the recursion is c_M, so e_n = e_T for all n >= T."""
     levels = tuple(levels)
     lag = max((1, *levels))
-    # padded[i] = c_(i + 1 - lag) for n = 1 - lag..horizon
-    padded = [0] * (lag - 1) + list(c[:horizon + 1])
-    padded += [c[-1]] * (lag + horizon - len(padded))
-
-    def shifted(k: int) -> list[int]:
-        """c_(n-k) for n = 1..horizon."""
-        return padded[lag - k:lag - k + horizon]
-
-    e = [v - d * w - 1 for v, w in zip(shifted(0), shifted(1))]
+    # padded[i] = c_(i + 1 - lag) for i = 0..T + lag - 1; padded[lag - k:]
+    # starts at c_(1 - k), and zip and map stop at padded[lag:], length T
+    padded = [0] * (lag - 1) + list(c) + [c[-1]] * lag
+    e = [v - d * w - 1 for v, w in zip(padded[lag:], padded[lag - 1:])]
     for k in levels:
-        e = list(map(add, e, shifted(k)))
+        e = list(map(add, e, padded[lag - k:]))
     return tuple(e)
 
 
@@ -92,12 +85,11 @@ class ValidityReport:
 
     @property
     def stabilized(self) -> bool:
-        """Always True: e_n = e_limit for every n > N + L, N the
-        stabilization index and L = max(levels, 1).  The transform asserts
-        that c = (c_0, ..., c_(N+1)) ends at the order, and c_n reads as
-        the order past its end, so at such n every c_(n-k) of the
-        recursion (k = 0, 1 and each level) is the order, and
-        1 + e_n = (r + 1 - d) * order."""
+        """Always True: the transform asserts that c = (c_0, ..., c_(N+1))
+        ends at the order, so e_n = e_limit from the first terminal index
+        of defect_recursion on.  e lists the recursion through that index
+        and then seven more copies of e_limit, through N + L + 8 with
+        L = max(levels, 1)."""
         return True
 
 
@@ -122,7 +114,6 @@ def _caps_failure(a: DimensionSequence, profile: RelationProfile) -> str | None:
 def is_valid(
     a: DimensionSequence,
     profile: RelationProfile | None = None,
-    horizon_margin: int = 8,
 ) -> ValidityReport:
     """Full validity report for a candidate sequence.
 
@@ -134,14 +125,10 @@ def is_valid(
     """
     if profile is None:
         profile = default_profile()
-    if horizon_margin < 1:
-        raise HorizonTooSmallError("horizon margin must be >= 1")
     data = jennings_transform(a)
-    n_stab = data.stabilization_index
-    horizon = n_stab + max(profile.max_level, 1) + horizon_margin
-    e = defect_recursion(data.c, profile.d, profile.levels, horizon)
     order = data.order
     e_limit = stabilized_defect(profile, order)
+    e = defect_recursion(data.c, profile.d, profile.levels) + (e_limit,) * 7
 
     cap_fail = _caps_failure(a, profile)
     caps_ok = cap_fail is None
@@ -160,7 +147,7 @@ def is_valid(
         b=data.b,
         c=data.c,
         e=e,
-        horizon=horizon,
+        horizon=len(e),
         caps_ok=caps_ok,
         e_nonnegative=e_nonnegative,
         order_exponent=data.order_exponent,
@@ -174,17 +161,13 @@ def is_valid(
 def mildness_defect(
     a: DimensionSequence,
     profile: RelationProfile,
-    horizon: int | None = None,
 ) -> tuple[int, ...]:
-    """The e sequence read as the obstruction to mildness: all zeros
-    through the horizon exactly when the presentation-side polynomial
-    equals the filtration series there.  Any finite group eventually has
-    e_n = (r + 1 - d)|G| - 1, nonzero for |G| > 1 and negative when
-    r < d, so only infinite quotients are mild."""
-    data = jennings_transform(a)
-    if horizon is None:  # the first terminal index: the lag is max(L, 1)
-        horizon = data.stabilization_index + max(profile.max_level, 1) + 1
-    return defect_recursion(data.c, profile.d, profile.levels, horizon)
+    """The e sequence through its first terminal index, read as the
+    obstruction to mildness: all zeros through index n exactly when the
+    presentation-side polynomial equals the filtration series there.  Any
+    finite group ends at e_n = (r + 1 - d)|G| - 1, nonzero for |G| > 1
+    and negative when r < d, so only infinite quotients are mild."""
+    return defect_recursion(jennings_transform(a).c, profile.d, profile.levels)
 
 
 def gs_equality_eval(
@@ -200,7 +183,8 @@ def gs_equality_eval(
     the filtration polynomial plus the ratio of the e- and c-series, with
     the geometric tails summed in closed form.  Sequences c and e default
     to the recursion values; explicitly supplied ones (e.g. measured from
-    a group algebra) must already be stabilized at their tail.
+    a group algebra) must be terminal in every c_n past N and every e_n
+    past tail_start, the entries the closed-form tails stand in for.
     """
     t = Fraction(t)
     if not 0 <= t < 1:
@@ -208,21 +192,21 @@ def gs_equality_eval(
     data = jennings_transform(a)
     order = data.order
     n_stab = data.stabilization_index
-    # the deepest lag in the recursion is max(max_level, 1), so e_n is
-    # constant for n > tail_start
-    tail_start = n_stab + max(profile.max_level, 1)
+    expected = defect_recursion(data.c, profile.d, profile.levels)
+    # e_n is constant for n > tail_start
+    tail_start = len(expected) - 1
     e_limit = stabilized_defect(profile, order)
 
     if c is None:
         c = data.c
-    elif len(c) <= n_stab or c[-1] != order:
-        raise NotStabilizedError("supplied c sequence does not reach the group order")
+    elif set(c[n_stab + 1:]) != {order}:
+        raise NotStabilizedError("supplied c sequence is not the group order past N")
     if e is None:
-        e = defect_recursion(data.c, profile.d, profile.levels, tail_start)
-    elif len(e) <= tail_start or e[-1] != e_limit:
-        raise NotStabilizedError("supplied e sequence does not reach its terminal value")
+        e = expected
+    elif set(e[tail_start:]) != {e_limit}:
+        raise NotStabilizedError("supplied e sequence is not terminal past its tail start")
 
-    lhs = gs_lhs_poly(profile)(t)
+    lhs = Fraction(*lhs_at(profile, t))
 
     if t == 0:
         return lhs, Fraction(1)

@@ -236,7 +236,7 @@ def test_valid_csv_runs_to_the_horizon(capsys):
 
 def test_valid_table_prints_every_c_it_labels(capsys):
     # p = 2, a = (1): b = (1, 1) and c = (0, 1, 2), so c_n is the order 2
-    # from n = 2 on.  The horizon is N + max level + margin = 1 + 2 + 8 = 11.
+    # from n = 2 on.  The horizon is N + max level + 8 = 1 + 2 + 8 = 11.
     code, out, _ = run(capsys, "valid", "--p", "2", "--a", "1", "--levels", "2,2")
     assert code == 1
     assert "c_1..c_11: (1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2)  -> limit 2" in out.splitlines()
@@ -266,6 +266,14 @@ def test_mildness_reaches_the_terminal_defect_without_relations(capsys):
     assert payload["e"] == [0, 0, 0, -1]
     code, out, _ = run(capsys, *args)
     assert "mild" not in out
+
+
+def test_horizon_margin_is_rejected(capsys):
+    # the terminal defects are proven, so no flag sets how many are listed
+    with pytest.raises(SystemExit) as exc:
+        main(["--horizon-margin", "8", "valid", "--p", "17", "--a", "2,1"])
+    assert exc.value.code == 2
+    assert "gstower: error:" in capsys.readouterr().err
 
 
 def test_grouplab_builtin(capsys):

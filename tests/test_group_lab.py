@@ -822,9 +822,9 @@ def _jacobian_defect(pres, n, filt):
 
 
 def _assert_defects_match_jacobians(pres):
-    # past the filtration length plus the largest level every defect is final
+    # through the recursion's first terminal index
     filt = _filtration_by_rref(pres.target)
-    horizon = len(filt) + max(pres.levels, default=1)
+    horizon = verify_recursion(pres).horizon
     want = tuple(_jacobian_defect(pres, n, filt) for n in range(1, horizon + 1))
     assert defects_direct(pres, horizon) == want
 

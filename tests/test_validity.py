@@ -40,19 +40,15 @@ def test_default_profile_is_two_generators_levels_3_7():
 
 class TestESequence:
     def test_cyclic_3_defects(self):
-        # c = (0,1,2,3,3,3,...); e_n = c_n + c_{n-3} - c_{n-1} - 1
-        e = defect_recursion(CYCLIC3_C, 1, (3,), 10)
-        assert e == (0, 0, 0, 0, 1, 2, 2, 2, 2, 2)
+        # c = (0,1,2,3,3,3,...); e_n = c_n + c_{n-3} - c_{n-1} - 1, terminal
+        # from T = 3 + 3 = 6 on
+        e = defect_recursion(CYCLIC3_C, 1, (3,))
+        assert e == (0, 0, 0, 0, 1, 2)
 
     def test_terminal_value(self):
         assert stabilized_defect(CYCLIC3_PROFILE, 3) == 2
         # two relations, two generators: (2+1-2)*order - 1
         assert stabilized_defect(default_profile(), 17 ** 50) == 17 ** 50 - 1
-
-    def test_short_horizon(self):
-        assert defect_recursion(CYCLIC3_C, 1, (3,), 1) == (0,)
-        assert defect_recursion(CYCLIC3_C, 1, (3,), 0) == ()
-        assert defect_recursion(CYCLIC3_C, 1, (3,), -2) == ()
 
 
 class TestIsValid:
@@ -104,24 +100,21 @@ class TestIsValid:
         ),
         d=st.integers(min_value=0, max_value=4),
         levels=st.lists(st.integers(min_value=2, max_value=7), max_size=3),
-        margin=st.integers(min_value=1, max_value=5),
     )
-    def test_the_tail_is_e_limit(self, p, entries, d, levels, margin):
+    def test_the_tail_is_e_limit(self, p, entries, d, levels):
         # why ValidityReport.stabilized is always True: past N + max(levels,
-        # 1), every c of the recursion is the order
+        # 1), every c of the recursion is the order.  The report lists e
+        # through N + L + 8: the recursion, then seven copies of e_limit.
         a = DimensionSequence.from_dict(p, entries)
         profile = RelationProfile(d, tuple(levels))
-        report = is_valid(a, profile, horizon_margin=margin)
+        report = is_valid(a, profile)
         n_stab = jennings_transform(a).stabilization_index
         tail = report.e[n_stab + max(profile.max_level, 1):]
-        assert len(tail) == margin
+        assert len(tail) == 8
         assert set(tail) == {report.e_limit}
+        assert report.horizon == len(report.e)
+        assert report.e[:-7] == defect_recursion(jennings_transform(a).c, d, levels)
         assert report.stabilized
-
-    def test_horizon_margin_guard(self):
-        a = DimensionSequence.from_values(17, P17_EXAMPLE)
-        with pytest.raises(ValueError):
-            is_valid(a, horizon_margin=0)
 
 
 class TestEqualityEval:
@@ -151,22 +144,39 @@ class TestEqualityEval:
         lhs, rhs = gs_equality_eval(a, default_profile(), F(1, 2))
         assert lhs == rhs
 
+    @staticmethod
+    def _cyclic3_to_index_12():
+        """c_0..c_12 and e_1..e_12 of C_3, both past their tail start."""
+        c = tuple(jennings_transform(CYCLIC3_A).c_at(n) for n in range(13))
+        return list(c), list(defect_recursion(c, 1, (3,))[:12])
+
     def test_supplied_consistent_sequences_accepted(self):
-        data = jennings_transform(CYCLIC3_A)
-        horizon = 12
-        c = tuple(data.c_at(n) for n in range(horizon + 1))
-        e = defect_recursion(c, 1, (3,), horizon)
-        lhs, rhs = gs_equality_eval(CYCLIC3_A, CYCLIC3_PROFILE, F(1, 2), c=c, e=e)
+        c, e = self._cyclic3_to_index_12()
+        lhs, rhs = gs_equality_eval(
+            CYCLIC3_A, CYCLIC3_PROFILE, F(1, 2), c=tuple(c), e=tuple(e)
+        )
         assert lhs == rhs == F(5, 8)
 
     def test_perturbed_defects_rejected(self):
-        data = jennings_transform(CYCLIC3_A)
-        horizon = 12
-        c = tuple(data.c_at(n) for n in range(horizon + 1))
-        e = list(defect_recursion(c, 1, (3,), horizon))
+        c, e = self._cyclic3_to_index_12()
         e[-1] += 1
         with pytest.raises(NotStabilizedError):
-            gs_equality_eval(CYCLIC3_A, CYCLIC3_PROFILE, F(1, 2), c=c, e=tuple(e))
+            gs_equality_eval(CYCLIC3_A, CYCLIC3_PROFILE, F(1, 2), c=tuple(c), e=tuple(e))
+
+    def test_a_perturbed_defect_inside_the_tail_is_rejected(self):
+        # the closed-form tail reads every e_n past tail_start = 5 as
+        # e_limit, so a wrong e_9 must not pass for the last entry's sake
+        c, e = self._cyclic3_to_index_12()
+        e[8] += 5
+        with pytest.raises(NotStabilizedError):
+            gs_equality_eval(CYCLIC3_A, CYCLIC3_PROFILE, F(1, 2), c=tuple(c), e=tuple(e))
+
+    def test_a_perturbed_codimension_inside_the_tail_is_rejected(self):
+        # every c_n past N = 2 is read as the order 3
+        c, e = self._cyclic3_to_index_12()
+        c[6] -= 1
+        with pytest.raises(NotStabilizedError):
+            gs_equality_eval(CYCLIC3_A, CYCLIC3_PROFILE, F(1, 2), c=tuple(c), e=tuple(e))
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -196,17 +206,18 @@ class TestMildness:
         # a = (2,1,2) matches the rank-2 free filtration through n = 4,
         # so the first defects vanish
         a = DimensionSequence.from_values(5, [2, 1, 2])
-        defects = mildness_defect(a, RelationProfile(2, ()), horizon=4)
-        assert defects == (0, 0, 0, 0)
+        defects = mildness_defect(a, RelationProfile(2, ()))
+        assert defects[:4] == (0, 0, 0, 0)
 
     def test_departure_is_visible(self):
         a = DimensionSequence.from_values(5, [2, 1, 2])
-        defects = mildness_defect(a, RelationProfile(2, ()), horizon=6)
+        defects = mildness_defect(a, RelationProfile(2, ()))
         assert defects[4] != 0
 
     def test_relator_profile_shifts_defects(self):
-        defects = mildness_defect(CYCLIC3_A, CYCLIC3_PROFILE, horizon=8)
-        assert defects == (0, 0, 0, 0, 1, 2, 2, 2)
+        # through the first terminal index, e_6 = (1 + 1 - 1) * 3 - 1
+        defects = mildness_defect(CYCLIC3_A, CYCLIC3_PROFILE)
+        assert defects == (0, 0, 0, 0, 1, 2)
 
 
 def _per_index_recursion(c_at, d, levels, horizon):
@@ -259,22 +270,24 @@ _TUPLES = {
         st.just((3, 3, 3)),
         st.lists(st.integers(min_value=2, max_value=60), max_size=4).map(tuple),
     ),
-    horizon=st.integers(min_value=-5, max_value=40),
+    past=st.integers(min_value=1, max_value=20),
 )
-@example(source=(3, [1]), d=2, levels=(50,), horizon=10)
-@example(source=(3, [1]), d=2, levels=(3, 3, 3), horizon=10)
-@example(source=("heisenberg", 3), d=2, levels=(2, 45, 45), horizon=10)
-@example(source=(3, [1]), d=2, levels=(), horizon=0)
-@example(source=(3, [1]), d=2, levels=(7,), horizon=-3)
-@example(source=("cyclic:1 to c_12", 3), d=1, levels=(3,), horizon=5)
-@example(source=("cyclic:1 to c_12", 3), d=1, levels=(3,), horizon=20)
-@example(source=("cyclic:1 to c_12", 3), d=1, levels=(3,), horizon=-5)
-def test_defect_recursion_matches_the_per_index_loop(source, d, levels, horizon):
+@example(source=(3, [1]), d=2, levels=(50,), past=10)
+@example(source=(3, [1]), d=2, levels=(3, 3, 3), past=10)
+@example(source=("heisenberg", 3), d=2, levels=(2, 45, 45), past=10)
+@example(source=(3, [1]), d=2, levels=(), past=1)
+@example(source=(3, []), d=0, levels=(), past=5)
+@example(source=("cyclic:1 to c_12", 3), d=1, levels=(3,), past=20)
+def test_defect_recursion_matches_the_per_index_loop(source, d, levels, past):
     if isinstance(source[0], str):
         c, c_at = _TUPLES[source]
     else:
         data = jennings_transform(DimensionSequence.from_values(*source))
         c, c_at = data.c, data.c_at
-    assert defect_recursion(c, d, levels, horizon) == _per_index_recursion(
-        c_at, d, levels, horizon
-    )
+    e = defect_recursion(c, d, levels)
+    terminal = len(c) - 1 + max((1, *levels))
+    assert len(e) == terminal
+    # the oracle runs past T, and every value there is the terminal one
+    oracle = _per_index_recursion(c_at, d, levels, terminal + past)
+    assert e == oracle[:terminal]
+    assert set(oracle[terminal - 1:]) == {e[-1]}
