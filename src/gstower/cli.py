@@ -457,8 +457,31 @@ _DISPATCH = {
 }
 
 
+def _refuse_unknown_global_options(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Name an unknown option that comes before the subcommand.
+
+    argparse would take that option's value for the subcommand's name and
+    report the value instead (for `--horizon-margin 8 valid`, an invalid
+    choice '8')."""
+    known = parser._option_string_actions
+    words = iter(argv)
+    for word in words:
+        if not word.startswith("-"):
+            return  # the subcommand
+        name, eq, _ = word.partition("=")
+        # argparse also takes a unique prefix of a long option
+        matches = [key for key in known if key == name
+                   or (name.startswith("--") and key.startswith(name))]
+        if len(matches) != 1:
+            parser.error(f"unrecognized global option: {name}")
+        if known[matches[0]].nargs != 0 and not eq:
+            next(words, None)  # the option's value
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    _refuse_unknown_global_options(parser, argv)
     args = parser.parse_args(argv)
     fmt = "json" if args.json else args.format
     if fmt == "csv" and args.command not in _CSV_COMMANDS:

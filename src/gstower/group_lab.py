@@ -15,6 +15,15 @@ By the duality of F_p[G] under (a, b) -> coefficient of 1 in ab, the
 annihilator flag gives the inverse of one flag basis per group, whose
 trailing rows span each power of the ideal: a residue modulo I^n is a
 cut of the coordinates in that basis.
+
+Results are int64 residues.  The F_p matrix products go through
+_fp_matmul, which runs the larger ones in float64 BLAS as an exact
+carrier for integers: it checks that inner dimension x (p - 1)^2 stays
+below 2^53, and under the size limit (a group of order p^k has at most k
+generators, and no product has an inner dimension past d |G|) every
+partial sum stays below 2^27, so nothing rounds.  Row reduction updates
+pivots as x + f (p - y), which lies in [0, p^2), reduced by lookup in a
+p^2-entry residue table.
 """
 from __future__ import annotations
 
@@ -28,6 +37,10 @@ from .jennings import DimensionSequence, InvalidPrimeError, is_prime
 from .validity import defect_recursion, stabilized_defect
 
 DEFAULT_SIZE_LIMIT = 343
+#: F_p products of at least this many multiply-adds (rows x inner x
+#: columns) run in float64 BLAS; smaller ones cost less without the
+#: conversions (see _fp_matmul)
+BLAS_MIN_WORK = 4096
 #: word_level gives up past this truncation degree
 MAX_LEVEL_CAP = 512
 
@@ -48,9 +61,45 @@ class PresentationError(ValueError):
 # F_p row reduction
 # ---------------------------------------------------------------------------
 
+def _fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, as int64, for integer operands whose entries are below
+    p in absolute value (int64, or float64 words carrying such integers).
+
+    A product of at least BLAS_MIN_WORK multiply-adds runs in float64 BLAS.
+    Every partial sum of an entry is at most inner x (p - 1)^2 in absolute
+    value; that bound is checked to stay below 2^53, so each sum is an
+    exact float64 integer and nothing rounds (Dumas, Giorgi and Pernet,
+    ACM TOMS 35(3), 2008).  A smaller product, such as a one-vector level
+    of a cyclic group, costs less without the conversions and is taken in
+    the operands' own dtype, exact under the same bound."""
+    inner = a.shape[-1]
+    if inner * (p - 1) ** 2 >= 2 ** 53:
+        raise OverflowError(
+            f"an F_{p} product of inner dimension {inner} is not exact in float64")
+    if a.shape[0] * inner * b.shape[-1] < BLAS_MIN_WORK:
+        return (a @ b).astype(np.int64, copy=False) % p
+    prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+    # prod - p floor(prod / p), all of it exact: the rounded prod / p lies
+    # within half a float64 spacing of the true quotient, closer than the
+    # 1/p that separates a quotient that is not whole from an integer
+    q = prod / p
+    np.floor(q, out=q)
+    q *= p
+    prod -= q
+    return prod.astype(np.int64)
+
+
+def _residue_table(p: int) -> np.ndarray:
+    """residue[x] = x mod p for 0 <= x < p^2: reduction by lookup."""
+    return np.arange(p)[None].repeat(p, axis=0).ravel()
+
+
 def _rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_p; returns (nonzero rows, pivot cols)."""
     m = np.asarray(rows, dtype=np.int64) % p
+    # a pivot update x - f y, with x, y and f below p, is taken as
+    # x + f (p - y), which lies in [0, p^2)
+    residue = _residue_table(p)
     nrows, ncols = m.shape
     pivots: list[int] = []
     r = 0
@@ -61,17 +110,17 @@ def _rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
+        # rows r and pr are zero left of col: earlier columns are pivots
+        # or were empty from row r down
         if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        # row r is zero left of col: earlier columns are pivots or were
-        # empty from row r down
-        m[r, col:] = (m[r, col:] * pow(int(m[r, col]), p - 2, p)) % p
+            m[[r, pr], col:] = m[[pr, r], col:]
+        f = int(m[r, col])
+        if f != 1:
+            m[r, col:] = residue[m[r, col:] * pow(f, p - 2, p)]
         hit = np.nonzero(m[:, col])[0]
-        hit = hit[hit != r]
-        block = m[hit, col:]
-        block -= m[hit, col, None] * m[r, col:]
-        block %= p
-        m[hit, col:] = block
+        if hit.size > 1:
+            hit = hit[hit != r]
+            m[hit, col:] = residue[m[hit, col:] + m[hit, col, None] * (p - m[r, col:])]
         pivots.append(col)
         r += 1
     return m[:r], pivots
@@ -96,17 +145,19 @@ def _rref_extend(
     free = np.ones(width, dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)
-    rows = (rows[:, free] - rows[:, pivots] @ rest) % p
+    # x - y for x and y below p is looked up as x + (p - y)
+    residue = _residue_table(p)
+    rows = residue[rows[:, free] + (p - _fp_matmul(rows[:, pivots], rest, p))]
     live = np.flatnonzero(rows.any(axis=0))
+    if not live.size:  # the new rows lie in the span of the basis
+        return rest, pivots, np.zeros((0, width), dtype=np.int64)
     reduced, found = _rref(rows[:, live], p)
     found = live[found]  # positions among the free columns
     new = np.zeros((len(found), len(free)), dtype=np.int64)
     new[:, live] = reduced
     keep = np.ones(len(free), dtype=bool)
     keep[found] = False
-    kept = rest[:, keep]
-    kept -= rest[:, found] @ new[:, keep]
-    kept %= p
+    kept = residue[rest[:, keep] + (p - _fp_matmul(rest[:, found], new[:, keep], p))]
     full = np.zeros((len(found), width), dtype=np.int64)
     full[:, free] = new
     return np.vstack([kept, new[:, keep]]), np.concatenate([pivots, free[found]]), full
@@ -285,8 +336,11 @@ class FiniteGroupTable:
         width = len(free)
         # the last row of the reduced [R | 1] is [0 | the sum of all
         # elements], with its pivot at the identity, so column 0 of L is
-        # zero, and so is column 0 of V Q below its first row
-        B_free, L = red[:rank, free], red[:rank, d * n:].copy()
+        # zero, and so is column 0 of V Q below its first row.  B_free and
+        # L enter a product at every level, so they are float64 once here
+        # (see _fp_matmul)
+        B_free = red[:rank, free].astype(np.float64)
+        L = red[:rank, d * n:].astype(np.float64)
         R_piv = RI[:, piv_R]
         del RI, red  # the work arrays, before the levels
         # slot i is columns i n .. (i+1) n of R: its pivots are the rows
@@ -309,18 +363,19 @@ class FiniteGroupTable:
             # of R, then its coordinates in B
             rows = np.zeros((d * k, width + rank), dtype=np.int64)
             for i, (lo, hi, flo, fhi) in enumerate(zip(cut, cut[1:], fcut, fcut[1:])):
-                in_B = new[:, piv_R[lo:hi] - i * n]
                 block = rows[i * k:(i + 1) * k]
-                block[:, :width] = -(in_B @ B_free[lo:hi])
-                block[:, flo:fhi] += new[:, free[flo:fhi] - i * n]
-                block[:, width + lo:width + hi] = in_B
+                block[:, flo:fhi] = new[:, free[flo:fhi] - i * n]
+                block[:, width + lo:width + hi] = new[:, piv_R[lo:hi] - i * n]
+            # the B-coordinates are block-diagonal by slot, so one product
+            # takes every slot's part in the row space of R
+            rows[:, :width] -= _fp_matmul(rows[:, width:], B_free, p)
             rows %= p
             old = len(pivots)
             echelon, pivots, found = _rref_extend(echelon, pivots, rows, p)
             # rows with their pivot among the B-coordinates have no residue
             dependent = pivots[old:] >= width
             C = found[dependent, width:]
-            new = C @ L % p
+            new = _fp_matmul(C, L, p)
             lo, hi = c[-1], c[-1] + len(C)
             T_inv[:, lo:hi] = new[:, inv].T
             coords[lo - 1:hi - 1] = C
@@ -331,14 +386,14 @@ class FiniteGroupTable:
         U = np.zeros((n, n), dtype=np.int64)
         U[0, 0] = 1
         U[1:, 1:] = coords[:, lead]
-        U_inv = np.eye(n, dtype=np.int64)
+        U_inv = np.eye(n)  # float64, as every product reads it
         for lo, hi in zip(c[-2::-1], c[:0:-1]):
-            U_inv[lo:hi, hi:] = -(U[lo:hi, hi:] @ U_inv[hi:, hi:]) % p
+            U_inv[lo:hi, hi:] = _fp_matmul(-U[lo:hi, hi:], U_inv[hi:, hi:], p)
         # Q[g -> g^-1] with its columns in the same order
         Q = np.zeros((n, n), dtype=np.int64)
         Q[0, 0] = 1
         Q[:, 1:] = R_piv[np.ix_(inv, lead)]
-        T = U_inv.T @ Q.T % p
+        T = _fp_matmul(U_inv.T, Q.T, p)
         self._flag = (T, T_inv)
         self._filtration = [(T[cn:], T_inv[:, :cn]) for cn in c]
         return self._filtration
@@ -785,6 +840,7 @@ def defects_direct(pres: PresentationData, horizon: int) -> tuple[int, ...]:
     c = augmentation_powers(G)
     T, T_inv = G.flag_basis()
     W = _fox_images(pres)
+    T_inv = T_inv.astype(np.float64)  # the right factor of every block
     rows = np.zeros((pres.r * size, size * d), dtype=np.int16)  # entries below p
     for i, j in zip(*np.nonzero(W.any(axis=2))):
         # column x of T R(w) is sum_k w[k] T[:, x k^-1]
@@ -792,7 +848,7 @@ def defects_direct(pres: PresentationData, horizon: int) -> tuple[int, ...]:
         for k in np.flatnonzero(W[i, j]):
             TR += W[i, j, k] * T[:, G.mul[:, G.inv[k]]]
         # row (i, a), column (b, j) holds A_ij[a, b]
-        rows[i * size:(i + 1) * size, j::d] = (TR % p) @ T_inv % p
+        rows[i * size:(i + 1) * size, j::d] = _fp_matmul(TR % p, T_inv, p)
     levels = np.array(pres.levels, dtype=np.int64).reshape(-1, 1)
     entry = (levels + np.searchsorted(c, np.arange(size), side="right")).ravel()
     order = np.argsort(entry)

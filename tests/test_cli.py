@@ -273,7 +273,31 @@ def test_horizon_margin_is_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--horizon-margin", "8", "valid", "--p", "17", "--a", "2,1"])
     assert exc.value.code == 2
-    assert "gstower: error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the usage error names the flag; its value is not taken for the subcommand
+    assert "gstower: error: unrecognized global option: --horizon-margin" in err
+    assert "invalid choice" not in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--format", "json", "--horizon-margin=8", "valid", "--p", "17", "--a", "2,1"],
+     "--horizon-margin"),
+    (["--json", "-x", "ztypes"], "-x"),
+])
+def test_an_unknown_global_option_is_named_in_the_usage_error(capsys, argv, name):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized global option: {name}" in err
+    assert "invalid choice" not in err
+
+
+def test_global_options_before_the_subcommand_still_parse(capsys):
+    code, out, _ = run(capsys, "--format=csv", "mildness", "--p", "3", "--d", "1",
+                       "--levels", "", "--a", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "4,-1"
 
 
 def test_grouplab_builtin(capsys):

@@ -21,6 +21,7 @@ from gstower.group_lab import (
     PresentationError,
     SizeLimitError,
     _fox_images,
+    _fp_matmul,
     _rref,
     _rref_extend,
     augmentation_powers,
@@ -44,7 +45,7 @@ from gstower.group_lab import (
     word_level,
 )
 from gstower import group_lab
-from gstower.jennings import jennings_transform
+from gstower.jennings import is_prime, jennings_transform
 
 BUILTIN_KINDS = ("cyclic:1", "cyclic:2", "elemab:2", "heisenberg")
 #: every built-in family up to order p^3
@@ -242,13 +243,58 @@ def _eliminate_pivot_by_pivot(vecs, basis, pivots, p):
 
 @st.composite
 def _matrices(draw, max_rows=7, max_cols=7):
-    p = draw(st.sampled_from([2, 3, 5, 7]))
+    # 331 makes the residue table of the pivot updates large
+    p = draw(st.sampled_from([2, 3, 5, 7, 331]))
     nrows = draw(st.integers(0, max_rows))
     ncols = draw(st.integers(1, max_cols))
     # entries outside 0..p-1, and low-rank draws, exercise the reduction
     entries = st.integers(-p, 2 * p - 1) | st.just(0)
     flat = draw(st.lists(entries, min_size=nrows * ncols, max_size=nrows * ncols))
     return p, np.array(flat, dtype=np.int64).reshape(nrows, ncols)
+
+
+class TestFpMatmul:
+    @settings(max_examples=200)
+    @given(st.sampled_from([2, 3, 5, 7, 331]), st.integers(0, 40), st.integers(0, 40),
+           st.integers(0, 40), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_matches_integer_matmul_mod_p(self, p, m, k, n, float_b, seed):
+        # signed entries below p in absolute value; shapes on both sides of
+        # BLAS_MIN_WORK, empty dimensions included; b may come as float64
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-(p - 1), p, size=(m, k))
+        b = rng.integers(-(p - 1), p, size=(k, n))
+        got = _fp_matmul(a, b.astype(np.float64) if float_b else b, p)
+        assert got.dtype == np.int64
+        assert got.shape == (m, n)
+        assert np.array_equal(got, (a @ b) % p)
+
+    def test_worst_case_at_the_largest_inner_dimension_is_exact(self):
+        # A group of order p^k within the size limit needs at most k
+        # generators, and no product of the lab has an inner dimension past
+        # d |G|.  Every partial sum of p - 1 times p - 1 over that dimension
+        # stays below 2^27.  With p - 2 (odd for odd p) the large partial
+        # sums are odd, which a float32 product would round.
+        for p in filter(is_prime, range(2, DEFAULT_SIZE_LIMIT + 1)):
+            k = 1
+            while p ** (k + 1) <= DEFAULT_SIZE_LIMIT:
+                k += 1
+            inner = k * p ** k
+            assert inner * (p - 1) ** 2 < 2 ** 27
+            assert 16 * inner * 16 >= group_lab.BLAS_MIN_WORK  # the float64 path
+            for x in {p - 1, max(p - 2, 1)}:
+                a = np.full((16, inner), x, dtype=np.int64)
+                b = np.full((inner, 16), x, dtype=np.int64)
+                want = inner * x * x % p
+                assert np.array_equal(_fp_matmul(a, b, p), np.full((16, 16), want))
+                assert np.array_equal(_fp_matmul(-a, b, p), np.full((16, 16), -want % p))
+
+    def test_a_product_past_float64_exactness_is_refused(self):
+        # (p - 1)^2 is about 2^52, so two terms can reach 2^53
+        p = next(q for q in range(2 ** 26 + 1, 2 ** 27) if is_prime(q))
+        a = np.ones((1, 2), dtype=np.int64)
+        with pytest.raises(OverflowError, match="not exact in float64"):
+            _fp_matmul(a, a.T, p)
+        assert _fp_matmul(a[:, :1], a[:, :1].T, p).tolist() == [[1]]
 
 
 class TestRowReduction:
