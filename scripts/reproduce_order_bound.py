@@ -3,8 +3,9 @@
 
 Runs the greedy cap-respecting search for the smallest dimension-sequence
 sum compatible with the relaxed inequality, prints every violated stage
-with its exact witness, then (optionally) sweeps the whole capped box one
-unit below the optimum to confirm nothing smaller works.
+with its exact witness, then (optionally) sweeps the whole capped box on
+indices 1..p - 2 one unit below the optimum to confirm nothing smaller
+works.
 """
 import argparse
 import sys
@@ -56,10 +57,11 @@ def main(argv=None) -> int:
     if args.skip_sweep:
         return 0
     t0 = time.monotonic()
-    sweep = brute_force_infeasibility(args.p, result.min_sum - 1)
+    # the same indices 1..p - 2 the greedy search caps
+    sweep = brute_force_infeasibility(args.p, result.min_sum - 1, args.p - 2)
     print(
-        f"sweep below optimum: {sweep.examined} sequences with sum <= "
-        f"{sweep.sum_limit}, all violated: {sweep.all_violated}"
+        f"sweep below optimum: {sweep.examined} sequences on n <= {sweep.n_max} "
+        f"with sum <= {sweep.sum_limit}, all violated: {sweep.all_violated}"
     )
     print(f"sweep time: {time.monotonic() - t0:.2f}s")
     if not sweep.all_violated:

@@ -7,9 +7,10 @@ relaxed inequality after every increment.  Because the greedy sequence
 minimizes the product pointwise among cap-respecting sequences of equal
 sum, a violated greedy stage rules out every sequence of that sum; the
 brute-force routine verifies this downstream of nothing, by direct
-enumeration with exact witnesses.  It confirms each row of sequences
-that differ only in the last index by one comparison at the row's top
-entry; every sequence is still counted and confirmed.
+enumeration with exact witnesses.  It confirms a whole subtree of its
+walk by one comparison at t = 1/2, on the completion that raises every
+open entry as far as the caps and the sum allow; every sequence is still
+counted and confirmed.
 """
 from __future__ import annotations
 
@@ -151,37 +152,49 @@ def brute_force_infeasibility(
     Any sequence for which the inequality actually holds is reported, and
     all_violated set False.
 
-    Fixing a_1..a_(n_max - 1) leaves a row a_(n_max) = 0..top, with top
-    the cap or the sum still allowed.  With n = n_max, the test at
-    t = u/v for a_n = e reads L_num v^W <= N (1 - (u/v)^n)^e, W and N
-    taken over the prefix, and the right side shrinks as e grows: when
-    the top entry is violated at t = 1/2, so is the whole row, and one
-    comparison confirms its top + 1 sequences.  Only a row whose top
-    entry is not violated there is tested entry by entry.  `examined`
-    counts every sequence of every row.
+    Every node of the walk, with a_1..a_(n-1) fixed, budget B and the
+    indices n..n_max open, is tested once at t = 1/2 on its top
+    completion, every open a_i raised to min(cap_i, B).  Raising an entry
+    only shrinks the product prod (1 - t^i)^(a_i), so when the top
+    completion is violated, so is every completion under the node, and
+    one comparison confirms the whole subtree: `examined` adds the number
+    of its cap-respecting completions of sum <= B.  Only nodes whose top
+    completion is not violated are split; a fully fixed sequence is the
+    same test with nothing open, and goes on to the other points when it
+    is not violated at 1/2.
     """
     if not is_prime(p) or p <= 7:
         raise ValueError("the cap table requires a prime p >= 11")
     if sum_limit < 0:
         raise ValueError(f"the sum limit must be >= 0, got {sum_limit}")
     profile = RelationProfile(2, (3, 7))
+    # no table runs past the sum limit, whatever the caps (cap_29 is
+    # 39 650 at p = 31); caps[n] and seq[n] = a_n are indexed from 1
     cap_list = upper_caps(p, n_max, ztype_37=True).as_list()
-    # seq[n] = a_n; level 0 is a dummy with the one entry 0, so that
-    # every row has a parent level, the one row of n_max = 1 too
-    caps = [0, *cap_list]
+    caps = [0, *(min(cap, sum_limit) for cap in cap_list)]
     seq = [0] * (n_max + 1)
-    # t = 1/2 tests every sequence: with L(1/2) = num / den and
-    # W = sum n a_n, the test num 2^W <= den prod (2^n - 1)^(a_n) reads
-    # off these tables
+    # t = 1/2 tests a sequence: with L(1/2) = num / den and W = sum n a_n,
+    # it is violated there when num 2^W <= den prod (2^n - 1)^(a_n)
     num, den = lhs_at(profile, Fraction(1, 2))
     factor_pows = [[((1 << n) - 1) ** e for e in range(cap + 1)] for n, cap in enumerate(caps)]
-    max_weight = sum(n * cap for n, cap in enumerate(caps))
-    thresholds = [num << w for w in range(max_weight + 1)]
+    # over the open indices n..n_max at budget B, each raised to
+    # min(cap_i, B): top_prod[n][B] = prod (2^i - 1)^min(cap_i, B),
+    # top_weight[n][B] = sum i min(cap_i, B), and count[n][B] the number
+    # of cap-respecting completions of sum <= B; row n_max + 1 is empty
+    top_prod = [[1] * (sum_limit + 1) for _ in range(n_max + 2)]
+    top_weight = [[0] * (sum_limit + 1) for _ in range(n_max + 2)]
+    count = [[1] * (sum_limit + 1) for _ in range(n_max + 2)]
+    for n in range(n_max, 0, -1):
+        pows, cap, below = factor_pows[n], caps[n], count[n + 1]
+        for B in range(sum_limit + 1):
+            top = min(cap, B)
+            top_prod[n][B] = pows[top] * top_prod[n + 1][B]
+            top_weight[n][B] = n * top + top_weight[n + 1][B]
+            count[n][B] = sum(below[B - e] for e in range(top + 1))
     # the other points, tried in order on a sequence 1/2 does not confirm
     rest = _FAST_POINTS[1:] + tuple(
         Fraction(k, 20) for k in range(1, 20) if Fraction(k, 20) not in _FAST_POINTS
     )
-    last, last_cap = factor_pows[n_max], cap_list[-1]
     examined = 0
     full_decisions = 0
     holds_examples: list[tuple[int, ...]] = []
@@ -196,37 +209,24 @@ def brute_force_infeasibility(
         if positive_on_open_unit_interval(relaxed_target(profile, a)).holds:
             holds_examples.append(_trim(seq[1:]))
 
-    def confirm_row(top: int, prod: int, weight: int) -> None:
-        """Confirm a row entry by entry: its top entry is not violated at
-        t = 1/2, so some of its entries may not be."""
-        for e in range(top + 1):
-            if thresholds[weight + n_max * e] > prod * last[e]:
-                seq[n_max] = e
-                confirm_elsewhere()
-        seq[n_max] = 0
-
     def walk(n: int, budget: int, prod: int, weight: int) -> None:
-        # prod and weight cover indices 1..n-1 at the first point
+        # prod = den prod (2^i - 1)^(a_i) and weight = sum i a_i over the
+        # fixed indices 1..n-1
         nonlocal examined
+        if num << (weight + top_weight[n][budget]) <= prod * top_prod[n][budget]:
+            examined += count[n][budget]
+            return
+        if n > n_max:
+            examined += 1
+            confirm_elsewhere()
+            return
         row = factor_pows[n]
-        top = min(caps[n], budget)
-        if n + 1 < n_max:
-            for e in range(top + 1):
-                seq[n] = e
-                walk(n + 1, budget - e, prod * row[e], weight + n * e)
-        else:
-            # a_1..a_n fixed: the row a_(n_max) = 0..row_top, settled at
-            # its top entry when that is violated
-            for e in range(top + 1):
-                seq[n] = e
-                prod_e, weight_e = prod * row[e], weight + n * e
-                row_top = min(last_cap, budget - e)
-                examined += row_top + 1
-                if thresholds[weight_e + n_max * row_top] > prod_e * last[row_top]:
-                    confirm_row(row_top, prod_e, weight_e)
+        for e in range(min(caps[n], budget) + 1):
+            seq[n] = e
+            walk(n + 1, budget - e, prod * row[e], weight + n * e)
         seq[n] = 0
 
-    walk(0, sum_limit, den, 0)
+    walk(1, sum_limit, den, 0)
     return BruteForceResult(
         prime=p,
         sum_limit=sum_limit,

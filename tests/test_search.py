@@ -156,8 +156,8 @@ def test_brute_force_reports_where_the_inequality_holds():
 
 
 def test_brute_force_at_the_benchmark_window_at_p13():
-    # the benchmark's largest sweep: 46 604 rows of the last index, each
-    # settled by its top entry, hold 450 074 sequences
+    # the benchmark's largest sweep: 450 074 sequences, counted by subtree
+    # wherever a node's top completion is violated at t = 1/2
     res = brute_force_infeasibility(13, 22, n_max=10)
     assert res.examined == 450074
     assert res.all_violated
@@ -165,12 +165,55 @@ def test_brute_force_at_the_benchmark_window_at_p13():
 
 
 def test_brute_force_over_the_whole_proven_range_at_p13():
-    # caps are proven for every n <= p - 2; no pruning, every sequence
-    # of sum <= 22 on indices 1..11 is confirmed
+    # caps are proven for every n <= p - 2; every sequence of sum <= 22 on
+    # indices 1..11 is counted and confirmed, whole subtrees at a time
     res = brute_force_infeasibility(13, 22, 11)
     assert res.examined == 3036321
     assert res.all_violated
     assert res.full_decisions == 0
+
+
+def test_brute_force_over_the_whole_proven_range_at_p31():
+    # cap_29 is 39 650 at p = 31; the tables stop at the sum limit, and a
+    # walk of 253 nodes confirms the 6.2e13 sequences
+    res = brute_force_infeasibility(31, 22, 29)
+    assert res.examined == 61932741933559
+    assert res.all_violated
+    assert res.full_decisions == 0
+
+
+def _capped_count(caps, sum_limit):
+    """Coefficient sum through x^sum_limit of prod (1 + x + ... + x^cap)."""
+    coeffs = [1] + [0] * sum_limit
+    for cap in caps:
+        coeffs = [sum(coeffs[max(0, s - cap):s + 1]) for s in range(sum_limit + 1)]
+    return sum(coeffs)
+
+
+@pytest.mark.parametrize(
+    "p, sum_limit, n_max, count",
+    [
+        (11, 22, 9, 46604),
+        (13, 22, 10, 450074),
+        (13, 22, 11, 3036321),
+        (17, 22, 15, 745333780),
+        (31, 22, 29, 61932741933559),
+    ],
+)
+def test_capped_count_reference_values(p, sum_limit, n_max, count):
+    caps = upper_caps(p, n_max, ztype_37=True).as_list()
+    assert _capped_count(caps, sum_limit) == count
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), p=st.sampled_from([11, 13, 17, 31]), sum_limit=st.integers(0, 23))
+def test_brute_force_counts_every_capped_sequence(data, p, sum_limit):
+    # from n_max = 9 on the root's top completion is not violated, so the
+    # walk splits subtrees, and sum limit 23 admits holding sequences
+    n_max = data.draw(st.integers(1, p - 2), label="n_max")
+    caps = upper_caps(p, n_max, ztype_37=True).as_list()
+    res = brute_force_infeasibility(p, sum_limit, n_max)
+    assert res.examined == _capped_count(caps, sum_limit)
 
 
 def test_negative_sum_limit_rejected():
@@ -246,19 +289,27 @@ def _summary(res):
 @settings(deadline=None, max_examples=40)
 @given(
     p=st.sampled_from([11, 13]),
-    n_max=st.integers(1, 7),
+    n_max=st.integers(1, 8),
     sum_limit=st.integers(0, 30),
 )
 def test_brute_force_matches_the_fraction_oracle(p, n_max, sum_limit):
-    # caps on n <= 7 total 12, so every one of these windows is violated
+    # every one of these windows is violated, and through n_max = 8 (a box
+    # of 5 184 sequences) its root's top completion already is, so one
+    # comparison confirms it; the walk splits subtrees from n_max = 9 on,
+    # checked against the oracle below
     assert _summary(brute_force_infeasibility(p, sum_limit, n_max)) == \
         _oracle_brute_force(p, sum_limit, n_max)
 
 
-@pytest.mark.parametrize("p", [11, 13])
-def test_brute_force_matches_the_fraction_oracle_where_it_holds(p):
-    # n_max = 9 reaches the feasible sequences from sum 23 on; their rows
-    # mix held and violated entries, which are confirmed one by one
-    res = brute_force_infeasibility(p, 24)
+@pytest.mark.parametrize(
+    "p, sum_limit",
+    [pytest.param(11, 24, id="11"), pytest.param(13, 24, id="13"), (11, 23)],
+)
+def test_brute_force_matches_the_fraction_oracle_where_it_holds(p, sum_limit):
+    # n_max = 9 reaches the feasible sequences from sum 23 on (23 at p = 11
+    # is the holding window nearest the optimum); the nodes above them are
+    # not violated at 1/2 and are split down to single sequences, held and
+    # violated ones side by side
+    res = brute_force_infeasibility(p, sum_limit)
     assert not res.all_violated
-    assert _summary(res) == _oracle_brute_force(p, 24, 9)
+    assert _summary(res) == _oracle_brute_force(p, sum_limit, 9)
