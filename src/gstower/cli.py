@@ -11,6 +11,7 @@ a decimal approximation labeled as such.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -79,6 +80,7 @@ def _emit_csv(rows: list[tuple], header: tuple[str, ...]) -> None:
         print(",".join("" if v is None else str(v) for v in row))
 
 
+@functools.cache  # built once per process, on first use
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gstower",

@@ -199,7 +199,6 @@ class FiniteGroupTable:
             raise GroupTableError("declared generators do not generate the group")
         self._check_associative()
         self._filtration: list[tuple[np.ndarray, np.ndarray]] | None = None
-        self._flag: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction checks ------------------------------------------------
 
@@ -301,11 +300,13 @@ class FiniteGroupTable:
         R: x -> (x (g_i - 1))_i.  R is row-reduced once, as [R | 1], which
         gives the reduced echelon basis B of its row space, a lift L with
         L R = B; ker R = S_1 is spanned by the sum of all elements.  At
-        each level the new vectors of S_n go into each of the d slots, are
-        reduced modulo the row space of R, and enter one incremental
-        elimination on (residue, B-coordinates).  The combinations whose
-        residues become dependent lie in R(F_p[G]) and in S_n^d; their
-        B-coordinates C, lifted through L, are the new vectors of S_(n+1).
+        each level the k new vectors of S_n go into each of the d slots,
+        are reduced modulo the row space of R, and enter one incremental
+        elimination on (residue, B-coordinates).  The d k rows are one
+        gather of the new vectors, since each column of R names its slot
+        and its element.  The combinations whose residues become dependent
+        lie in R(F_p[G]) and in S_n^d; their B-coordinates C, lifted
+        through L, are the new vectors of S_(n+1).
         The elimination reduces each level's C against the levels before
         it, so the stacked C with its columns in pivot order is
         unitriangular, block by level.
@@ -343,11 +344,8 @@ class FiniteGroupTable:
         L = red[:rank, d * n:].astype(np.float64)
         R_piv = RI[:, piv_R]
         del RI, red  # the work arrays, before the levels
-        # slot i is columns i n .. (i+1) n of R: its pivots are the rows
-        # cut[i]:cut[i+1] of B, its other columns the residue columns
-        # fcut[i]:fcut[i+1]
-        cut = np.searchsorted(piv_R, n * np.arange(d + 1))
-        fcut = np.searchsorted(free, n * np.arange(d + 1))
+        # the slot and element of each column of a level's rows
+        slot, elem = np.divmod(np.concatenate([free, piv_R]), n)
 
         T_inv = np.zeros((n, n), dtype=np.int64)
         T_inv[:, 0] = 1
@@ -359,13 +357,10 @@ class FiniteGroupTable:
         pivots = np.zeros(0, dtype=np.int64)
         while c[-1] < n:
             k = len(new)
-            # each new vector in each slot: its residue modulo the row space
-            # of R, then its coordinates in B
+            # row i k + a is new vector a in slot i: its residue modulo the
+            # row space of R, then its coordinates in B
             rows = np.zeros((d * k, width + rank), dtype=np.int64)
-            for i, (lo, hi, flo, fhi) in enumerate(zip(cut, cut[1:], fcut, fcut[1:])):
-                block = rows[i * k:(i + 1) * k]
-                block[:, flo:fhi] = new[:, free[flo:fhi] - i * n]
-                block[:, width + lo:width + hi] = new[:, piv_R[lo:hi] - i * n]
+            rows[np.arange(k)[:, None] + k * slot, np.arange(width + rank)] = new[:, elem]
             # the B-coordinates are block-diagonal by slot, so one product
             # takes every slot's part in the row space of R
             rows[:, :width] -= _fp_matmul(rows[:, width:], B_free, p)
@@ -394,7 +389,6 @@ class FiniteGroupTable:
         Q[0, 0] = 1
         Q[:, 1:] = R_piv[np.ix_(inv, lead)]
         T = _fp_matmul(U_inv.T, Q.T, p)
-        self._flag = (T, T_inv)
         self._filtration = [(T[cn:], T_inv[:, :cn]) for cn in c]
         return self._filtration
 
@@ -403,10 +397,11 @@ class FiniteGroupTable:
 
         T[c_n:] spans I^n.  In the coordinates x = v @ T^-1 of a vector v,
         v lies in I^n exactly when x[:c_n] = 0, and x[:c_n] is its residue
-        modulo I^n.  Built with the filtration (see ideal_filtration).
+        modulo I^n.  Built with the filtration (see ideal_filtration): T is
+        the basis of I^0, T^-1 the cut of the zero power.
         """
-        self.ideal_filtration()
-        return self._flag
+        filt = self.ideal_filtration()
+        return filt[0][0], filt[-1][1]
 
 
 def augmentation_powers(G: FiniteGroupTable) -> tuple[int, ...]:
@@ -824,7 +819,9 @@ def defects_direct(pres: PresentationData, horizon: int) -> tuple[int, ...]:
     image W_ij of the j-th Fox derivative of relator i.  In flag
     coordinates the quotient modulo I^k is the first c_k coordinates, so
     block (i, j) of J_n is the leading c_(n - level_i) x c_(n-1) corner of
-    A_ij = T R(W_ij) T^-1, R(w) being right multiplication by w.
+    A_ij = T R(W_ij) T^-1, R(w) being right multiplication by w.  Its
+    matrix R(w)[y, x] = w[y^-1 x] is one gather of w through the table of
+    y^-1 x, so each block is two F_p products, whatever the support of w.
 
     With columns ordered (b, j), b-major, and rows (i, a) ordered by the
     step n at which they enter (the first n with a < c_(n - level_i)),
@@ -841,14 +838,11 @@ def defects_direct(pres: PresentationData, horizon: int) -> tuple[int, ...]:
     T, T_inv = G.flag_basis()
     W = _fox_images(pres)
     T_inv = T_inv.astype(np.float64)  # the right factor of every block
+    left = G.mul[G.inv]  # left[y, x] = y^-1 x
     rows = np.zeros((pres.r * size, size * d), dtype=np.int16)  # entries below p
     for i, j in zip(*np.nonzero(W.any(axis=2))):
-        # column x of T R(w) is sum_k w[k] T[:, x k^-1]
-        TR = np.zeros((size, size), dtype=np.int64)
-        for k in np.flatnonzero(W[i, j]):
-            TR += W[i, j, k] * T[:, G.mul[:, G.inv[k]]]
         # row (i, a), column (b, j) holds A_ij[a, b]
-        rows[i * size:(i + 1) * size, j::d] = _fp_matmul(TR % p, T_inv, p)
+        rows[i * size:(i + 1) * size, j::d] = _fp_matmul(_fp_matmul(T, W[i, j][left], p), T_inv, p)
     levels = np.array(pres.levels, dtype=np.int64).reshape(-1, 1)
     entry = (levels + np.searchsorted(c, np.arange(size), side="right")).ravel()
     order = np.argsort(entry)

@@ -1,4 +1,5 @@
 """Command-line interface: output formats, exit codes, round trips."""
+import argparse
 import hashlib
 import json
 import os
@@ -16,7 +17,11 @@ from test_group_lab import format_group_file
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr), a usage error's SystemExit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -433,3 +438,98 @@ def test_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+# ---------------------------------------------------------------------------
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: every command-line example of the README, each optional flag without
+#: and with, in table, JSON and (where allowed) CSV form: argv -> (exit
+#: code, SHA-256 of stdout).  group.txt holds the Heisenberg group of
+#: order 27 with its built-in relators
+README_PINS = {
+    "ztypes --max-level 21": (0, "0ab5117944aded0cbc63feacc704a0e64b54d12220adde46b00d51356b10c61e"),
+    "--json ztypes --max-level 21": (0, "e070a90f5a31a436870b1ce8d20954ed1d80d7fe76a5a4953eab68074d6f5439"),
+    "caps --p 11 --nmax 9": (0, "1ace932ab1c3187b1aa406563cc68f63fc13d8f92010e3d6df276ec4d38ed591"),
+    "--json caps --p 11 --nmax 9": (0, "2080f0e8d68d3e1527bce5f9fed3f673c27dbf6d0094d3f505034c98c3eb3a0d"),
+    "--format csv caps --p 11 --nmax 9": (0, "cacca0d059398a9fbbbbf5a0e951147385a698b2d2021396ff98d2db18f7be42"),
+    "caps --p 11 --nmax 9 --ztype37": (0, "da4d72a86203b5fa9dca6034b03efbe794ee9799bcb33f021038af1c59771e36"),
+    "--json caps --p 11 --nmax 9 --ztype37": (0, "19ff953a398fca146a136a8eeb4cf68f585d27b79b29efc3bbdf94d64dd209c6"),
+    "--format csv caps --p 11 --nmax 9 --ztype37": (0, "616b959b8f8d757649812b8f98797f4e92681c41e05931bea4d80fe9d801ebfb"),
+    "check --p 11 --d 2 --levels 3,7 --a 2,1,1,1,2,2,3,5,6": (0, "ff6780d1fe952674e3336d3df5f199bf0322134dfa1f8769bad989b28912feee"),
+    "--json check --p 11 --d 2 --levels 3,7 --a 2,1,1,1,2,2,3,5,6": (0, "ce1cb05298290722f67c0f6fbb94e899a2cb0394ee6161ec30357fefadba480c"),
+    "check --p 11 --d 2 --levels 3,7 --a 2,1,1,1,2,2,3,5,6 --mode exact": (0, "b973fff4d4b07ed51ca08030671caa0f9b42a62e8c0378b21496c3efb392acc0"),
+    "--json check --p 11 --d 2 --levels 3,7 --a 2,1,1,1,2,2,3,5,6 --mode exact": (0, "41e312e7e8047ae5619bf696e7a25a66d788d39ba10b37f1a77ba6a582b56733"),
+    "strict --p 3 --d 1 --levels 3 --a 1": (0, "3255e4bbe40afc08119a200867267be181bae85a818451961aab1e84b22e1387"),
+    "--json strict --p 3 --d 1 --levels 3 --a 1": (0, "2e9e994ba0d8e26f3ab49b4d2d0321b03df396db3f8be4e17602146a2b924fb1"),
+    "minorder --p 11 --ab 1,1": (0, "4e601b936aded1b29bfdbee6a44cee7dab6b881ace5cab233cb06397d1ab5df5"),
+    "--json minorder --p 11 --ab 1,1": (0, "4b14c64f8e866caaa3a427c621fcd82e4b342e5f02419e9e988e5fcabf4cd556"),
+    "--format csv minorder --p 11 --ab 1,1": (0, "40e1dfe8e30c3b29bae98c2f634fafdfa3f7bcffeee8a47488e9b92f995f9682"),
+    "bruteforce --p 11 --sumlimit 22": (0, "9e35dd29a876ddbf9e4968679dd81b41f87e87dbdc046253159f05cda3b93114"),
+    "--json bruteforce --p 11 --sumlimit 22": (0, "026614ac6057c1e572ab0daa6ea645a16e2446093c3dab03b11e71dd40cc979c"),
+    "bruteforce --p 11 --sumlimit 22 --nmax 9": (0, "9e35dd29a876ddbf9e4968679dd81b41f87e87dbdc046253159f05cda3b93114"),
+    "--json bruteforce --p 11 --sumlimit 22 --nmax 9": (0, "026614ac6057c1e572ab0daa6ea645a16e2446093c3dab03b11e71dd40cc979c"),
+    "bruteforce --p 31 --sumlimit 22 --nmax 29": (0, "a27a5caa8ab6dc7752db2c5c28d685fafd63b9aa769e962b9ee52d2c7c3aa2da"),
+    "--json bruteforce --p 31 --sumlimit 22 --nmax 29": (0, "8dba557fcb88fe70a5e71450f3405b286931966be04f7174eca67353e34ad5d3"),
+    "valid --p 17 --a 2,1,1,1,2,2,3,3,4,4,6,5,7,5,4": (0, "68ae6cd853e25c1a90a1fc9e62bdc12d839bb7bbb6960bd1c68c3c0b4c102be9"),
+    "--json valid --p 17 --a 2,1,1,1,2,2,3,3,4,4,6,5,7,5,4": (0, "caeaa944245fc421e183bab8ce3027d485140373a1859ed94a22ecb00bed3bbb"),
+    "--format csv valid --p 17 --a 2,1,1,1,2,2,3,3,4,4,6,5,7,5,4": (0, "96ce97753fffed7467fe54f12b31b855d6847bd5b6da556425171ec9f12852b8"),
+    "mildness --p 11 --d 2 --levels 3,7 --a 2,1,1,1,2,2,3,5,6": (0, "b5cca17a4396188ca656b4b95a7836b9059481f3713aad25a654181b53933289"),
+    "--json mildness --p 11 --d 2 --levels 3,7 --a 2,1,1,1,2,2,3,5,6": (0, "f757bdc6df6e1c46cb80bb2b29791f2f8e279a9243d32c14e878cf813114b563"),
+    "--format csv mildness --p 11 --d 2 --levels 3,7 --a 2,1,1,1,2,2,3,5,6": (0, "bb5722dfa27bf6dbfaf8d476355e139f9ad1d40c60cb3a2d8d99b75e6c1140e9"),
+    "grouplab --group heisenberg --p 3": (0, "1588d4bfc705c333326fedc7b44e67d45c53aa9ed5d8bd1d43e5d6fa9d3b9280"),
+    "--json grouplab --group heisenberg --p 3": (0, "a959bbdea3e99b1e53ac49c2454c2ddb14b0d80ffa9b817326e0fd4e609e3f4f"),
+    "grouplab --group heisenberg --p 3 --verify jennings,lazard,recursion,fox": (0, "1588d4bfc705c333326fedc7b44e67d45c53aa9ed5d8bd1d43e5d6fa9d3b9280"),
+    "--json grouplab --group heisenberg --p 3 --verify jennings,lazard,recursion,fox": (0, "a959bbdea3e99b1e53ac49c2454c2ddb14b0d80ffa9b817326e0fd4e609e3f4f"),
+    "grouplab --input group.txt": (0, "d27812d8ea6078597b46a8eda7aa64d8c8bfd1d3cdaaef3d7d26f08aa1bce50e"),
+    "--json grouplab --input group.txt": (0, "649be683ff0bb35a6cfaa83ac51b702bfafd3422b92062c1570e5c477c20a78d"),
+}
+
+#: --help and usage errors: argv -> (exit code, the stream written,
+#: SHA-256 of what it holds); the other stream stays empty
+USAGE_PINS = {
+    "--help": (0, "out", "fdf0ffd226b6e1e8bdd9bac47c6e8e6c31408f428321e008cc3c5008ca827621"),
+    "--frobnicate ztypes": (2, "err", "2cfcbdf76a9aefbdfe8be54a5180c0f8ff7e3c9c508c6c1820ea75f3b3d8cf2d"),
+    "frobnicate": (2, "err", "10ccbcca8a9abbc6e432ee5de3bdfb4cee7024f956f528a86f04005612507316"),
+    "check --p 11": (2, "err", "d7c133ab79e5066496ebbf771d73287e64a46ddf73a7c58144aa7c8c21409586"),
+    "--format csv ztypes": (2, "err", "4e3889e7a07f4bd950ade822ffa56de1ee02716aec85730e2fc1f0cf24e5da7c"),
+}
+
+
+@pytest.mark.parametrize("argv", README_PINS)
+def test_readme_example_output_is_pinned(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    pres = builtin_presentation("heisenberg", 3)
+    (tmp_path / "group.txt").write_text(format_group_file(pres.target, pres))
+    code, out, err = run(capsys, *argv.split())
+    assert err == ""
+    assert (code, _sha256(out)) == README_PINS[argv]
+
+
+@pytest.mark.parametrize("argv", USAGE_PINS)
+def test_help_and_usage_errors_are_pinned(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    code, out, err = run(capsys, *argv.split())
+    want_code, stream, digest = USAGE_PINS[argv]
+    written, empty = (out, err) if stream == "out" else (err, out)
+    assert (code, _sha256(written), empty) == (want_code, digest, "")
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    main(["ztypes", "--max-level", "5"])  # built by now, if not before
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in ("ztypes --max-level 5", "--json caps --p 5 --nmax 3", "frobnicate"):
+        run(capsys, *argv.split())
+    assert built == []

@@ -906,6 +906,64 @@ class TestDefectsAgainstStepJacobians:
         _assert_defects_match_jacobians(make_presentation(G, (0,), [(1, 1, 1)]))
 
 
+def _per_element_block(G, T, w):
+    """T R(w) by one permuted copy of T per element in the support of w:
+    column x is sum_k w[k] T[:, x k^-1]."""
+    TR = np.zeros_like(T)
+    for k in np.flatnonzero(w):
+        TR += w[k] * T[:, G.mul[:, G.inv[k]]]
+    return TR % G.prime
+
+
+#: a dense Fox derivative (the cyclic relator x^(p^k)) and sparse ones
+#: (elementary abelian powers and commutators, Heisenberg commutators),
+#: at p = 2, 3 and 5
+FOX_BLOCK_GROUPS = (
+    ("cyclic:2", 2), ("cyclic:3", 2), ("elemab:3", 2),
+    ("cyclic:3", 3), ("elemab:2", 3), ("heisenberg", 3),
+    ("cyclic:2", 5), ("elemab:2", 5), ("heisenberg", 5),
+)
+
+
+class TestFoxBlocks:
+    """defects_direct builds each Fox block T R(w) T^-1 as two F_p
+    products, R(w)[y, x] = w[y^-1 x] being one gather of w.  Its defects
+    are checked against the step Jacobians of `_jacobian_defect` above;
+    here each block is checked against the per-element sum it replaced."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.sampled_from(FOX_BLOCK_GROUPS), st.randoms(use_true_random=False))
+    def test_product_form_matches_the_per_element_sum(self, case, rnd):
+        kind, p = case
+        pres = _relabelled(builtin_presentation(kind, p), rnd)
+        G = pres.target
+        T, T_inv = G.flag_basis()  # built before the products are recorded
+        calls = []
+        matmul = group_lab._fp_matmul
+
+        def recording(a, b, q):
+            calls.append((a, b, matmul(a, b, q)))
+            return calls[-1][2]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(group_lab, "_fp_matmul", recording)
+            defects_direct(pres, 1)
+        # each block is T R(w), then that times T^-1
+        first = [i for i, (a, _, _) in enumerate(calls) if a is T]
+        W = _fox_images(pres)
+        support = [W[i, j] for i, j in zip(*np.nonzero(W.any(axis=2)))]
+        assert len(first) == len(support) > 0
+        for i, w in zip(first, support):
+            _, R, TR = calls[i]
+            # row 0 of R(w) is w itself, as e_1 w = w
+            assert np.array_equal(R[0], w)
+            want = _per_element_block(G, T, w)
+            assert np.array_equal(TR, want)
+            a, b, block = calls[i + 1]
+            assert a is TR and np.array_equal(b, T_inv)
+            assert np.array_equal(block, want @ T_inv % p)
+
+
 # ---------------------------------------------------------------------------
 # plain-text group files
 # ---------------------------------------------------------------------------
