@@ -195,6 +195,9 @@ class FiniteGroupTable:
         if generators is None:
             generators = self._find_generators()
         self.generators = tuple(int(g) for g in generators)
+        for g in self.generators:
+            if not 0 <= g < n:
+                raise GroupTableError(f"generator {g} out of range 0..{n - 1}")
         if self.subgroup_closure(self.generators) != frozenset(range(n)):
             raise GroupTableError("declared generators do not generate the group")
         self._check_associative()
@@ -258,17 +261,24 @@ class FiniteGroupTable:
         return max(self.element_order(g) for g in range(self.order))
 
     def subgroup_closure(self, gens: Iterable[int]) -> frozenset[int]:
-        """Everything reached from the identity by right multiplication by
-        the generators: in a finite group that submonoid is the subgroup."""
-        gens = np.unique(np.fromiter(gens, dtype=np.int64))
+        """The subgroup generated by gens, by doubling: start from the
+        identity and gens, and add every product of two members until a
+        round adds nothing.  After k rounds every product of up to 2^k
+        generators is in, and a finite set closed under products is a
+        subgroup, so the closure takes at most ceil(log2 |H|) + 1 rounds.
+        An index array is used as it is: fromiter would walk it in Python."""
+        if not isinstance(gens, np.ndarray):
+            gens = np.fromiter(gens, dtype=np.int64)
         members = np.zeros(self.order, dtype=bool)
         members[0] = True
-        frontier = np.zeros(1, dtype=np.int64)
-        while frontier.size:
-            reached = np.unique(self.mul[np.ix_(frontier, gens)])
-            frontier = reached[~members[reached]]
-            members[frontier] = True
-        return frozenset(np.flatnonzero(members).tolist())
+        members[gens] = True
+        have = np.flatnonzero(members)
+        while True:
+            members[self.mul[np.ix_(have, have)]] = True
+            grown = np.flatnonzero(members)
+            if len(grown) == len(have):
+                return frozenset(have.tolist())
+            have = grown
 
     def word_to_element(self, word: Sequence[int], images: Sequence[int]) -> int:
         """The image of the word when letter +-i maps to images[i - 1]^(+-1)."""
@@ -471,7 +481,12 @@ class LazardReport:
 
 def lazard_check(G: FiniteGroupTable) -> LazardReport:
     """Compare each dimension subgroup with the product formula
-    G_n = product of gamma_i(G)^(p^j) over i * p^j >= n."""
+    G_n = product of gamma_i(G)^(p^j) over i * p^j >= n, j running up to
+    the first p^j >= n.
+
+    The factor set {(i, j)} changes only when n passes some i p^j, so the
+    product is closed once per distinct factor set and kept for every n
+    that shares it."""
     chain, _ = dimension_subgroups(G)
     gammas = lower_central_series(G)
     p = G.prime
@@ -483,15 +498,18 @@ def lazard_check(G: FiniteGroupTable) -> LazardReport:
             acc = G.mul[acc, x]
         powers.append(acc)
     members = [np.fromiter(gamma, dtype=np.int64) for gamma in gammas]
+    products: dict[tuple[tuple[int, int], ...], frozenset[int]] = {}
     matches = []
     for n in range(1, len(chain) + 1):
         jmax = 0
         while p ** jmax < n:
             jmax += 1
-        gens = [powers[j][x] for i, x in enumerate(members, start=1)
-                for j in range(jmax + 1) if i * p ** j >= n]
-        predicted = G.subgroup_closure(np.concatenate(gens))
-        matches.append(predicted == chain[n - 1])
+        factors = tuple((i, j) for i in range(1, len(members) + 1)
+                        for j in range(jmax + 1) if i * p ** j >= n)
+        if factors not in products:
+            products[factors] = G.subgroup_closure(
+                np.concatenate([powers[j][members[i - 1]] for i, j in factors]))
+        matches.append(products[factors] == chain[n - 1])
     return LazardReport(
         matches=tuple(matches),
         all_match=all(matches),

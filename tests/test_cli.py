@@ -417,6 +417,16 @@ def test_grouplab_file_with_a_negative_relator_count(tmp_path, capsys):
     assert "negative relator count -1" in err
 
 
+@pytest.mark.parametrize("image", [3, 7, -1])
+def test_grouplab_file_with_a_generator_image_outside_the_table(tmp_path, capsys, image):
+    path = tmp_path / "c3.grp"
+    path.write_text(f"3 1 1\n3\n0 1 2\n1 2 0\n2 0 1\n{image}\n0\n")
+    code, out, err = run(capsys, "grouplab", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"generator {image} out of range 0..2" in err
+
+
 def test_nonprime_is_an_input_error(capsys):
     code, _, err = run(capsys, "caps", "--p", "9", "--nmax", "4")
     assert code == 2

@@ -17,6 +17,7 @@ from gstower.group_lab import (
     DEFAULT_SIZE_LIMIT,
     FiniteGroupTable,
     GroupTableError,
+    LazardReport,
     PresentationData,
     PresentationError,
     SizeLimitError,
@@ -52,6 +53,10 @@ BUILTIN_KINDS = ("cyclic:1", "cyclic:2", "elemab:2", "heisenberg")
 ALL_KINDS = ("cyclic:1", "cyclic:2", "cyclic:3", "elemab:1", "elemab:2", "elemab:3", "heisenberg")
 #: groups of order at most 27 for the relabelling properties
 RELABEL_GROUPS = (("cyclic:2", 3), ("elemab:2", 3), ("heisenberg", 3), ("cyclic:2", 5), ("elemab:2", 5))
+#: built-in tables at p = 2, 3, 5 and 7 for the closure properties
+CLOSURE_GROUPS = (("cyclic:3", 2), ("elemab:3", 2), ("cyclic:2", 3), ("heisenberg", 3),
+                  ("elemab:2", 5), ("heisenberg", 5), ("cyclic:2", 7), ("elemab:2", 7))
+
 #: every built-in family up to order p^3 at p = 2, 3 and 5 (the
 #: unitriangular group needs an odd prime), with ids "kind-p"
 ORACLE_CASES = tuple(
@@ -61,15 +66,35 @@ ORACLE_CASES = tuple(
 )
 
 
-def _relabelled(pres, rnd):
-    """The presentation on a copy of its table whose elements are
-    renumbered by a random permutation fixing the identity."""
-    G = pres.target
-    # sigma[old] = new
+def _size_limit_cases():
+    """Every built-in group within the size limit at p = 2, 3, 5 and 7,
+    with ids "kind-p"."""
+    for p in (2, 3, 5, 7):
+        for name in ("cyclic", "elemab"):
+            k = 0
+            while p ** k <= DEFAULT_SIZE_LIMIT:
+                yield pytest.param(f"{name}:{k}", p, id=f"{name}:{k}-{p}")
+                k += 1
+        if p > 2:  # the unitriangular group needs an odd prime
+            yield pytest.param("heisenberg", p, id=f"heisenberg-{p}")
+
+
+SIZE_LIMIT_CASES = tuple(_size_limit_cases())
+
+
+def _relabelling(G, rnd):
+    """(H, sigma): a copy H of the table whose elements are renumbered by
+    a random permutation sigma[old] = new fixing the identity."""
     sigma = np.array([0] + rnd.sample(range(1, G.order), G.order - 1))
     mul = np.empty_like(G.mul)
     mul[np.ix_(sigma, sigma)] = sigma[G.mul]
-    H = FiniteGroupTable(G.prime, mul, generators=sigma[list(G.generators)])
+    return FiniteGroupTable(G.prime, mul, generators=sigma[list(G.generators)]), sigma
+
+
+def _relabelled(pres, rnd):
+    """The presentation on a copy of its table whose elements are
+    renumbered by a random permutation fixing the identity."""
+    H, sigma = _relabelling(pres.target, rnd)
     images = tuple(int(sigma[g]) for g in pres.generator_images)
     return make_presentation(H, images, pres.relators)
 
@@ -468,6 +493,17 @@ class TestFlagBasis:
             # under (a, b) -> coefficient of 1 in ab
             assert not (basis @ cut % p).any()
 
+    @pytest.mark.parametrize("g", [-1, 3])
+    def test_generator_outside_the_table_rejected(self, g, monkeypatch):
+        mul = build_group("cyclic:1", 3).mul
+
+        def no_closure(self, gens):
+            raise AssertionError("closure taken before the generators were checked")
+
+        monkeypatch.setattr(FiniteGroupTable, "subgroup_closure", no_closure)
+        with pytest.raises(GroupTableError, match=f"generator {g} out of range 0..2"):
+            FiniteGroupTable(3, mul, generators=(g,))
+
     def test_order_one_group(self):
         G = FiniteGroupTable(5, np.zeros((1, 1), dtype=np.int64), generators=())
         assert augmentation_powers(G) == _oracle_codimensions(G) == (0, 1)
@@ -482,6 +518,82 @@ class TestFlagBasis:
         H = _relabelled(builtin_presentation(kind, p), rnd).target
         assert augmentation_powers(H) == _oracle_codimensions(H)
         assert dimension_subgroups(H)[0] == _dimension_chain_by_residues(H)
+
+
+def _closure_by_bfs(G, gens):
+    """Breadth-first search from the identity by right multiplication by
+    the generators, one element at a time."""
+    gens = sorted({int(g) for g in gens})
+    reached, queue = {0}, [0]
+    for x in queue:
+        for g in gens:
+            y = G.multiply(x, g)
+            if y not in reached:
+                reached.add(y)
+                queue.append(y)
+    return frozenset(reached)
+
+
+@st.composite
+def _element_lists(draw, G):
+    """Elements to close over: none, the identity alone, random elements,
+    elements repeated, or a generating set of G with extras."""
+    elements = st.integers(0, G.order - 1)
+    shape = draw(st.sampled_from(("empty", "identity", "random", "repeated", "generating")))
+    if shape == "empty":
+        return []
+    if shape == "identity":
+        return [0]
+    if shape == "random":
+        return draw(st.lists(elements, min_size=1, max_size=5))
+    if shape == "repeated":
+        return draw(st.lists(elements, min_size=1, max_size=3)) * 3
+    return list(G.generators) + draw(st.lists(elements, max_size=2))
+
+
+class TestSubgroupClosure:
+    @pytest.mark.parametrize("kind, p", CLOSURE_GROUPS)
+    def test_fixed_element_lists_match_bfs(self, kind, p):
+        G = build_group(kind, p)
+        g = G.generators[-1]
+        for gens in ([], [0], [g, g, g], list(G.generators), np.array(G.generators)):
+            assert G.subgroup_closure(gens) == _closure_by_bfs(G, gens)
+        assert G.subgroup_closure(G.generators) == frozenset(range(G.order))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(CLOSURE_GROUPS), st.randoms(use_true_random=False), st.data())
+    def test_matches_bfs_on_relabelled_tables(self, case, rnd, data):
+        kind, p = case
+        H, _ = _relabelling(build_group(kind, p), rnd)
+        gens = data.draw(_element_lists(H))
+        assert H.subgroup_closure(gens) == _closure_by_bfs(H, gens)
+
+
+def _lazard_by_levels(G):
+    """lazard_check's report with one closure of the product formula for
+    every n of the dimension chain."""
+    chain, _ = dimension_subgroups(G)
+    gammas = lower_central_series(G)
+    p = G.prime
+    powers = [np.arange(G.order)]  # powers[j] maps x to x^(p^j)
+    while p ** (len(powers) - 1) < len(chain):
+        acc = np.zeros(G.order, dtype=np.int64)
+        for _ in range(p):
+            acc = G.mul[acc, powers[-1]]
+        powers.append(acc)
+    matches = []
+    for n in range(1, len(chain) + 1):
+        jmax = 0
+        while p ** jmax < n:
+            jmax += 1
+        gens = [int(powers[j][x]) for i, gamma in enumerate(gammas, start=1)
+                for x in gamma for j in range(jmax + 1) if i * p ** j >= n]
+        matches.append(G.subgroup_closure(gens) == chain[n - 1])
+    return LazardReport(tuple(matches), all(matches), len(chain))
+
+
+def _relabel_sets(sets, sigma):
+    return tuple(frozenset(int(sigma[x]) for x in s) for s in sets)
 
 
 class TestCentralSeries:
@@ -500,6 +612,40 @@ class TestCentralSeries:
             report = lazard_check(build_group(kind, 3))
             assert report.all_match, kind
             assert all(report.matches)
+
+    @pytest.mark.parametrize("kind, p", SIZE_LIMIT_CASES)
+    def test_lazard_matches_one_closure_per_level(self, kind, p):
+        G = build_group(kind, p)
+        assert lazard_check(G) == _lazard_by_levels(G)
+
+    @settings(deadline=None, max_examples=15)
+    @given(st.sampled_from(CLOSURE_GROUPS), st.randoms(use_true_random=False))
+    def test_series_and_lazard_on_relabelled_tables(self, case, rnd):
+        G = build_group(*case)
+        H, sigma = _relabelling(G, rnd)
+        report = lazard_check(H)
+        assert report == _lazard_by_levels(H) == lazard_check(G)
+        assert report.all_match
+        assert lower_central_series(H) == _relabel_sets(lower_central_series(G), sigma)
+        assert dimension_subgroups(H)[0] == _relabel_sets(dimension_subgroups(G)[0], sigma)
+
+    @pytest.mark.parametrize("kind, p, closures", [("cyclic:3", 5, 7), ("cyclic:8", 2, 10)])
+    def test_lazard_closes_each_factor_set_once(self, kind, p, closures, monkeypatch):
+        # the lower central series takes one closure; at n = 1..26 for
+        # cyclic:3 at p = 5 the factor sets {(i, j)} are those of n = 1, 2,
+        # 3-5, 6-10, 11-25 and 26; for cyclic:8 at p = 2, those of n = 1,
+        # 2, 3-4, 5-8, ..., 65-128 and 129
+        G = build_group(kind, p)
+        calls = []
+        closure = FiniteGroupTable.subgroup_closure
+
+        def counted(self, gens):
+            calls.append(1)
+            return closure(self, gens)
+
+        monkeypatch.setattr(FiniteGroupTable, "subgroup_closure", counted)
+        assert lazard_check(G).all_match
+        assert len(calls) == closures
 
     def test_commutator_subgroups_match_elementwise_commutators(self):
         for p in (3, 5):
