@@ -8,13 +8,13 @@ the Fox derivatives of the relator words.
 
 Everything is dense linear algebra over F_p on vectors indexed by group
 elements, so built-in and file groups are capped at 343 elements.  The
-filtration is built from the dual side: the left annihilators
-S_n = Ann(I^n) grow by one preimage under the generator map per level,
-and each level adds only its new vectors to one incremental elimination.
-By the duality of F_p[G] under (a, b) -> coefficient of 1 in ab, the
-annihilator flag gives the inverse of one flag basis per group, whose
-trailing rows span each power of the ideal: a residue modulo I^n is a
-cut of the coordinates in that basis.
+filtration is built from the dual side: the left annihilators S_n = Ann(I^n)
+grow by one preimage under the generator map per level, whose echelon form
+is read off a spanning tree of the Cayley graph, and each level adds only
+its new vectors to one echelon basis.  By the duality of F_p[G] under
+(a, b) -> coefficient of 1 in ab, the annihilator flag gives the inverse of
+one flag basis per group, whose trailing rows span each power of the ideal:
+a residue modulo I^n is a cut of the coordinates in that basis.
 
 Results are int64 residues.  The F_p matrix products go through
 _fp_matmul, which runs the larger ones in float64 BLAS as an exact
@@ -95,18 +95,18 @@ def _residue_table(p: int) -> np.ndarray:
 
 
 def _rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_p; returns (nonzero rows, pivot cols)."""
+    """Reduced row echelon form over F_p; returns (nonzero rows, pivot cols).
+    Only the columns nonzero on entry are walked: a zero column stays zero."""
     m = np.asarray(rows, dtype=np.int64) % p
     # a pivot update x - f y, with x, y and f below p, is taken as
     # x + f (p - y), which lies in [0, p^2)
     residue = _residue_table(p)
-    nrows, ncols = m.shape
     pivots: list[int] = []
     r = 0
-    for col in range(ncols):
-        if r == nrows:
+    for col in m.any(axis=0).nonzero()[0].tolist():
+        if r == m.shape[0]:
             break
-        nz = np.nonzero(m[r:, col])[0]
+        nz = m[r:, col].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
@@ -117,7 +117,7 @@ def _rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         f = int(m[r, col])
         if f != 1:
             m[r, col:] = residue[m[r, col:] * pow(f, p - 2, p)]
-        hit = np.nonzero(m[:, col])[0]
+        hit = m[:, col].nonzero()[0]
         if hit.size > 1:
             hit = hit[hit != r]
             m[hit, col:] = residue[m[hit, col:] + m[hit, col, None] * (p - m[r, col:])]
@@ -126,41 +126,39 @@ def _rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m[:r], pivots
 
 
-def _rref_extend(
-    rest: np.ndarray, pivots: np.ndarray, rows: np.ndarray, p: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Extend a reduced echelon basis over F_p by new rows reduced mod p.
+class _Echelon:
+    """A reduced echelon basis over F_p, extended by blocks of rows: pivots[i]
+    is the pivot column of row i, and rest holds the rows in the free columns
+    only (in the pivot columns the basis is the identity).  The free columns
+    and the residue table are kept from block to block."""
 
-    The basis is stored compactly: pivots[i] is the pivot column of row i,
-    and rest holds the rows in the non-pivot columns only, in column order
-    (in the pivot columns a reduced echelon basis is the identity).
-    Returns the extended (rest, pivots), where the new rows follow the old
-    ones in the order of their pivots, and the new rows in full.
+    def __init__(self, width: int, p: int):
+        self.p = p
+        self.residue = _residue_table(p)
+        self.free = np.arange(width)
+        self.pivots = np.zeros(0, dtype=np.int64)
+        self.rest = np.zeros((0, width), dtype=np.int64)
 
-    The new rows are reduced against the basis by one product, what
-    remains is row-reduced on the columns where it is nonzero, and the old
-    rows are cleared in the new pivot columns by a second product.  Both
-    products skip the columns they would set to zero."""
-    width = rows.shape[1]
-    free = np.ones(width, dtype=bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
-    # x - y for x and y below p is looked up as x + (p - y)
-    residue = _residue_table(p)
-    rows = residue[rows[:, free] + (p - _fp_matmul(rows[:, pivots], rest, p))]
-    live = np.flatnonzero(rows.any(axis=0))
-    if not live.size:  # the new rows lie in the span of the basis
-        return rest, pivots, np.zeros((0, width), dtype=np.int64)
-    reduced, found = _rref(rows[:, live], p)
-    found = live[found]  # positions among the free columns
-    new = np.zeros((len(found), len(free)), dtype=np.int64)
-    new[:, live] = reduced
-    keep = np.ones(len(free), dtype=bool)
-    keep[found] = False
-    kept = residue[rest[:, keep] + (p - _fp_matmul(rest[:, found], new[:, keep], p))]
-    full = np.zeros((len(found), width), dtype=np.int64)
-    full[:, free] = new
-    return np.vstack([kept, new[:, keep]]), np.concatenate([pivots, free[found]]), full
+    def extend(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Add rows reduced mod p: one product reduces them against the basis,
+        the remainder is row-reduced, and a second product clears the old rows
+        in the new pivot columns.  The new basis rows follow the old ones in
+        the order of their pivots; returns their pivots and the rows in full."""
+        p, residue, free = self.p, self.residue, self.free
+        # x - y for x and y below p is looked up as x + (p - y)
+        rows = residue[rows[:, free] + (p - _fp_matmul(rows[:, self.pivots], self.rest, p))]
+        new, found = _rref(rows, p)  # found: positions among the free columns
+        added = free[found]
+        full = np.zeros((len(found), rows.shape[1] + len(self.pivots)), dtype=np.int64)
+        full[:, free] = new
+        if found:
+            keep = np.ones(len(free), dtype=bool)
+            keep[found] = False
+            cleared = _fp_matmul(self.rest[:, found], new[:, keep], p)
+            self.rest = np.vstack([residue[self.rest[:, keep] + (p - cleared)], new[:, keep]])
+            self.pivots = np.concatenate([self.pivots, added])
+            self.free = free[keep]
+        return added, full
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +293,60 @@ class FiniteGroupTable:
 
     # -- group algebra filtration ---------------------------------------------
 
+    def _reduced_generator_map(self):
+        """[R | 1] in reduced echelon form over F_p (R as in ideal_filtration),
+        read off a spanning tree of the Cayley graph: (piv_R, free, B_free,
+        L, R_piv), the pivot and free columns of R, the first |G| - 1 rows in
+        the free columns of R and in those of 1, and R at its pivots."""
+        n, p, d = self.order, self.prime, len(self.generators)
+        # column i n + x of R is e_(x g_i^-1) - e_x, as row h holds
+        # e_h (g_i - 1): the edge x g_i^-1 -> x of the Cayley graph (zero if
+        # g_i is the identity).  The pivot columns are the edges that join
+        # two components when taken in column order (union-find): a tree
+        tails = self.mul[:, self.inv[list(self.generators)]].T.ravel()
+        heads = np.tile(np.arange(n), d)
+        root, tree = list(range(n)), []
+        for col, (x, y) in enumerate(zip(tails.tolist(), heads.tolist())):
+            while root[x] != x:
+                root[x] = x = root[root[x]]
+            while root[y] != y:
+                root[y] = y = root[root[y]]
+            if x != y:
+                root[x] = y
+                tree.append(col)
+        piv_R = np.array(tree, dtype=np.int64)
+        t, h = tails[piv_R], heads[piv_R]
+        # row k is [X_k R | X_k]: X_k is 0 on the side of tree edge k that
+        # holds the identity, and on the other side +1 if it holds the tail,
+        # -1 if the head.  That side is the subtree of the edge's child in a
+        # depth-first walk from the identity, an interval of entry times
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for x, y in zip(t.tolist(), h.tolist()):
+            adj[x].append(y)
+            adj[y].append(x)
+        parent, walk, stack = [-1] * n, [], [0]
+        while stack:
+            x = stack.pop()
+            walk.append(x)
+            for y in adj[x]:
+                if y != parent[x]:
+                    parent[y] = x
+                    stack.append(y)
+        size = [1] * n
+        for x in walk[:0:-1]:
+            size[parent[x]] += size[x]
+        entry = np.argsort(walk)  # the inverse of the walk
+        tail_far = np.array(parent)[t] == h
+        child = np.where(tail_far, t, h)
+        start = entry[child, None]
+        far = (start <= entry) & (entry < start + np.array(size)[child, None])
+        X = far * np.where(tail_far, 1, p - 1)[:, None]
+        free = np.setdiff1d(np.arange(d * n), piv_R)
+        R_piv = (np.arange(n)[:, None] == t).astype(np.int64) - (np.arange(n)[:, None] == h)
+        # B_free and L enter a product at every level: float64 (see _fp_matmul)
+        B_free = (X[:, tails[free]] - X[:, heads[free]]) % p
+        return piv_R, free, B_free.astype(np.float64), X.astype(np.float64), R_piv
+
     def ideal_filtration(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The powers of the augmentation ideal, read through the flag basis.
 
@@ -307,19 +359,19 @@ class FiniteGroupTable:
         S_0 = 0, and S_(n+1) is the set of x with x (g_i - 1) in S_n for
         every generator g_i, because the generator differences generate I
         as a one-sided ideal: S_(n+1) is the preimage of S_n^d under
-        R: x -> (x (g_i - 1))_i.  R is row-reduced once, as [R | 1], which
-        gives the reduced echelon basis B of its row space, a lift L with
-        L R = B; ker R = S_1 is spanned by the sum of all elements.  At
-        each level the k new vectors of S_n go into each of the d slots,
-        are reduced modulo the row space of R, and enter one incremental
-        elimination on (residue, B-coordinates).  The d k rows are one
-        gather of the new vectors, since each column of R names its slot
-        and its element.  The combinations whose residues become dependent
-        lie in R(F_p[G]) and in S_n^d; their B-coordinates C, lifted
-        through L, are the new vectors of S_(n+1).
-        The elimination reduces each level's C against the levels before
-        it, so the stacked C with its columns in pivot order is
-        unitriangular, block by level.
+        R: x -> (x (g_i - 1))_i.  [R | 1] in reduced echelon form, read off a
+        spanning tree of the Cayley graph, gives the reduced echelon basis B
+        of the row space of R and a lift L with L R = B; ker R = S_1 is
+        spanned by the sum of all elements.  At each level the k new vectors
+        of S_n go into each of the d slots, are reduced modulo the row space
+        of R, and enter one echelon basis on (residue, B-coordinates).  The
+        d k rows are one gather of the new vectors, since each column of R
+        names its slot and its element.  The combinations whose residues
+        become dependent lie in R(F_p[G]) and in S_n^d; their B-coordinates
+        C, lifted through L, are the new vectors of S_(n+1).  The echelon
+        basis reduces each level's C against the levels before it, so the
+        stacked C with its columns in pivot order is unitriangular, block by
+        level.
 
         Under the nondegenerate form (a, b) -> coefficient of 1 in ab, S_n
         is the orthogonal complement of I^n (it annihilates I^n, and
@@ -331,29 +383,10 @@ class FiniteGroupTable:
         """
         if self._filtration is not None:
             return self._filtration
-        n, p, d = self.order, self.prime, len(self.generators)
-        inv = self.inv
-        # [R | 1]; row h of R holds e_h (g_i - 1) = e_(h g_i) - e_h in slot i
-        RI = np.zeros((n, d + 1, n), dtype=np.int64)
-        h = np.arange(n)[:, None]
-        RI[h, np.arange(d), self.mul[:, list(self.generators)]] += 1
-        RI[h, np.arange(d), h] -= 1
-        RI[:, d] = np.eye(n, dtype=np.int64)
-        RI = RI.reshape(n, -1)
-        red, piv = _rref(RI, p)
-        rank = n - 1  # the generators generate G, so ker R is S_1 alone
-        piv_R = np.array(piv[:rank], dtype=np.int64)
-        free = np.setdiff1d(np.arange(d * n), piv_R)
-        width = len(free)
-        # the last row of the reduced [R | 1] is [0 | the sum of all
-        # elements], with its pivot at the identity, so column 0 of L is
-        # zero, and so is column 0 of V Q below its first row.  B_free and
-        # L enter a product at every level, so they are float64 once here
-        # (see _fp_matmul)
-        B_free = red[:rank, free].astype(np.float64)
-        L = red[:rank, d * n:].astype(np.float64)
-        R_piv = RI[:, piv_R]
-        del RI, red  # the work arrays, before the levels
+        n, p, d, inv = self.order, self.prime, len(self.generators), self.inv
+        piv_R, free, B_free, L, R_piv = self._reduced_generator_map()
+        rank, width = n - 1, len(free)
+        # column 0 of L is zero, and so is column 0 of V Q below its first row
         # the slot and element of each column of a level's rows
         slot, elem = np.divmod(np.concatenate([free, piv_R]), n)
 
@@ -363,8 +396,7 @@ class FiniteGroupTable:
         lead = np.zeros(n - 1, dtype=np.int64)  # the pivot column of each row of C
         c = [0, 1]
         new = np.ones((1, n), dtype=np.int64)
-        echelon = np.zeros((0, width + rank), dtype=np.int64)  # compact, see _rref_extend
-        pivots = np.zeros(0, dtype=np.int64)
+        echelon = _Echelon(width + rank, p)
         while c[-1] < n:
             k = len(new)
             # row i k + a is new vector a in slot i: its residue modulo the
@@ -375,16 +407,15 @@ class FiniteGroupTable:
             # takes every slot's part in the row space of R
             rows[:, :width] -= _fp_matmul(rows[:, width:], B_free, p)
             rows %= p
-            old = len(pivots)
-            echelon, pivots, found = _rref_extend(echelon, pivots, rows, p)
+            added, found = echelon.extend(rows)
             # rows with their pivot among the B-coordinates have no residue
-            dependent = pivots[old:] >= width
+            dependent = added >= width
             C = found[dependent, width:]
             new = _fp_matmul(C, L, p)
             lo, hi = c[-1], c[-1] + len(C)
             T_inv[:, lo:hi] = new[:, inv].T
             coords[lo - 1:hi - 1] = C
-            lead[lo - 1:hi - 1] = pivots[old:][dependent] - width
+            lead[lo - 1:hi - 1] = added[dependent] - width
             c.append(hi)
         # U = diag(1, C) with its columns in pivot order, inverted block by
         # block from the last level up
@@ -706,12 +737,12 @@ def magnus_embed(word: Sequence[int], d: int, p: int, degree_cap: int) -> dict[t
 
 def word_level(word: Sequence[int], d: int, p: int) -> int:
     """Filtration level of (word - 1): the least total degree appearing in
-    its expansion.  Freely trivial words are rejected.  The cap grows
-    geometrically until the level is detected."""
+    its expansion.  Freely trivial words are rejected.  The cap starts at 1
+    and doubles until the level is detected."""
     reduced = free_reduce(word)
     if not reduced:
         raise PresentationError("word is freely trivial; its level is unbounded")
-    cap = 8
+    cap = 1
     while True:
         terms = magnus_embed(reduced, d, p, cap)
         if terms:
@@ -765,7 +796,8 @@ def make_presentation(
     for g in images:
         if not 0 <= g < target.order:
             raise PresentationError(f"generator image {g} out of range")
-    if target.subgroup_closure(images) != frozenset(range(target.order)):
+    # the table's own generators were closed when the table was built
+    if images != target.generators and len(target.subgroup_closure(images)) < target.order:
         raise PresentationError("generator images do not generate the target")
     rels = tuple(tuple(int(x) for x in w) for w in relators)
     levels = []
@@ -865,16 +897,14 @@ def defects_direct(pres: PresentationData, horizon: int) -> tuple[int, ...]:
     entry = (levels + np.searchsorted(c, np.arange(size), side="right")).ravel()
     order = np.argsort(entry)
     entry = entry[order]
-    basis = np.zeros((0, size * d), dtype=np.int64)
-    pivots = np.zeros(0, dtype=np.int64)
-    defects = []
-    done = 0
+    echelon = _Echelon(size * d, p)
+    defects, done = [], 0
     for n in range(1, horizon + 1):
         entered = int(np.searchsorted(entry, n, side="right"))
         if entered > done:
-            basis, pivots, _ = _rref_extend(basis, pivots, rows[order[done:entered]].astype(np.int64), p)
+            echelon.extend(rows[order[done:entered]].astype(np.int64))
             done = entered
-        rank = int(np.count_nonzero(pivots < d * c[min(n - 1, len(c) - 1)]))
+        rank = int(np.count_nonzero(echelon.pivots < d * c[min(n - 1, len(c) - 1)]))
         defects.append(entered - rank)
     return tuple(defects)
 

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gstower.group_lab import (
     DEFAULT_SIZE_LIMIT,
@@ -23,8 +23,8 @@ from gstower.group_lab import (
     SizeLimitError,
     _fox_images,
     _fp_matmul,
+    _Echelon,
     _rref,
-    _rref_extend,
     augmentation_powers,
     build_group,
     builtin_presentation,
@@ -348,25 +348,36 @@ class TestRowReduction:
 
     @settings(max_examples=200)
     @given(_matrices(), st.data())
-    def test_rref_extend_matches_rref_of_the_stacked_rows(self, case, data):
+    def test_echelon_block_entry_matches_row_entry_and_rref(self, case, data):
         p, m = case
-        split = data.draw(st.integers(0, m.shape[0]))
-        basis, pivots = _rref(m[:split], p)
-        rest = np.delete(basis, pivots, axis=1)
-        rest, found, new = _rref_extend(rest, np.array(pivots, dtype=np.int64), m[split:] % p, p)
+        m = m % p
+        cuts = sorted(data.draw(st.lists(st.integers(0, m.shape[0]), max_size=3)))
+        by_block, by_row = _Echelon(m.shape[1], p), _Echelon(m.shape[1], p)
+        for block in np.split(m, cuts):
+            old = by_block.pivots.tolist()
+            added, new = by_block.extend(block)
+            # the old pivots keep their places, the new ones follow in order
+            assert by_block.pivots.tolist() == old + added.tolist()
+            assert np.all(np.diff(added) > 0)
+            # the new rows in full are the last rows of the extended basis
+            assert np.array_equal(new, _echelon_rows(by_block)[len(old):])
+        for row in m:
+            by_row.extend(row[None])
         want_rows, want_pivots = _rref(m, p)
-        # the old pivots keep their places, the new ones follow in order
-        assert found[:len(pivots)].tolist() == pivots
-        assert np.all(np.diff(found[len(pivots):]) > 0)
-        # the full rows: the identity in the pivot columns, rest elsewhere
-        rows = np.zeros((len(found), m.shape[1]), dtype=np.int64)
-        rows[np.arange(len(found)), found] = 1
-        rows[:, np.delete(np.arange(m.shape[1]), found)] = rest
-        order = np.argsort(found)
-        assert found[order].tolist() == want_pivots
-        assert np.array_equal(rows[order], want_rows)
-        # the new rows in full are the last rows of the extended basis
-        assert np.array_equal(new, rows[len(pivots):])
+        for echelon in (by_block, by_row):
+            order = np.argsort(echelon.pivots)
+            assert echelon.pivots[order].tolist() == want_pivots
+            assert np.array_equal(_echelon_rows(echelon)[order], want_rows)
+            assert echelon.free.tolist() == sorted(set(range(m.shape[1])) - set(want_pivots))
+
+
+def _echelon_rows(echelon):
+    """The basis rows of an _Echelon in full, in the order they entered:
+    the identity in the pivot columns, the stored rows in the free ones."""
+    rows = np.zeros((len(echelon.pivots), len(echelon.pivots) + len(echelon.free)), dtype=np.int64)
+    rows[np.arange(len(echelon.pivots)), echelon.pivots] = 1
+    rows[:, echelon.free] = echelon.rest
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +529,70 @@ class TestFlagBasis:
         H = _relabelled(builtin_presentation(kind, p), rnd).target
         assert augmentation_powers(H) == _oracle_codimensions(H)
         assert dimension_subgroups(H)[0] == _dimension_chain_by_residues(H)
+
+
+def _reduced_generator_map_by_rref(G):
+    """(piv_R, free, B_free, L, R_piv) as ideal_filtration once took them,
+    by one row reduction of [R | 1]: row h of R holds
+    e_h (g_i - 1) = e_(h g_i) - e_h in slot i."""
+    n, p, d = G.order, G.prime, len(G.generators)
+    RI = np.zeros((n, d + 1, n), dtype=np.int64)
+    h = np.arange(n)[:, None]
+    RI[h, np.arange(d), G.mul[:, list(G.generators)]] += 1
+    RI[h, np.arange(d), h] -= 1
+    RI[:, d] = np.eye(n, dtype=np.int64)
+    RI = RI.reshape(n, -1)
+    red, piv = _rref(RI, p)
+    piv_R = np.array(piv[:n - 1], dtype=np.int64)
+    free = np.setdiff1d(np.arange(d * n), piv_R)
+    return piv_R, free, red[:n - 1, free], red[:n - 1, d * n:], RI[:, piv_R]
+
+
+@st.composite
+def _generator_sets(draw, G):
+    """Generating sets of G in a drawn order: the declared one, or it with
+    random extras, with every generator repeated, or with the identity
+    (a zero column of R, never a tree edge)."""
+    gens = list(G.generators)
+    shape = draw(st.sampled_from(("declared", "redundant", "repeated", "identity")))
+    if shape == "redundant":
+        gens += draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=2))
+    elif shape == "repeated":
+        gens += gens
+    elif shape == "identity":
+        gens.append(0)
+    return draw(st.permutations(gens))
+
+
+class TestReducedGeneratorMap:
+    def _assert_matches_the_row_reduction(self, G):
+        got = G._reduced_generator_map()
+        want = _reduced_generator_map_by_rref(G)
+        for name, x, y in zip(("piv_R", "free", "B_free", "L", "R_piv"), got, want):
+            assert x.shape == y.shape and np.array_equal(x, y), name
+
+    @pytest.mark.parametrize("kind, p", CLOSURE_GROUPS)
+    def test_spanning_tree_matches_the_row_reduction(self, kind, p):
+        G = build_group(kind, p)
+        self._assert_matches_the_row_reduction(G)
+        # the identity first, a generator twice and a redundant element
+        g = G.generators
+        H = FiniteGroupTable(p, G.mul, generators=(0,) + g[::-1] + (g[0], G.mul[g[0], g[-1]]))
+        self._assert_matches_the_row_reduction(H)
+        assert augmentation_powers(H) == augmentation_powers(G)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from(CLOSURE_GROUPS), st.randoms(use_true_random=False), st.data())
+    def test_spanning_tree_matches_on_relabelled_tables(self, case, rnd, data):
+        kind, p = case
+        H, _ = _relabelling(build_group(kind, p), rnd)
+        H = FiniteGroupTable(p, H.mul, generators=data.draw(_generator_sets(H)))
+        self._assert_matches_the_row_reduction(H)
+
+    def test_order_one_group(self):
+        for gens in ((), (0,), (0, 0)):
+            G = FiniteGroupTable(3, np.zeros((1, 1), dtype=np.int64), generators=gens)
+            self._assert_matches_the_row_reduction(G)
 
 
 def _closure_by_bfs(G, gens):
@@ -708,6 +783,28 @@ def _magnus_by_letters(word, p, cap):
     return {w: c % p for w, c in acc.items() if c % p}
 
 
+def _level_from_cap_8(word, d, p):
+    """word_level as first written: the cap starts at 8 and doubles up to
+    MAX_LEVEL_CAP, past which the level is refused."""
+    reduced = free_reduce(word)
+    cap = 8
+    while True:
+        terms = magnus_embed(reduced, d, p, cap)
+        if terms:
+            return min(map(len, terms))
+        if cap >= group_lab.MAX_LEVEL_CAP:
+            raise PresentationError(
+                f"level of {format_word(word)} exceeds cap {group_lab.MAX_LEVEL_CAP}")
+        cap *= 2
+
+
+def _level_or_refusal(level, word, d, p):
+    try:
+        return level(word, d, p)
+    except PresentationError as exc:
+        return str(exc)
+
+
 @st.composite
 def _words_with_runs(draw, d):
     """Words as runs x_i^m, inverse runs and repeated letters included,
@@ -776,6 +873,32 @@ class TestMagnus:
         d = data.draw(st.integers(1, 3))
         word = data.draw(_words_with_runs(d))
         assert magnus_embed(word, d, p, cap) == _magnus_by_letters(word, p, cap)
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_builtin_relator_levels_are_unchanged(self, p):
+        # every built-in within the size limit: the pinned levels, and the
+        # levels of the cap-8-then-double oracle
+        for kind, q in (case.values for case in SIZE_LIMIT_CASES):
+            if q != p or kind.endswith(":0"):
+                continue
+            pres = builtin_presentation(kind, p)
+            name, _, arg = kind.partition(":")
+            k = int(arg or 0)
+            want = {"cyclic": (p ** k,), "elemab": (p,) * k + (2,) * (k * (k - 1) // 2),
+                    "heisenberg": (p, p, 3, 3)}[name]
+            assert pres.levels == want, kind
+            assert pres.levels == tuple(_level_from_cap_8(w, pres.d, p) for w in pres.relators)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.sampled_from([2, 3, 5, 7]), st.data())
+    def test_level_matches_the_cap_8_oracle_on_random_words(self, p, data):
+        # words of short runs, and powers of one letter up to past the cap
+        d = data.draw(st.integers(1, 3))
+        power = st.integers(1, 800).map(lambda m: (1,) * m)
+        word = free_reduce(data.draw(_words_with_runs(d) | power))
+        assume(word)
+        assert (_level_or_refusal(word_level, word, d, p)
+                == _level_or_refusal(_level_from_cap_8, word, d, p))
 
     @pytest.mark.parametrize("p", (2, 3, 5, 7))
     def test_cyclic_levels_up_to_the_size_limit(self, p):
@@ -932,6 +1055,26 @@ class TestPresentations:
         G = build_group("elemab:2", 3)
         with pytest.raises(PresentationError):
             make_presentation(G, (1,), [(1, 1, 1)])
+
+    def test_declared_generators_are_not_closed_again(self, monkeypatch):
+        calls = []
+        closure = FiniteGroupTable.subgroup_closure
+        monkeypatch.setattr(FiniteGroupTable, "subgroup_closure",
+                            lambda self, gens: calls.append(gens) or closure(self, gens))
+        for kind, p in (("cyclic:2", 3), ("elemab:2", 5), ("heisenberg", 7)):
+            calls.clear()
+            builtin_presentation(kind, p)
+            # one closure: the table's own check of its generators
+            assert len(calls) == 1, kind
+        # other images are closed: a generating set passes, and images
+        # (1, 0) and (2, 0) of F_3^2 do not generate it
+        G = build_group("elemab:2", 3)
+        relators = group_lab._elemab_relators(3, 2)
+        calls.clear()
+        assert make_presentation(G, G.generators[::-1], relators).levels == (3, 3, 2)
+        with pytest.raises(PresentationError, match="do not generate"):
+            make_presentation(G, (1, 2), relators)
+        assert len(calls) == 2
 
 
 class TestDirectDefects:
