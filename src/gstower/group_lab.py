@@ -95,12 +95,19 @@ def _residue_table(p: int) -> np.ndarray:
 
 
 def _rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_p; returns (nonzero rows, pivot cols).
-    Only the columns nonzero on entry are walked: a zero column stays zero."""
+    """Reduced row echelon form over F_p; returns (nonzero rows, pivot cols)."""
     m = np.asarray(rows, dtype=np.int64) % p
+    pivots = _rref_in_place(m, p, _residue_table(p))
+    return m[:len(pivots)], pivots
+
+
+def _rref_in_place(m: np.ndarray, p: int, residue: np.ndarray) -> list[int]:
+    """Bring m, int64 with entries below p, to reduced row echelon form over
+    F_p in place, with residue = _residue_table(p); returns the pivot
+    columns, whose rows come first.  Only the columns nonzero on entry are
+    walked: a zero column stays zero."""
     # a pivot update x - f y, with x, y and f below p, is taken as
     # x + f (p - y), which lies in [0, p^2)
-    residue = _residue_table(p)
     pivots: list[int] = []
     r = 0
     for col in m.any(axis=0).nonzero()[0].tolist():
@@ -123,7 +130,7 @@ def _rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             m[hit, col:] = residue[m[hit, col:] + m[hit, col, None] * (p - m[r, col:])]
         pivots.append(col)
         r += 1
-    return m[:r], pivots
+    return pivots
 
 
 class _Echelon:
@@ -141,16 +148,17 @@ class _Echelon:
 
     def extend(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Add rows reduced mod p: one product reduces them against the basis,
-        the remainder is row-reduced, and a second product clears the old rows
-        in the new pivot columns.  The new basis rows follow the old ones in
-        the order of their pivots; returns their pivots and the rows in full."""
+        the remainder is row-reduced in place, and a second product clears the
+        old rows in the new pivot columns.  The new basis rows follow the old
+        ones in the order of their pivots.  Returns their pivots and the rows
+        in the columns that were free before the call (self.free on entry);
+        in the old pivot columns they are zero."""
         p, residue, free = self.p, self.residue, self.free
         # x - y for x and y below p is looked up as x + (p - y)
         rows = residue[rows[:, free] + (p - _fp_matmul(rows[:, self.pivots], self.rest, p))]
-        new, found = _rref(rows, p)  # found: positions among the free columns
+        found = _rref_in_place(rows, p, residue)  # positions among the free columns
+        new = rows[:len(found)]
         added = free[found]
-        full = np.zeros((len(found), rows.shape[1] + len(self.pivots)), dtype=np.int64)
-        full[:, free] = new
         if found:
             keep = np.ones(len(free), dtype=bool)
             keep[found] = False
@@ -158,7 +166,7 @@ class _Echelon:
             self.rest = np.vstack([residue[self.rest[:, keep] + (p - cleared)], new[:, keep]])
             self.pivots = np.concatenate([self.pivots, added])
             self.free = free[keep]
-        return added, full
+        return added, new
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +208,8 @@ class FiniteGroupTable:
             raise GroupTableError("declared generators do not generate the group")
         self._check_associative()
         self._filtration: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._dimension_subgroups: (
+            tuple[tuple[frozenset[int], ...], DimensionSequence] | None) = None
 
     # -- construction checks ------------------------------------------------
 
@@ -397,24 +407,26 @@ class FiniteGroupTable:
         c = [0, 1]
         new = np.ones((1, n), dtype=np.int64)
         echelon = _Echelon(width + rank, p)
+        in_slot = slot == np.arange(d)[:, None, None]
         while c[-1] < n:
-            k = len(new)
             # row i k + a is new vector a in slot i: its residue modulo the
             # row space of R, then its coordinates in B
-            rows = np.zeros((d * k, width + rank), dtype=np.int64)
-            rows[np.arange(k)[:, None] + k * slot, np.arange(width + rank)] = new[:, elem]
+            rows = (in_slot * new[:, elem]).reshape(-1, width + rank)
             # the B-coordinates are block-diagonal by slot, so one product
             # takes every slot's part in the row space of R
             rows[:, :width] -= _fp_matmul(rows[:, width:], B_free, p)
             rows %= p
+            # the B-coordinates still free: the new rows are zero elsewhere
+            cols = echelon.free[echelon.free >= width] - width
+            skip = len(echelon.free) - len(cols)
             added, found = echelon.extend(rows)
             # rows with their pivot among the B-coordinates have no residue
             dependent = added >= width
-            C = found[dependent, width:]
-            new = _fp_matmul(C, L, p)
+            C = found[dependent, skip:]
+            new = _fp_matmul(C, L[cols], p)
             lo, hi = c[-1], c[-1] + len(C)
             T_inv[:, lo:hi] = new[:, inv].T
-            coords[lo - 1:hi - 1] = C
+            coords[lo - 1:hi - 1, cols] = C
             lead[lo - 1:hi - 1] = added[dependent] - width
             c.append(hi)
         # U = diag(1, C) with its columns in pivot order, inverted block by
@@ -458,7 +470,11 @@ def dimension_subgroups(
     p^(a_n) = [G_n : G_(n+1)].
 
     g - 1 lies in I^n exactly when its first nonzero coordinate in the
-    flag basis comes at index c_n or later."""
+    flag basis comes at index c_n or later.  The result is kept on the
+    table, as the filtration is, so lazard_check and any later call reuse
+    it."""
+    if G._dimension_subgroups is not None:
+        return G._dimension_subgroups
     c = augmentation_powers(G)
     _, T_inv = G.flag_basis()
     # (e_g - e_0) @ T^-1 for every g; the identity's row is zero
@@ -485,7 +501,8 @@ def dimension_subgroups(
             a_n += 1
         if a_n:
             entries[n + 1] = a_n
-    return tuple(chain), DimensionSequence.from_dict(p, entries)
+    G._dimension_subgroups = tuple(chain), DimensionSequence.from_dict(p, entries)
+    return G._dimension_subgroups
 
 
 def lower_central_series(G: FiniteGroupTable) -> tuple[frozenset[int], ...]:

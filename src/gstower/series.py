@@ -14,12 +14,14 @@ the shape Golod-Shafarevich arguments rely on: only the low coefficients
 are negative.  Where every coefficient past t^m is >= 0, h lies above
 its head h_0 + ... + h_m t^m on (0, 1), so a head that a walk to depth 2
 proves positive is a HOLDS for h, with no work on the rest of h.  Past
-the heads, the decider scans the points in (0, 1) with denominators up
-to 12, 1/2 first, then walks h by Descartes bisection
-(Vincent-Collins-Akritas) in the Bernstein basis to depth 2.  A walk
-that ends there without a root is a HOLDS; a root node without sign
-variation is its one leaf.  Else the scan goes on to denominator 24 and
-the walk resumes to its depth bound.  The dyadic leaves are a HOLDS
+the heads, h itself settles when h(0) > 0, h(1) > 0 and its coefficients
+change sign at most once: by Descartes' rule of signs it has no root in
+(0, 1), so its complete walk is the certificate.  Else the decider scans
+the points in (0, 1) with denominators up to 12, 1/2 first, then walks h
+by Descartes bisection (Vincent-Collins-Akritas) in the Bernstein basis
+to depth 2.  A walk that ends there without a root is a HOLDS; a root
+node without sign variation is its one leaf.  Else the scan goes on to
+denominator 24 and the walk resumes to its depth bound.  The dyadic leaves are a HOLDS
 certificate that `gstower.certify` replays, and the root cells isolate
 the roots for the witness search.  Euclid, h / gcd(h, h'), runs only
 for a walk stalled at the depth bound or a root of even multiplicity.
@@ -341,8 +343,10 @@ def _small_denominator_scan(
 # A root of h in (0, 1) that is repeated and not dyadic keeps two
 # variations at every depth, so a node still unsplit at this depth sends
 # h through Euclid.  A HOLDS target gets there only when complex roots
-# crowd (0, 1); every HOLDS target of the benchmark and of the published
-# minima settles on a head at depth 2 or less.
+# crowd (0, 1).  Every HOLDS target of the benchmark's decide workload and
+# of the published minima settles on a head at depth 2 or less; the
+# group-lab strict targets of the non-cyclic built-ins settle on h itself,
+# whose coefficients change sign once, by a walk with no depth bound.
 _MAX_DEPTH = 32
 
 # Each head is walked this deep, and so is h before the scan's larger
@@ -461,7 +465,10 @@ def _settled_head(h: list[int]) -> tuple[int, list[tuple[int, int]]] | None:
     [0, 1), since h_0 != 0, and its last leaf reaches 1.  One that is not
     positive at 1/2 has a root in (0, 1), so it is skipped without a
     walk; when h(1/2) <= 0 every head is, as a head lies below h there.
-    Nothing of h past the heads is evaluated."""
+    Nothing of h past the heads is evaluated at a point.  When no head
+    settles, h itself (m its degree) does if h(0) > 0, h(1) > 0 and its
+    coefficients change sign at most once: its complete walk is then the
+    certificate, with no scan, no depth bound and no Euclid."""
     start = max((j for j, c in enumerate(h) if c < 0), default=-1) + 1
     for m in (start, 2 * start, 4 * start):
         if m >= len(h) - 1:
@@ -471,6 +478,12 @@ def _settled_head(h: list[int]) -> tuple[int, list[tuple[int, int]]] | None:
             walk = _descartes_walk(head, _EARLY_DEPTH)
             if not walk.cells and not walk.stalled:
                 return m, walk.leaves
+    # h itself, when h(0) > 0 and h(1) > 0 and its coefficients change sign
+    # at most once: by Descartes' rule of signs h has at most one positive
+    # root, and with one change h ends negative, so that root lies past 1.
+    # h has no root in [0, 1], so its complete walk ends, in leaves only.
+    if h[0] > 0 and sum(h) > 0 and _variations(h) <= 1:
+        return len(h) - 1, _descartes_walk(h).leaves
     return None
 
 
@@ -561,11 +574,13 @@ def positive_on_open_unit_interval(f: ExactPoly) -> PositivityReport:
     h has no root, its sign fixed by h(0) > 0.  A head settled by a walk
     to depth 2 is tried first, and it returns having evaluated nothing of
     h or f past the head; when h(1/2) <= 0 no head settles, so the
-    witness of a VIOLATED verdict does not depend on it.  Else the head
-    is h itself: the scan tries denominators up to 12, 1/2 first, then
-    the walk of h goes to depth 2, and a walk that ends there without a
-    root is a HOLDS: h has no root in (0, 1), so the rest of the scan
-    could find nothing.  Else the scan goes on to denominator 24, and the
+    witness of a VIOLATED verdict does not depend on it.  Then h itself
+    settles, by its complete walk, when h(0) > 0, h(1) > 0 and its
+    coefficients change sign at most once, as then h has no root in
+    (0, 1).  Else the head is h itself: the scan tries denominators up to
+    12, 1/2 first, then the walk of h goes to depth 2, and a walk that
+    ends there without a root is a HOLDS: h has no root in (0, 1), so the
+    rest of the scan could find nothing.  Else the scan goes on to denominator 24, and the
     same walk resumes to its depth bound and isolates the roots of h.
     Only a walk stalled at that bound, or a root of even multiplicity,
     sends h through Euclid.

@@ -8,6 +8,7 @@ checked against `_filtration_by_rref`, one row reduction per power of the
 augmentation ideal.
 """
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,8 +46,11 @@ from gstower.group_lab import (
     word_inverse,
     word_level,
 )
+import gstower.series
 from gstower import group_lab
+from gstower.gs_check import strict_corollary_check
 from gstower.jennings import is_prime, jennings_transform
+from gstower.series import DescartesCertificate
 
 BUILTIN_KINDS = ("cyclic:1", "cyclic:2", "elemab:2", "heisenberg")
 #: every built-in family up to order p^3
@@ -354,13 +358,16 @@ class TestRowReduction:
         cuts = sorted(data.draw(st.lists(st.integers(0, m.shape[0]), max_size=3)))
         by_block, by_row = _Echelon(m.shape[1], p), _Echelon(m.shape[1], p)
         for block in np.split(m, cuts):
-            old = by_block.pivots.tolist()
+            old, free = by_block.pivots.tolist(), by_block.free
             added, new = by_block.extend(block)
             # the old pivots keep their places, the new ones follow in order
             assert by_block.pivots.tolist() == old + added.tolist()
             assert np.all(np.diff(added) > 0)
-            # the new rows in full are the last rows of the extended basis
-            assert np.array_equal(new, _echelon_rows(by_block)[len(old):])
+            # the new rows are the last rows of the extended basis in the
+            # columns free before the call, and zero in the old pivots
+            full = _echelon_rows(by_block)[len(old):]
+            assert np.array_equal(new, full[:, free])
+            assert not full[:, old].any()
         for row in m:
             by_row.extend(row[None])
         want_rows, want_pivots = _rref(m, p)
@@ -721,6 +728,21 @@ class TestCentralSeries:
         monkeypatch.setattr(FiniteGroupTable, "subgroup_closure", counted)
         assert lazard_check(G).all_match
         assert len(calls) == closures
+
+    def test_lazard_reuses_the_dimension_chain(self, monkeypatch):
+        # the chain is kept on the table: lazard_check after
+        # dimension_subgroups reads neither the flag basis nor the
+        # codimensions again
+        G = build_group("heisenberg", 5)
+        kept = dimension_subgroups(G)
+        for name in ("flag_basis", "ideal_filtration"):
+            monkeypatch.setattr(FiniteGroupTable, name,
+                                lambda self, name=name: pytest.fail(f"{name} read again"))
+        monkeypatch.setattr(group_lab, "augmentation_powers",
+                            lambda G: pytest.fail("codimensions read again"))
+        report = lazard_check(G)
+        assert report.all_match and report.chain_length == len(kept[0])
+        assert dimension_subgroups(G) is kept
 
     def test_commutator_subgroups_match_elementwise_commutators(self):
         for p in (3, 5):
@@ -1251,6 +1273,50 @@ class TestFoxBlocks:
             a, b, block = calls[i + 1]
             assert a is TR and np.array_equal(b, T_inv)
             assert np.array_equal(block, want @ T_inv % p)
+
+
+#: the strict check on each built-in's measured (a, levels): (p, kind,
+#: levels, a, head_degree, k0, k1) of its HOLDS certificate, whose one leaf
+#: is (0, 1).  A cyclic target settles on its constant head, read once at
+#: 1/2; the others have h(0) > 0, h(1) > 0 and one sign change in h, so
+#: they settle on h itself with no point evaluated.
+STRICT_PINS = (
+    (3, "cyclic:1", (3,), {1: 1}, 0, 4, 1),
+    (3, "cyclic:2", (9,), {1: 1, 3: 1}, 0, 10, 1),
+    (3, "cyclic:3", (27,), {1: 1, 3: 1, 9: 1}, 0, 28, 1),
+    (3, "elemab:1", (3,), {1: 1}, 0, 4, 1),
+    (3, "elemab:2", (3, 3, 2), {1: 2}, 7, 4, 0),
+    (3, "elemab:3", (3, 3, 3, 2, 2, 2), {1: 3}, 12, 3, 0),
+    (3, "heisenberg", (3, 3, 3, 3), {1: 2, 2: 1}, 15, 4, 0),
+    (5, "cyclic:1", (5,), {1: 1}, 0, 6, 1),
+    (5, "cyclic:2", (25,), {1: 1, 5: 1}, 0, 26, 1),
+    (5, "cyclic:3", (125,), {1: 1, 5: 1, 25: 1}, 0, 126, 1),
+    (5, "elemab:1", (5,), {1: 1}, 0, 6, 1),
+    (5, "elemab:2", (5, 5, 2), {1: 2}, 15, 6, 0),
+    (5, "elemab:3", (5, 5, 5, 2, 2, 2), {1: 3}, 26, 3, 0),
+    (5, "heisenberg", (5, 5, 3, 3), {1: 2, 2: 1}, 33, 4, 0),
+    (7, "cyclic:2", (49,), {1: 1, 7: 1}, 0, 50, 1),
+    (7, "elemab:2", (7, 7, 2), {1: 2}, 23, 8, 0),
+)
+
+
+class TestStrictCheckOnBuiltins:
+    @pytest.mark.parametrize("p, kind, levels, a, head_degree, k0, k1", [
+        pytest.param(*pin, id=f"{pin[1]}-{pin[0]}") for pin in STRICT_PINS])
+    def test_strict_check_holds_with_the_pinned_certificate(
+            self, p, kind, levels, a, head_degree, k0, k1, monkeypatch):
+        pres = builtin_presentation(kind, p)
+        _, measured = dimension_subgroups(pres.target)
+        assert (pres.levels, measured.as_dict()) == (levels, a)
+        points = []
+        ieval = gstower.series._ieval_scaled
+        monkeypatch.setattr(gstower.series, "_ieval_scaled",
+                            lambda q, t: points.append((len(q), t)) or ieval(q, t))
+        report = strict_corollary_check(pres.profile(), measured)
+        assert report.holds and report.witness is None
+        assert report.certificate == DescartesCertificate(((0, 0),), head_degree, k0, k1)
+        cyclic = a == {p ** i: 1 for i in range(len(a))}
+        assert points == ([(1, Fraction(1, 2))] if cyclic else [])
 
 
 # ---------------------------------------------------------------------------
