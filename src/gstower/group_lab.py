@@ -1,10 +1,11 @@
 """Brute-force laboratory over small finite p-groups.
 
-Multiplication tables, powers of the augmentation ideal in the group
-algebra, dimension subgroups and the lower central series, the filtration
-product formula, relator levels from the run-length Magnus series of each
-relator, plus a direct kernel computation of the recursion defects from
-the Fox derivatives of the relator words.
+Multiplication tables, each built-in one closed from generating integer
+matrices mod p^k by one builder, powers of the augmentation ideal in the
+group algebra, dimension subgroups and the lower central series, the
+filtration product formula, relator levels from the run-length Magnus
+series of each relator, plus a direct kernel computation of the recursion
+defects from the Fox derivatives of the relator words.
 
 Everything is dense linear algebra over F_p on vectors indexed by group
 elements, so built-in and file groups are capped at 343 elements.  The
@@ -92,13 +93,6 @@ def _fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def _residue_table(p: int) -> np.ndarray:
     """residue[x] = x mod p for 0 <= x < p^2: reduction by lookup."""
     return np.arange(p)[None].repeat(p, axis=0).ravel()
-
-
-def _rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_p; returns (nonzero rows, pivot cols)."""
-    m = np.asarray(rows, dtype=np.int64) % p
-    pivots = _rref_in_place(m, p, _residue_table(p))
-    return m[:len(pivots)], pivots
 
 
 def _rref_in_place(m: np.ndarray, p: int, residue: np.ndarray) -> list[int]:
@@ -566,8 +560,42 @@ def lazard_check(G: FiniteGroupTable) -> LazardReport:
 
 
 # ---------------------------------------------------------------------------
-# Built-in groups
+# Groups from generating matrices, and the built-in groups
 # ---------------------------------------------------------------------------
+
+def table_from_matrices(p: int, modulus: int, generators) -> FiniteGroupTable:
+    """The table of the group that integer matrices generate mod modulus; a
+    permutation is passed as its permutation matrix.  The closure runs
+    breadth first, each element keyed by its bytes, and is refused past
+    DEFAULT_SIZE_LIMIT before any table is allocated.  Element 0 is the
+    identity, the rest follow in increasing order of their columns, read
+    from the last column to the first and each top to bottom (so x^k is k
+    in cyclic:k, and elemab:d and heisenberg are numbered by base-p
+    digits).  Column x g_j is right_j gathered through column x."""
+    gens = np.asarray(generators, dtype=np.int64) % modulus
+    elements = [np.eye(gens.shape[-1], dtype=np.int64) % modulus]
+    index = {elements[0].tobytes(): 0}
+    right, tree = [], []  # right[x d + j] = x g_j; tree: the (x, j) of each new x g_j
+    for x, m in enumerate(elements):
+        for j, y in enumerate(m @ gens % modulus):
+            key = y.tobytes()
+            if key not in index:
+                if len(elements) == DEFAULT_SIZE_LIMIT:
+                    raise SizeLimitError(f"the generated group exceeds limit {DEFAULT_SIZE_LIMIT}")
+                index[key] = len(elements)
+                elements.append(y)
+                tree.append((x, j))
+            right.append(index[key])
+    n = len(elements)
+    order = [0] + sorted(range(1, n), key=lambda x: elements[x].T[::-1].tolist())
+    label = np.argsort(order)
+    right = label[np.array(right, dtype=np.int64).reshape(n, len(gens))][order].T
+    cols = np.empty((n, n), dtype=np.int64)  # cols[y] = column y of the table
+    cols[0] = np.arange(n)
+    for y, (x, j) in enumerate(tree, 1):
+        cols[label[y]] = right[j][cols[label[x]]]
+    return FiniteGroupTable(p, np.ascontiguousarray(cols.T), generators=right[:, 0])
+
 
 def _checked_order(p: int, k: int, what: str = "order") -> int:
     """The order p^k of a group to tabulate, refused past
@@ -583,51 +611,23 @@ def _checked_order(p: int, k: int, what: str = "order") -> int:
     return n
 
 
-def build_cyclic(p: int, k: int) -> FiniteGroupTable:
-    n = _checked_order(p, k, "cyclic group of order")
-    idx = np.arange(n)
-    mul = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroupTable(p, mul, generators=(1,) if n > 1 else ())
+def _cyclic_matrices(p: int, k: int):
+    """[[1, 1], [0, 1]] mod p^k; cyclic:0, the trivial group, has none."""
+    return _checked_order(p, k, "cyclic group of order"), [[[1, 1], [0, 1]]] if k else []
 
 
-def build_elem_abelian(p: int, d: int) -> FiniteGroupTable:
-    n = _checked_order(p, d, "elementary abelian group of order")
-    idx = np.arange(n)
-    digits = np.zeros((n, d), dtype=np.int64)
-    rem = idx.copy()
-    for i in range(d):
-        digits[:, i] = rem % p
-        rem //= p
-    sums = (digits[:, None, :] + digits[None, :, :]) % p
-    weights = p ** np.arange(d)
-    mul = (sums * weights).sum(axis=2)
-    gens = tuple(int(p ** i) for i in range(d))
-    return FiniteGroupTable(p, mul, generators=gens)
+def _elemab_matrices(p: int, d: int):
+    """I + E_0j mod p for j = 1..d."""
+    _checked_order(p, d, "elementary abelian group of order")
+    eye = np.eye(d + 1, dtype=np.int64)
+    return p, [eye + np.outer(eye[0], e) for e in eye[1:]]
 
 
-def build_heisenberg(p: int) -> FiniteGroupTable:
-    """Upper unitriangular 3x3 matrices over F_p: the nonabelian group of
-    order p^3 and exponent p (p odd)."""
+def _heisenberg_matrices(p: int, _):
+    """UT_3(F_p), from I + E_01 and I + E_12: nonabelian of order p^3, exponent p."""
     if p == 2:
         raise ValueError("the unitriangular construction needs an odd prime")
-    n = _checked_order(p, 3)
-
-    def pack(a, b, c):
-        return a + p * b + p * p * c
-
-    idx = np.arange(n)
-    a1, rest = idx % p, idx // p
-    b1, c1 = rest % p, rest // p
-    a2 = a1[None, :]
-    b2 = b1[None, :]
-    c2 = c1[None, :]
-    mul = pack(
-        (a1[:, None] + a2) % p,
-        (b1[:, None] + b2) % p,
-        (c1[:, None] + c2 + a1[:, None] * b2) % p,
-    )
-    gens = (pack(1, 0, 0), pack(0, 1, 0))
-    return FiniteGroupTable(p, mul, generators=gens)
+    return p, [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]]]
 
 
 def _elemab_relators(p: int, d: int) -> tuple[tuple[int, ...], ...]:
@@ -644,27 +644,29 @@ def _heisenberg_relators(p: int, _) -> tuple[tuple[int, ...], ...]:
 
 
 #: the built-in families: name -> (its argument in "name:arg", or None
-#: for a family without one; table builder (p, arg); relators (p, arg))
+#: for a family without one; (p, arg) -> (modulus, generating matrices)
+#: for table_from_matrices; relators (p, arg))
 BUILTIN_GROUPS = {
-    "cyclic": ("k", build_cyclic, lambda p, k: ((1,) * p ** k,) if k else ()),
-    "elemab": ("d", build_elem_abelian, _elemab_relators),
-    "heisenberg": (None, lambda p, _: build_heisenberg(p), _heisenberg_relators),
+    "cyclic": ("k", _cyclic_matrices, lambda p, k: ((1,) * p ** k,) if k else ()),
+    "elemab": ("d", _elemab_matrices, _elemab_relators),
+    "heisenberg": (None, _heisenberg_matrices, _heisenberg_relators),
 }
 
 
-def _builtin(kind: str):
-    """(table builder, relators, argument) of a built-in kind."""
-    name, _, arg = kind.partition(":")
-    if name not in BUILTIN_GROUPS or (arg and not BUILTIN_GROUPS[name][0]):
+def _builtin(kind: str, p: int):
+    """(table, relators) of a built-in kind.  An argument after the colon
+    is required, and only a family that takes one accepts it."""
+    name, colon, arg = kind.partition(":")
+    if name not in BUILTIN_GROUPS or (colon and not (arg and BUILTIN_GROUPS[name][0])):
         raise ValueError(f"unknown group kind {kind!r}")
-    label, table, relators = BUILTIN_GROUPS[name]
-    return table, relators, int(arg or 1) if label else None
+    label, matrices, relators = BUILTIN_GROUPS[name]
+    arg = int(arg or 1) if label else None
+    return table_from_matrices(p, *matrices(p, arg)), relators(p, arg)
 
 
 def build_group(kind: str, p: int) -> FiniteGroupTable:
     """The table of a built-in kind (see BUILTIN_GROUPS)."""
-    table, _, arg = _builtin(kind)
-    return table(p, arg)
+    return _builtin(kind, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -840,9 +842,8 @@ def make_presentation(
 def builtin_presentation(kind: str, p: int) -> PresentationData:
     """The built-in table with its relators (see BUILTIN_GROUPS) on its
     declared generators."""
-    table, relators, arg = _builtin(kind)
-    G = table(p, arg)
-    return make_presentation(G, G.generators, relators(p, arg))
+    G, relators = _builtin(kind, p)
+    return make_presentation(G, G.generators, relators)
 
 
 def _fox_images(pres: PresentationData) -> np.ndarray:

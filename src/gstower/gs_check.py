@@ -43,13 +43,6 @@ class RelationProfile:
             raise ValueError("every relation degree must be >= 2")
         object.__setattr__(self, "levels", tuple(sorted(self.levels)))
 
-    @classmethod
-    def from_counts(cls, d: int, counts: dict[int, int]) -> "RelationProfile":
-        levels: list[int] = []
-        for k, r in sorted(counts.items()):
-            levels.extend([k] * r)
-        return cls(d, tuple(levels))
-
     @property
     def r(self) -> int:
         return len(self.levels)
@@ -232,16 +225,22 @@ def medgs_threshold(d: int, m: int) -> Fraction:
 
 def medgs_violation_sample(d: int, m: int, r: int) -> tuple[Fraction, Fraction]:
     """Diagnostic companion to medgs_threshold: evaluate r t^m - d t + 1
-    at a rational approximation of the minimizing point (d/(mr))^(1/(m-1)).
+    at t = u / 10^6 just below the minimizing point (d/(mr))^(1/(m-1)),
+    u the largest integer with m r u^(m-1) <= d 10^(6(m-1)).
 
-    Only the evaluation is exact; the point itself is a float-seeded
-    approximation, which is fine because any nonpositive value proves the
+    Point and value are exact, and any nonpositive value proves the
     violation.  Needs d >= 1, m >= 2 and r >= 1, as medgs_threshold does.
     """
     if d < 1 or m < 2 or r < 1:
         raise ValueError("need d >= 1, m >= 2 and r >= 1")
-    t_star = Fraction((d / (m * r)) ** (1.0 / (m - 1))).limit_denominator(10 ** 6)
-    return t_star, Fraction(*lhs_at(RelationProfile.from_counts(d, {m: r}), t_star))
+    v = 10 ** 6
+    k = m - 1
+    # integer Newton from above: u = floor((d v^k / (m r))^(1/k))
+    n = d * v ** k // (m * r)
+    u = 1 << -(-n.bit_length() // k)
+    while u and (w := ((k - 1) * u + n // u ** (k - 1)) // k) < u:
+        u = w
+    return Fraction(u, v), Fraction(r * u ** m - d * u * v ** k + v ** m, v ** m)
 
 
 def strict_corollary_check(

@@ -316,6 +316,15 @@ def test_grouplab_builtin(capsys):
     assert payload["verdict"] == "HOLDS"
 
 
+@pytest.mark.parametrize("kind", ["cyclic:", "elemab:", "heisenberg:"])
+def test_grouplab_refuses_an_empty_argument(capsys, kind):
+    # an empty argument after the colon is an input error, not the default
+    code, out, err = run(capsys, "grouplab", "--group", kind, "--p", "3")
+    assert code == 2
+    assert out == ""
+    assert f"unknown group kind {kind!r}" in err
+
+
 def test_grouplab_trivial_group_as_cyclic_and_elemab(capsys):
     # cyclic:0 and elemab:0 are both the trivial group: no generator and
     # no relator, so all four checks run on the empty presentation

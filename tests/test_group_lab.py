@@ -25,7 +25,8 @@ from gstower.group_lab import (
     _fox_images,
     _fp_matmul,
     _Echelon,
-    _rref,
+    _residue_table,
+    _rref_in_place,
     augmentation_powers,
     build_group,
     builtin_presentation,
@@ -42,6 +43,7 @@ from gstower.group_lab import (
     make_presentation,
     parse_group_text,
     parse_word,
+    table_from_matrices,
     verify_recursion,
     word_inverse,
     word_level,
@@ -170,6 +172,10 @@ class TestBuildGroup:
         # a family without an argument refuses one instead of ignoring it
         with pytest.raises(ValueError, match="unknown group kind"):
             builtin_presentation("heisenberg:5", 3)
+        # an empty argument after the colon is no default
+        for kind in ("cyclic:", "elemab:", "heisenberg:"):
+            with pytest.raises(ValueError, match="unknown group kind"):
+                build_group(kind, 3)
 
     def test_negative_exponent_rejected(self):
         # p^-1 is no group order
@@ -231,6 +237,88 @@ class TestBuildGroup:
                 G.word_to_element(word, G.generators)
 
 
+def _cyclic_oracle(p, k):
+    """The former hand-written table of cyclic:k: x^i is element i."""
+    n = p ** k
+    idx = np.arange(n)
+    return (idx[:, None] + idx[None, :]) % n, (1,) if n > 1 else ()
+
+
+def _elemab_oracle(p, d):
+    """The former hand-written table of elemab:d: element sum a_i p^i has
+    base-p digits a_i."""
+    n = p ** d
+    idx = np.arange(n)
+    digits = np.zeros((n, d), dtype=np.int64)
+    rem = idx.copy()
+    for i in range(d):
+        digits[:, i] = rem % p
+        rem //= p
+    sums = (digits[:, None, :] + digits[None, :, :]) % p
+    return (sums * p ** np.arange(d)).sum(axis=2), tuple(p ** i for i in range(d))
+
+
+def _heisenberg_oracle(p, _):
+    """The former hand-written table of UT_3(F_p): element a + p b + p^2 c
+    is the matrix with entries a, b, c at (0, 1), (1, 2), (0, 2)."""
+    idx = np.arange(p ** 3)
+    a, b, c = idx % p, idx // p % p, idx // (p * p)
+    mul = ((a[:, None] + a) % p + p * ((b[:, None] + b) % p)
+           + p * p * ((c[:, None] + c + a[:, None] * b) % p))
+    return mul, (1, p)
+
+
+ORACLE_TABLES = {"cyclic": _cyclic_oracle, "elemab": _elemab_oracle,
+                 "heisenberg": _heisenberg_oracle}
+
+
+def _permutation_matrix(images):
+    """The 0/1 matrix of the permutation i -> images[i]."""
+    return np.eye(len(images), dtype=np.int64)[images]
+
+
+class TestTableFromMatrices:
+    @pytest.mark.parametrize("kind, p", SIZE_LIMIT_CASES)
+    def test_builtins_match_the_former_tables_entry_for_entry(self, kind, p):
+        # the numbering by columns, last column first, gives each built-in
+        # the labels of its former formula, generators included
+        name, _, arg = kind.partition(":")
+        mul, gens = ORACLE_TABLES[name](p, int(arg or 0))
+        G = build_group(kind, p)
+        assert np.array_equal(G.mul, mul)
+        assert G.generators == gens
+
+    def test_wreath_product_c3_wr_c3_has_class_3(self):
+        # the Sylow 3-subgroup of S_9, from a 3-cycle and the block
+        # permutation: order 81, class 3, a = {1: 2, 2: 1, 3: 1}
+        x = _permutation_matrix([1, 2, 0, 3, 4, 5, 6, 7, 8])
+        y = _permutation_matrix([3, 4, 5, 6, 7, 8, 0, 1, 2])
+        start = time.perf_counter()
+        G = table_from_matrices(3, 3, [x, y])
+        assert time.perf_counter() - start < 1.0
+        assert G.order == 81
+        assert [len(s) for s in lower_central_series(G)] == [81, 9, 3, 1]
+        _, a = dimension_subgroups(G)
+        assert a.as_dict() == {1: 2, 2: 1, 3: 1}
+        assert jennings_transform(a).c == augmentation_powers(G)
+        assert lazard_check(G).all_match
+        # <x, y | x^3, y^3, [x, x^y]> presents it as a pro-3 group
+        x_y = (-2, 1, 2)
+        pres = make_presentation(G, G.generators,
+                                 [(1,) * 3, (2,) * 3, commutator_word((1,), x_y)])
+        assert pres.levels == (3, 3, 3)
+        assert verify_recursion(pres).ok
+        assert fox_formula_holds(pres)
+
+    def test_closure_past_the_size_limit_is_refused_early(self):
+        # [[1, 1], [0, 1]] has order 3^7 = 2187 mod 3^7: refused as soon
+        # as the closure passes the limit, with no table allocated
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=f"exceeds limit {DEFAULT_SIZE_LIMIT}"):
+            table_from_matrices(3, 3 ** 7, [[[1, 1], [0, 1]]])
+        assert time.perf_counter() - start < 0.1
+
+
 # ---------------------------------------------------------------------------
 # F_p row reduction
 # ---------------------------------------------------------------------------
@@ -253,6 +341,14 @@ def _gauss_jordan(rows, p):
         pivots.append(col)
         r += 1
     return m[:r], pivots
+
+
+def _rref(rows, p):
+    """Reduced row echelon form over F_p through `_rref_in_place`:
+    (nonzero rows, pivot columns)."""
+    m = np.asarray(rows, dtype=np.int64) % p
+    pivots = _rref_in_place(m, p, _residue_table(p))
+    return m[:len(pivots)], pivots
 
 
 def _residues(vecs, basis, pivots, p):

@@ -41,10 +41,6 @@ class TestRelationProfile:
         assert prof.r == 3
         assert prof.max_level == 7
 
-    def test_from_counts(self):
-        prof = RelationProfile.from_counts(2, {3: 1, 7: 1})
-        assert prof.levels == (3, 7)
-
     def test_level_below_2_rejected(self):
         with pytest.raises(ValueError):
             RelationProfile(2, (1,))
@@ -439,6 +435,24 @@ class TestThresholds:
         # would-be minimizer
         _, value = medgs_violation_sample(3, 3, 5)
         assert value > 0
+
+    def test_violation_sample_is_exact_at_the_threshold(self):
+        # r = 4 = threshold(3,3): the minimizer 1/2 is hit exactly, and
+        # 4/8 - 3/2 + 1 = 0
+        assert medgs_violation_sample(3, 3, 4) == (F(1, 2), 0)
+        assert medgs_violation_sample(3, 3, 3)[0] == F(11547, 20000)
+
+    def test_violation_sample_with_huge_arguments(self):
+        # the point comes from an integer root and the value from one
+        # integer expression, so neither overflows a float nor grows
+        # with r; 10^400 generators against one relation violate, and
+        # 10^400 relations push the point to 0
+        start = time.perf_counter()
+        t, value = medgs_violation_sample(10 ** 400, 3, 1)
+        assert t > 1 and value < 0
+        t, value = medgs_violation_sample(3, 3, 10 ** 400)
+        assert (t, value) == (0, 1)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestStrictCorollary:
