@@ -35,7 +35,7 @@ from .group_lab import (
     parse_group_file,
     verify_recursion,
 )
-from .jennings import DimensionSequence, is_prime, jennings_transform
+from .jennings import DimensionSequence, jennings_transform
 from .search import brute_force_infeasibility, min_order_search
 from .validity import is_valid, mildness_defect
 
@@ -56,28 +56,12 @@ def _pair(text: str) -> tuple[int, int]:
     return vals  # type: ignore[return-value]
 
 
-def _require_prime(p: int) -> int:
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    return p
-
-
 def _frac(x) -> str | None:
     return None if x is None else str(Fraction(x))
 
 
 def _approx(x) -> str:
     return f"{float(x):.6g}"
-
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
-def _emit_csv(rows: list[tuple], header: tuple[str, ...]) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join("" if v is None else str(v) for v in row))
 
 
 @functools.cache  # built once per process, on first use
@@ -96,28 +80,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("ztypes", help="classify feasible odd level pairs for d=2, r=2")
+    def command(name: str, body, help_text: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(run=body)  # main calls args.run(args)
+        return sp
+
+    sp = command("ztypes", _cmd_ztypes, "classify feasible odd level pairs for d=2, r=2")
     sp.add_argument("--max-level", type=int, default=21, metavar="N")
 
-    sp = sub.add_parser("caps", help="upper bounds for the dimension factors")
+    sp = command("caps", _cmd_caps, "upper bounds for the dimension factors")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--nmax", type=int, required=True)
     sp.add_argument("--ztype37", action="store_true", help="apply the level-(3,7) refinement at n=7")
 
-    for name, needs_mode in (("check", True), ("strict", False), ("mildness", False)):
-        sp = sub.add_parser(
-            name,
-            help={
-                "check": "decide the presentation inequality for a sequence",
-                "strict": "decide the strengthened inequality with the slack term",
-                "mildness": "print the defect sequence measuring failure of mildness",
-            }[name],
-        )
+    for name, body, help_text in (
+        ("check", _cmd_check, "decide the presentation inequality for a sequence"),
+        ("strict", _cmd_strict, "decide the strengthened inequality with the slack term"),
+        ("mildness", _cmd_mildness, "print the defect sequence measuring failure of mildness"),
+    ):
+        sp = command(name, body, help_text)
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--d", type=int, required=True)
         sp.add_argument("--levels", type=_int_list, required=True, metavar="L1,L2,...")
         sp.add_argument("--a", type=_int_list, required=True, metavar="A1,A2,...")
-        if needs_mode:
+        if body is _cmd_check:
             sp.add_argument(
                 "--mode",
                 choices=("exact", "relaxed"),
@@ -126,21 +112,22 @@ def _build_parser() -> argparse.ArgumentParser:
                 "polynomial, whose degree grows like (p-1) * sum(n * a_n)",
             )
 
-    sp = sub.add_parser("minorder", help="greedy minimal-sum search with violation trace")
+    sp = command("minorder", _cmd_minorder, "greedy minimal-sum search with violation trace")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--ab", type=_pair, default=(1, 1), metavar="A,B")
 
-    sp = sub.add_parser("bruteforce", help="confirm every capped sequence below a sum violates")
+    sp = command("bruteforce", _cmd_bruteforce,
+                 "confirm every capped sequence below a sum violates")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--sumlimit", type=int, required=True)
     sp.add_argument("--nmax", type=int, default=9)
 
-    sp = sub.add_parser("valid", help="full validity report for a dimension sequence")
+    sp = command("valid", _cmd_valid, "full validity report for a dimension sequence")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=_int_list, required=True, metavar="A1,A2,...")
     sp.add_argument("--levels", type=_int_list, default=(3, 7), metavar="L1,L2")
 
-    sp = sub.add_parser("grouplab", help="measure a small p-group and cross-check the theory")
+    sp = command("grouplab", _cmd_grouplab, "measure a small p-group and cross-check the theory")
     sp.add_argument("--group", metavar="KIND", help=" | ".join(
         f"{name}:{arg}" if arg else name for name, (arg, _, _) in BUILTIN_GROUPS.items()))
     sp.add_argument("--p", type=int)
@@ -154,43 +141,38 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# subcommand bodies: each returns (exit code, JSON payload, table lines,
+# (csv header, rows) or None where csv is not offered); main prints
 # ---------------------------------------------------------------------------
 
-def _cmd_ztypes(args, fmt: str) -> int:
+def _cmd_ztypes(args):
     pairs = sorted(classify_ztypes(args.max_level))
-    if fmt == "json":
-        _emit_json({"max_level": args.max_level, "ztypes": [list(p) for p in pairs]})
-    else:
-        print(f"feasible level pairs up to {args.max_level}:")
-        for m1, m2 in pairs:
-            print(f"  ({m1},{m2})")
-    return 0
+    lines = [f"feasible level pairs up to {args.max_level}:"]
+    lines += [f"  ({m1},{m2})" for m1, m2 in pairs]
+    return 0, {"max_level": args.max_level, "ztypes": [list(p) for p in pairs]}, lines, None
 
 
-def _cmd_caps(args, fmt: str) -> int:
-    _require_prime(args.p)
+def _cmd_caps(args):
     profile = upper_caps(args.p, args.nmax, ztype_37=args.ztype37)
     caps = profile.as_list()
-    if fmt == "json":
-        _emit_json({"p": args.p, "nmax": args.nmax, "ztype37": args.ztype37, "caps": caps})
-    elif fmt == "csv":
-        _emit_csv([(n, c) for n, c in enumerate(caps, start=1)], ("n", "cap"))
-    else:
-        print(f"caps for p = {args.p}, n <= {args.nmax}" + (" (with a_7 refinement)" if args.ztype37 else ""))
-        print("  n:   " + " ".join(f"{n:3d}" for n in range(1, len(caps) + 1)))
-        print("  cap: " + " ".join(f"{c:3d}" for c in caps))
-    return 0
+    lines = [
+        f"caps for p = {args.p}, n <= {args.nmax}" + (" (with a_7 refinement)" if args.ztype37 else ""),
+        "  n:   " + " ".join(f"{n:3d}" for n in range(1, len(caps) + 1)),
+        "  cap: " + " ".join(f"{c:3d}" for c in caps),
+    ]
+    payload = {"p": args.p, "nmax": args.nmax, "ztype37": args.ztype37, "caps": caps}
+    return 0, payload, lines, (("n", "cap"), enumerate(caps, start=1))
 
 
 def _profile_and_sequence(args) -> tuple[RelationProfile, DimensionSequence]:
-    _require_prime(args.p)
     profile = RelationProfile(args.d, tuple(args.levels))
     a = DimensionSequence.from_values(args.p, args.a)
     return profile, a
 
 
-def _report_payload(args, report, extra: dict | None = None) -> dict:
+def _verdict(args, report, extra: dict, lines: list[str]):
+    """The result of check or strict; the table prints the payload's
+    witness strings."""
     payload = {
         "p": args.p,
         "d": args.d,
@@ -199,181 +181,151 @@ def _report_payload(args, report, extra: dict | None = None) -> dict:
         "verdict": report.verdict.value,
         "witness": _frac(report.witness),
         "witness_value": _frac(report.witness_value),
+        **extra,
     }
-    if extra:
-        payload.update(extra)
-    return payload
-
-
-def _print_verdict(report) -> None:
-    print(f"verdict: {report.verdict.value}")
+    lines.append(f"verdict: {report.verdict.value}")
     if report.witness is not None:
-        print(
-            f"witness: t = {report.witness} (~{_approx(report.witness)}), "
-            f"value = {report.witness_value} (~{_approx(report.witness_value)})"
+        lines.append(
+            f"witness: t = {payload['witness']} (~{_approx(report.witness)}), "
+            f"value = {payload['witness_value']} (~{_approx(report.witness_value)})"
         )
+    return (0 if report.holds else 1), payload, lines, None
 
 
-def _cmd_check(args, fmt: str) -> int:
+def _cmd_check(args):
     profile, a = _profile_and_sequence(args)
     mode = CheckMode.EXACT if args.mode == "exact" else CheckMode.RELAXED
     report = check_inequality(profile, a, mode)
-    if fmt == "json":
-        _emit_json(_report_payload(args, report, {"mode": mode.value}))
-    else:
-        print(f"mode: {mode.value}")
-        _print_verdict(report)
-    return 0 if report.holds else 1
+    return _verdict(args, report, {"mode": mode.value}, [f"mode: {mode.value}"])
 
 
-def _cmd_strict(args, fmt: str) -> int:
+def _cmd_strict(args):
     profile, a = _profile_and_sequence(args)
     report = strict_corollary_check(profile, a)
-    if fmt == "json":
-        _emit_json(_report_payload(args, report, {"order_exponent": a.order_exponent}))
-    else:
-        _print_verdict(report)
-    return 0 if report.holds else 1
+    return _verdict(args, report, {"order_exponent": a.order_exponent}, [])
 
 
-def _cmd_mildness(args, fmt: str) -> int:
+def _cmd_mildness(args):
     profile, a = _profile_and_sequence(args)
     defects = mildness_defect(a, profile)
-    if fmt == "json":
-        _emit_json(
-            {
-                "p": args.p,
-                "d": args.d,
-                "levels": list(args.levels),
-                "a": list(args.a),
-                "e": list(defects),
-                "horizon": len(defects),
-            }
-        )
-    elif fmt == "csv":
-        _emit_csv([(n, v) for n, v in enumerate(defects, start=1)], ("n", "defect"))
-    else:
-        print(f"defect sequence e_1..e_{len(defects)}:")
-        print("  " + " ".join(str(v) for v in defects))
-        if defects and all(v == 0 for v in defects):
-            print("  mild: every defect vanishes")
-    return 0
+    payload = {
+        "p": args.p,
+        "d": args.d,
+        "levels": list(args.levels),
+        "a": list(args.a),
+        "e": list(defects),
+        "horizon": len(defects),
+    }
+    lines = [
+        f"defect sequence e_1..e_{len(defects)}:",
+        "  " + " ".join(str(v) for v in defects),
+    ]
+    if defects and all(v == 0 for v in defects):
+        lines.append("  mild: every defect vanishes")
+    return 0, payload, lines, (("n", "defect"), enumerate(defects, start=1))
 
 
-def _cmd_minorder(args, fmt: str) -> int:
-    _require_prime(args.p)
+def _cmd_minorder(args):
     result = min_order_search(args.p, *args.ab)
     seq = result.sequence.as_list()
-    if fmt == "json":
-        _emit_json(
-            {
-                "p": args.p,
-                "ab": list(result.ab),
-                "a": seq,
-                "min_sum": result.min_sum,
-                "order_exponent": result.order_exponent_bound,
-                "trace": [
-                    {
-                        "a": list(step.sequence),
-                        "sum": step.total,
-                        "witness": _frac(step.witness),
-                        "witness_value": _frac(step.witness_value),
-                    }
-                    for step in result.violation_trace
-                ],
-            }
-        )
-    elif fmt == "csv":
-        _emit_csv([(n, v) for n, v in enumerate(seq, start=1)], ("n", "a_n"))
-    else:
-        print(f"first feasible sequence: {tuple(seq)}  (sum {result.min_sum})")
-        print(f"order exponent bound: {result.order_exponent_bound}")
-        print(f"violated stages: {len(result.violation_trace)}")
-        for step in result.violation_trace:
-            print(
-                f"  sum {step.total:2d}  a = {step.sequence}  "
-                f"violated at t = {step.witness} (~{_approx(step.witness)})"
-            )
-    return 0
+    trace = [
+        {
+            "a": list(step.sequence),
+            "sum": step.total,
+            "witness": _frac(step.witness),
+            "witness_value": _frac(step.witness_value),
+        }
+        for step in result.violation_trace
+    ]
+    payload = {
+        "p": args.p,
+        "ab": list(result.ab),
+        "a": seq,
+        "min_sum": result.min_sum,
+        "order_exponent": result.order_exponent_bound,
+        "trace": trace,
+    }
+    lines = [
+        f"first feasible sequence: {tuple(seq)}  (sum {result.min_sum})",
+        f"order exponent bound: {result.order_exponent_bound}",
+        f"violated stages: {len(trace)}",
+    ]
+    lines += [
+        f"  sum {step.total:2d}  a = {step.sequence}  "
+        f"violated at t = {row['witness']} (~{_approx(step.witness)})"
+        for step, row in zip(result.violation_trace, trace)
+    ]
+    return 0, payload, lines, (("n", "a_n"), enumerate(seq, start=1))
 
 
-def _cmd_bruteforce(args, fmt: str) -> int:
-    _require_prime(args.p)
+def _cmd_bruteforce(args):
     result = brute_force_infeasibility(args.p, args.sumlimit, n_max=args.nmax)
-    if fmt == "json":
-        _emit_json(
-            {
-                "p": args.p,
-                "sumlimit": args.sumlimit,
-                "nmax": args.nmax,
-                "examined": result.examined,
-                "all_violated": result.all_violated,
-                "holds_examples": [list(s) for s in result.holds_examples],
-                "full_decisions": result.full_decisions,
-            }
-        )
+    payload = {
+        "p": args.p,
+        "sumlimit": args.sumlimit,
+        "nmax": args.nmax,
+        "examined": result.examined,
+        "all_violated": result.all_violated,
+        "holds_examples": [list(s) for s in result.holds_examples],
+        "full_decisions": result.full_decisions,
+    }
+    lines = [
+        f"examined {result.examined} capped sequences with sum <= {args.sumlimit}",
+        f"{result.full_decisions} needed the full positivity decision",
+    ]
+    if result.all_violated:
+        lines.append("all violated the relaxed inequality")
     else:
-        print(f"examined {result.examined} capped sequences with sum <= {args.sumlimit}")
-        print(f"{result.full_decisions} needed the full positivity decision")
-        if result.all_violated:
-            print("all violated the relaxed inequality")
-        else:
-            print("sequences where the inequality HOLDS:")
-            for s in result.holds_examples:
-                print(f"  {s}")
-    return 0 if result.all_violated else 1
+        lines.append("sequences where the inequality HOLDS:")
+        lines += [f"  {s}" for s in result.holds_examples]
+    return (0 if result.all_violated else 1), payload, lines, None
 
 
-def _cmd_valid(args, fmt: str) -> int:
-    _require_prime(args.p)
+def _cmd_valid(args):
     profile = RelationProfile(2, tuple(args.levels))
     a = DimensionSequence.from_values(args.p, args.a)
     report = is_valid(a, profile)
-    if fmt == "json":
-        _emit_json(
-            {
-                "p": args.p,
-                "levels": list(args.levels),
-                "a": list(args.a),
-                "verdict": report.verdict,
-                "order_exponent": report.order_exponent,
-                "first_failure": report.first_failure,
-                "caps_ok": report.caps_ok,
-                "e_nonnegative": report.e_nonnegative,
-                "stabilized": report.stabilized,
-                "horizon": report.horizon,
-                "c_limit": report.c_limit,
-                "e_limit": report.e_limit,
-                "b": list(report.b),
-                "c": list(report.c),
-                "e": list(report.e),
-            }
+    payload = {
+        "p": args.p,
+        "levels": list(args.levels),
+        "a": list(args.a),
+        "verdict": report.verdict,
+        "order_exponent": report.order_exponent,
+        "first_failure": report.first_failure,
+        "caps_ok": report.caps_ok,
+        "e_nonnegative": report.e_nonnegative,
+        "stabilized": report.stabilized,
+        "horizon": report.horizon,
+        "c_limit": report.c_limit,
+        "e_limit": report.e_limit,
+        "b": list(report.b),
+        "c": list(report.c),
+        "e": list(report.e),
+    }
+    last = len(report.c) - 1  # c_n is the order past N + 1
+    rows = (
+        (
+            n,
+            a.get(n) if n >= 1 else None,
+            report.c[min(n, last)],
+            report.e[n - 1] if n >= 1 else None,
         )
-    elif fmt == "csv":
-        rows = [
-            (
-                n,
-                a.get(n) if n >= 1 else None,
-                report.c[min(n, len(report.c) - 1)],  # the order past N + 1
-                report.e[n - 1] if n >= 1 else None,
-            )
-            for n in range(report.horizon + 1)
-        ]
-        _emit_csv(rows, ("n", "a_n", "c_n", "e_n"))
-    else:
-        print(f"verdict: {report.verdict}")
-        print(f"order exponent: {report.order_exponent} (order p^{report.order_exponent})")
-        if report.first_failure:
-            print(f"first failure: {report.first_failure}")
-        show = min(12, len(report.e))
-        last = len(report.c) - 1  # c_n is the order past N + 1
-        c = tuple(report.c[min(n, last)] for n in range(1, show + 1))
-        print(f"c_1..c_{show}: {c}  -> limit {report.c_limit}")
-        print(f"e_1..e_{show}: {report.e[:show]}  -> limit {report.e_limit}")
-    return 0 if report.valid else 1
+        for n in range(report.horizon + 1)
+    )
+    lines = [
+        f"verdict: {report.verdict}",
+        f"order exponent: {report.order_exponent} (order p^{report.order_exponent})",
+    ]
+    if report.first_failure:
+        lines.append(f"first failure: {report.first_failure}")
+    show = min(12, len(report.e))
+    c = tuple(report.c[min(n, last)] for n in range(1, show + 1))
+    lines.append(f"c_1..c_{show}: {c}  -> limit {report.c_limit}")
+    lines.append(f"e_1..e_{show}: {report.e[:show]}  -> limit {report.e_limit}")
+    return (0 if report.valid else 1), payload, lines, (("n", "a_n", "c_n", "e_n"), rows)
 
 
-def _cmd_grouplab(args, fmt: str) -> int:
+def _cmd_grouplab(args):
     if args.input:
         G, pres = parse_group_file(args.input)
         if args.p is not None and args.p != G.prime:
@@ -382,7 +334,6 @@ def _cmd_grouplab(args, fmt: str) -> int:
     else:
         if not args.group or args.p is None:
             raise ValueError("grouplab needs --group and --p, or --input FILE")
-        _require_prime(args.p)
         G = pres = None
         kind = args.group
     available = ["jennings", "lazard", "recursion", "fox"]
@@ -420,43 +371,28 @@ def _cmd_grouplab(args, fmt: str) -> int:
         results["fox"] = fox_formula_holds(pres)
 
     ok = all(results.values())
-    if fmt == "json":
-        _emit_json(
-            {
-                "p": G.prime,
-                "kind": kind,
-                "order": G.order,
-                "order_exponent": a.order_exponent,
-                "a": [[n, a.get(n)] for n in a.support],
-                "c": list(c_measured),
-                "levels": list(pres.levels) if pres is not None else None,
-                "checks": results,
-                "verdict": "HOLDS" if ok else "FAILED",
-            }
-        )
-    else:
-        print(f"group: {kind}, p = {G.prime}, order = {G.order} (p^{a.order_exponent})")
-        print(f"a support: {dict((n, a.get(n)) for n in a.support)}")
-        print(f"c: {c_measured}")
-        if pres is not None:
-            print(f"relator levels: {pres.levels}")
-        for name in available:
-            if name in results:
-                print(f"  {name}: {'ok' if results[name] else 'FAILED'}")
-    return 0 if ok else 1
-
-
-_DISPATCH = {
-    "ztypes": _cmd_ztypes,
-    "caps": _cmd_caps,
-    "check": _cmd_check,
-    "strict": _cmd_strict,
-    "mildness": _cmd_mildness,
-    "minorder": _cmd_minorder,
-    "bruteforce": _cmd_bruteforce,
-    "valid": _cmd_valid,
-    "grouplab": _cmd_grouplab,
-}
+    payload = {
+        "p": G.prime,
+        "kind": kind,
+        "order": G.order,
+        "order_exponent": a.order_exponent,
+        "a": [[n, a.get(n)] for n in a.support],
+        "c": list(c_measured),
+        "levels": list(pres.levels) if pres is not None else None,
+        "checks": results,
+        "verdict": "HOLDS" if ok else "FAILED",
+    }
+    lines = [
+        f"group: {kind}, p = {G.prime}, order = {G.order} (p^{a.order_exponent})",
+        f"a support: {dict((n, a.get(n)) for n in a.support)}",
+        f"c: {c_measured}",
+    ]
+    if pres is not None:
+        lines.append(f"relator levels: {pres.levels}")
+    lines += [
+        f"  {name}: {'ok' if results[name] else 'FAILED'}" for name in available if name in results
+    ]
+    return (0 if ok else 1), payload, lines, None
 
 
 def _refuse_unknown_global_options(parser: argparse.ArgumentParser, argv: list[str]) -> None:
@@ -494,7 +430,16 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _DISPATCH[args.command](args, fmt)
+        code, payload, lines, csv = args.run(args)
+        if fmt == "json":
+            lines = [json.dumps(payload, indent=2)]
+        elif fmt == "csv":
+            header, rows = csv
+            lines = [",".join(header)]
+            lines += [",".join("" if v is None else str(v) for v in row) for row in rows]
+        for line in lines:
+            print(line)
+        return code
     except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

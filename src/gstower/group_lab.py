@@ -571,7 +571,10 @@ def table_from_matrices(p: int, modulus: int, generators) -> FiniteGroupTable:
     identity, the rest follow in increasing order of their columns, read
     from the last column to the first and each top to bottom (so x^k is k
     in cyclic:k, and elemab:d and heisenberg are numbered by base-p
-    digits).  Column x g_j is right_j gathered through column x."""
+    digits).  Column x g_j is right_j gathered through column x.  A
+    non-prime p is refused before the closure starts."""
+    if not is_prime(p):
+        raise InvalidPrimeError(f"{p} is not prime")
     gens = np.asarray(generators, dtype=np.int64) % modulus
     elements = [np.eye(gens.shape[-1], dtype=np.int64) % modulus]
     index = {elements[0].tobytes(): 0}

@@ -159,8 +159,8 @@ def one_minus_product(a: DimensionSequence, length: int) -> list[int]:
 def jennings_transform(a: DimensionSequence) -> JenningsData:
     """Expand the product over the support of a of the inverted factors.
 
-    Returns the polynomial, its coefficients b_0..b_N, and the partial
-    sums c_0..c_(N+1).  Degree and endpoint identities are asserted:
+    Returns its coefficients b_0..b_N and the partial sums c_0..c_(N+1)
+    in a JenningsData.  Degree and endpoint identities are asserted:
     N = (p-1) * sum(n * a_n) and c_(N+1) = p ** sum(a_n).
     """
     p = a.prime

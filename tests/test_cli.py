@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gstower import group_lab
+from gstower import cli, group_lab
 from gstower.cli import main
 from gstower.group_lab import FiniteGroupTable, builtin_presentation
 
@@ -436,10 +436,35 @@ def test_grouplab_file_with_a_generator_image_outside_the_table(tmp_path, capsys
     assert f"generator {image} out of range 0..2" in err
 
 
-def test_nonprime_is_an_input_error(capsys):
-    code, _, err = run(capsys, "caps", "--p", "9", "--nmax", "4")
+@pytest.mark.parametrize("argv", [
+    "caps --nmax 4",
+    "check --d 2 --levels 3,7 --a 2,1",
+    "strict --d 2 --levels 3,7 --a 2,1",
+    "mildness --d 2 --levels 3,7 --a 2,1",
+    "minorder",
+    "bruteforce --sumlimit 4",
+    "valid --a 2,1",
+    "grouplab --group cyclic:1",
+])
+def test_nonprime_is_an_input_error(capsys, argv):
+    # the library refuses p = 9; the command prints one line and nothing else
+    code, out, err = run(capsys, *argv.split(), "--p", "9")
     assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
     assert "prime" in err
+
+
+def test_csv_is_refused_before_any_work(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(cli, "build_group", refuse)
+    monkeypatch.setattr(cli, "builtin_presentation", refuse)
+    code, out, err = run(capsys, "--format", "csv", "grouplab", "--group", "cyclic:1", "--p", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: csv output is not available for grouplab\n"
 
 
 def test_out_of_range_nmax_is_an_input_error(capsys):
@@ -507,6 +532,18 @@ README_PINS = {
     "--json grouplab --group heisenberg --p 3 --verify jennings,lazard,recursion,fox": (0, "a959bbdea3e99b1e53ac49c2454c2ddb14b0d80ffa9b817326e0fd4e609e3f4f"),
     "grouplab --input group.txt": (0, "d27812d8ea6078597b46a8eda7aa64d8c8bfd1d3cdaaef3d7d26f08aa1bce50e"),
     "--json grouplab --input group.txt": (0, "649be683ff0bb35a6cfaa83ac51b702bfafd3422b92062c1570e5c477c20a78d"),
+    # outputs the README does not show: a VIOLATED witness, sequences
+    # where the inequality holds, a cap failure and the "mild" line
+    "check --p 11 --d 2 --levels 3,7 --a 2,1,1,1,2,2,3,5,5": (1, "ba23ce9eed4c1b23155b826cdf785bb1a8532872f3d7be1aef802676b4751e6b"),
+    "--json check --p 11 --d 2 --levels 3,7 --a 2,1,1,1,2,2,3,5,5": (1, "4448e744fe758d355f16e0e7190b726164e830e807a0a6f0abdbda5492450959"),
+    "strict --p 11 --d 2 --levels 3,7 --a 2,1,1,1,2,2,3,5,5": (1, "4d24d614e11f7c3cec0b3a8db204caa05694cc945891d840a0ba5931ee2d2480"),
+    "--json strict --p 11 --d 2 --levels 3,7 --a 2,1,1,1,2,2,3,5,5": (1, "2beb2ed2b9c5645bc22f25aeb600266f423351eb577b8954a572be5f61a26b59"),
+    "bruteforce --p 11 --sumlimit 24": (1, "ce7763b45e3a5ddcdfeeb0ed63785d936d29d1fa8e9df6b2ad22d621b178c3ba"),
+    "--json bruteforce --p 11 --sumlimit 24": (1, "01e35912b516153cbafec5fcc96b38a5b4caf9d7f3308b3f1308ff00c7c8d373"),
+    "valid --p 11 --a 3": (1, "5b8639653b346068366fe4afb7d474360b211a5dc2a33795d90df2c418820b45"),
+    "--json valid --p 11 --a 3": (1, "6c4177a221737e7bf8df96fad6103adc5bf4bd8f1651667f601838c06bfd9639"),
+    "--format csv valid --p 11 --a 3": (1, "736c2a4c1e8fc9e5dab0f4421bb4712434fa8e2392241c6a90391a43f0017b4c"),
+    "mildness --p 3 --d 0 --levels= --a=": (0, "45fec663bfadd7f6db9ef5a6593f0571da80d5bca25debb71dea728e3120f272"),
 }
 
 #: --help and usage errors: argv -> (exit code, the stream written,

@@ -8,6 +8,7 @@ checked against `_filtration_by_rref`, one row reduction per power of the
 augmentation ideal.
 """
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -51,7 +52,7 @@ from gstower.group_lab import (
 import gstower.series
 from gstower import group_lab
 from gstower.gs_check import strict_corollary_check
-from gstower.jennings import is_prime, jennings_transform
+from gstower.jennings import InvalidPrimeError, is_prime, jennings_transform
 from gstower.series import DescartesCertificate
 
 BUILTIN_KINDS = ("cyclic:1", "cyclic:2", "elemab:2", "heisenberg")
@@ -317,6 +318,15 @@ class TestTableFromMatrices:
         with pytest.raises(SizeLimitError, match=f"exceeds limit {DEFAULT_SIZE_LIMIT}"):
             table_from_matrices(3, 3 ** 7, [[[1, 1], [0, 1]]])
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("kind", ["cyclic:1", "elemab:2", "heisenberg"])
+    @pytest.mark.parametrize("p", [0, 1, 4, -3])
+    def test_a_nonprime_is_refused_before_the_closure(self, kind, p):
+        # a closure mod 0 would divide by zero, with a warning per step
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidPrimeError, match=f"^{p} is not prime$"):
+                build_group(kind, p)
 
 
 # ---------------------------------------------------------------------------
