@@ -9,8 +9,9 @@ sum, a violated greedy stage rules out every sequence of that sum; the
 brute-force routine verifies this downstream of nothing, by direct
 enumeration with exact witnesses.  It confirms a whole subtree of its
 walk by one comparison at t = 1/2, on the completion that raises every
-open entry as far as the caps and the sum allow; every sequence is still
-counted and confirmed.
+open entry as far as the caps and the sum allow; a single sequence left
+open there is tried at t = 5/9 and then decided in full.  Every sequence
+is still counted and confirmed.
 """
 from __future__ import annotations
 
@@ -118,22 +119,17 @@ class BruteForceResult:
     examined: int
     all_violated: bool
     holds_examples: tuple[tuple[int, ...], ...]
-    #: sequences no prepared point confirmed, so the full positivity
-    #: decision ran on them
+    #: sequences that neither t = 1/2 nor t = 5/9 confirmed, so the full
+    #: positivity decision ran on them
     full_decisions: int
 
 
-# Rationals tried first when confirming a violation; 1/2 kills almost
-# everything, the cluster near 0.55 handles the near-feasible sequences.
-_FAST_POINTS = (
-    Fraction(1, 2),
-    Fraction(5, 9),
-    Fraction(11, 20),
-    Fraction(4, 7),
-    Fraction(3, 5),
-    Fraction(5, 8),
-    Fraction(2, 3),
-)
+# The one point tried between 1/2 and the full decision.  Below the
+# optimum the sequences 1/2 leaves open are near-feasible, with their dip
+# near 0.55: of the windows (p, sum, nmax) = (11, 22, 9) and (13, 22, 10),
+# three sequences get past 1/2 and 5/9 confirms all three.  The decision
+# is complete, so more points could only spare it some decisions.
+_SECOND_POINT = Fraction(5, 9)
 
 
 def brute_force_infeasibility(
@@ -144,11 +140,11 @@ def brute_force_infeasibility(
 
     Sequences are visited in lexicographic order (index 1 slowest),
     depth first with each branch bounded by the sum still allowed.  Each
-    violation is confirmed by an exact nonpositive evaluation at a
-    rational point (fast path, in integers), falling back to the full
-    positivity decision when no prepared point works.  gs_check owns the
-    target: `lhs_at` gives the left side at 1/2, `relaxed_at` tests the
-    other points and `relaxed_target` is the full decision's polynomial.
+    violation is confirmed by an exact nonpositive value, in integers, at
+    t = 1/2 or else at t = 5/9, falling back to the full positivity
+    decision when neither confirms it.  gs_check owns the target:
+    `lhs_at` gives the left side at 1/2, `relaxed_at` tests 5/9 and
+    `relaxed_target` is the full decision's polynomial.
     Any sequence for which the inequality actually holds is reported, and
     all_violated set False.
 
@@ -160,8 +156,8 @@ def brute_force_infeasibility(
     one comparison confirms the whole subtree: `examined` adds the number
     of its cap-respecting completions of sum <= B.  Only nodes whose top
     completion is not violated are split; a fully fixed sequence is the
-    same test with nothing open, and goes on to the other points when it
-    is not violated at 1/2.
+    same test with nothing open, and goes on to 5/9 when it is not
+    violated at 1/2.
     """
     if not is_prime(p) or p <= 7:
         raise ValueError("the cap table requires a prime p >= 11")
@@ -191,34 +187,24 @@ def brute_force_infeasibility(
             top_prod[n][B] = pows[top] * top_prod[n + 1][B]
             top_weight[n][B] = n * top + top_weight[n + 1][B]
             count[n][B] = sum(below[B - e] for e in range(top + 1))
-    # the other points, tried in order on a sequence 1/2 does not confirm
-    rest = _FAST_POINTS[1:] + tuple(
-        Fraction(k, 20) for k in range(1, 20) if Fraction(k, 20) not in _FAST_POINTS
-    )
     examined = 0
     full_decisions = 0
     holds_examples: list[tuple[int, ...]] = []
 
-    def confirm_elsewhere() -> None:
-        """Try every other point on a sequence t = 1/2 did not confirm."""
-        nonlocal full_decisions
-        a = DimensionSequence.from_values(p, seq[1:])
-        if any(relaxed_at(profile, a, t) <= 0 for t in rest):
-            return
-        full_decisions += 1
-        if positive_on_open_unit_interval(relaxed_target(profile, a)).holds:
-            holds_examples.append(_trim(seq[1:]))
-
     def walk(n: int, budget: int, prod: int, weight: int) -> None:
         # prod = den prod (2^i - 1)^(a_i) and weight = sum i a_i over the
         # fixed indices 1..n-1
-        nonlocal examined
+        nonlocal examined, full_decisions
         if num << (weight + top_weight[n][budget]) <= prod * top_prod[n][budget]:
             examined += count[n][budget]
             return
         if n > n_max:
             examined += 1
-            confirm_elsewhere()
+            a = DimensionSequence.from_values(p, seq[1:])
+            if relaxed_at(profile, a, _SECOND_POINT) > 0:
+                full_decisions += 1
+                if positive_on_open_unit_interval(relaxed_target(profile, a)).holds:
+                    holds_examples.append(_trim(seq[1:]))
             return
         row = factor_pows[n]
         for e in range(min(caps[n], budget) + 1):

@@ -151,7 +151,7 @@ def test_brute_force_reports_where_the_inequality_holds():
         (2, 1, 1, 1, 2, 2, 3, 5, 7),
         (2, 1, 1, 1, 2, 2, 3, 5, 8),
     )
-    # only the holding sequences escape every prepared rational point
+    # only the holding sequences escape both t = 1/2 and t = 5/9
     assert res.full_decisions == 5
 
 
@@ -171,6 +171,15 @@ def test_brute_force_over_the_whole_proven_range_at_p13():
     assert res.examined == 3036321
     assert res.all_violated
     assert res.full_decisions == 0
+
+
+def test_brute_force_above_the_optimum_decides_what_5_9_leaves_open():
+    # 55 sequences escape 1/2 and 5/9: the 52 that hold, and three
+    # violated ones that only the full decision confirms
+    res = brute_force_infeasibility(17, 24, 15)
+    assert res.examined == 1468537183
+    assert len(res.holds_examples) == 52
+    assert res.full_decisions == 55
 
 
 def test_brute_force_over_the_whole_proven_range_at_p31():
@@ -225,27 +234,17 @@ def test_negative_sum_limit_rejected():
 # the sweep against the box-filter, Fraction-product sweep it replaced
 # ---------------------------------------------------------------------------
 
-_ORACLE_POINTS = (
-    Fraction(1, 2),
-    Fraction(5, 9),
-    Fraction(11, 20),
-    Fraction(4, 7),
-    Fraction(3, 5),
-    Fraction(5, 8),
-    Fraction(2, 3),
-)
+# the sweep's points, in its order
+_ORACLE_POINTS = (Fraction(1, 2), Fraction(5, 9))
 
 
-def _oracle_brute_force(p, sum_limit, n_max):
+def _oracle_brute_force(p, sum_limit, n_max, points=_ORACLE_POINTS):
     """Reference: filter the full product box by sum, confirm with
-    Fraction products at the prepared points, else decide in full and
+    Fraction products at the given points, else decide in full and
     count the full decision."""
     profile = RelationProfile(2, (3, 7))
     cap_list = upper_caps(p, n_max, ztype_37=True).as_list()
     lhs = gs_lhs_poly(profile)
-    points = _ORACLE_POINTS + tuple(
-        Fraction(k, 20) for k in range(1, 20) if Fraction(k, 20) not in _ORACLE_POINTS
-    )
     lhs_at = {t: lhs(t) for t in points}
     factor_pow = [[]]
     for n in range(1, n_max + 1):
@@ -313,3 +312,10 @@ def test_brute_force_matches_the_fraction_oracle_where_it_holds(p, sum_limit):
     res = brute_force_infeasibility(p, sum_limit)
     assert not res.all_violated
     assert _summary(res) == _oracle_brute_force(p, sum_limit, 9)
+
+
+def test_the_prepared_points_decide_no_verdict():
+    # with 1/2 alone every sequence past it is decided in full, and the
+    # verdicts, counts and holding sequences are the sweep's
+    assert _oracle_brute_force(11, 24, 9, points=(Fraction(1, 2),))[:3] == \
+        _summary(brute_force_infeasibility(11, 24))[:3]

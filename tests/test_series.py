@@ -519,16 +519,26 @@ def test_violated_through_the_divided_chain():
     assert report.witness_value == F(-511 ** 3, 2 ** 66)
 
 
-def test_simple_roots_past_the_scan_take_no_euclid():
+@pytest.mark.parametrize("f, witness, value", [
     # (95t - 4)(47t - 2) is negative only between 4/95 and 2/47, past the
-    # scan as above.  Both roots are simple, so the walk of h isolates
-    # them in cells of one variation and no gcd is taken.  Bisecting
-    # (0, 1] at midpoints separates them at (43/1024, 87/2048] and
-    # (87/2048, 11/256]; h(87/2048) = 73 * -7 / 2048^2 = -511 / 2^22.
+    # scan as above.  Bisecting (0, 1] at midpoints separates the roots at
+    # (43/1024, 87/2048] and (87/2048, 11/256]; the first cell's right end
+    # is the witness, h(87/2048) = 73 * -7 / 2048^2 = -511 / 2^22.
+    pytest.param(P(-4, 95) * P(-2, 47), F(87, 2048), F(-511, 2 ** 22), id="right-end"),
+    # (26t - 1)(500t - 21)(1000t - 43) has its roots 1/26, 21/500 and
+    # 43/1000 in (1/32, 1/23), between the scan's points, and is negative
+    # below the first: the left end of the first cell is the witness,
+    # f(1/32) = (-3/16)(-43/8)(-47/4) = -6063/512.
+    pytest.param(P(-1, 26) * P(-21, 500) * P(-43, 1000), F(1, 32), F(-6063, 512),
+                 id="left-end"),
+])
+def test_simple_roots_past_the_scan_take_no_euclid(f, witness, value):
+    # every root is simple, so the walk of h isolates them in cells of one
+    # variation and no gcd is taken
     with mock.patch.object(series, "_irem", wraps=series._irem) as irem:
-        report = positive_on_open_unit_interval(P(-4, 95) * P(-2, 47))
+        report = positive_on_open_unit_interval(f)
     assert (report.verdict, report.witness, report.witness_value) == \
-        (Verdict.VIOLATED, F(87, 2048), F(-511, 2 ** 22))
+        (Verdict.VIOLATED, witness, value)
     assert not irem.called
 
 
