@@ -127,6 +127,39 @@ def _rref_in_place(m: np.ndarray, p: int, residue: np.ndarray) -> list[int]:
     return pivots
 
 
+def _rank_profile(m: np.ndarray, p: int, residue: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank profile of m over F_p, entries below p, by one forward
+    elimination that overwrites m, with residue = _residue_table(p).
+
+    Column by column, the pivot is the first row without a pivot that is
+    nonzero there, and it is eliminated from the later rows without one;
+    no row is swapped and no pivot row is reduced.  Adding a multiple of a
+    row to a later row keeps the rank of every leading submatrix, so the
+    rank of m[:i, :k] is the number of pivots (r, col) with r < i and
+    col < k (Dumas, Pernet and Sultan, ISSAC 2015).  Returns the pivot rows
+    and their columns, in column order."""
+    rows: list[int] = []
+    cols: list[int] = []
+    for col in m.any(axis=0).nonzero()[0].tolist():
+        hit = m[:, col].nonzero()[0]
+        if hit.size == 0:
+            continue
+        r = int(hit[0])
+        rows.append(r)
+        cols.append(col)
+        if hit.size > 1:
+            hit = hit[1:]
+            # row h loses f y, f = m[h, col] / m[r, col], as x + f (p - y) in
+            # [0, p^2); taken in int64, as (p - 1)^2 passes int16 for p > 181
+            f = residue[m[hit, col].astype(np.int64) * pow(int(m[r, col]), p - 2, p)]
+            m[hit, col + 1:] = residue[m[hit, col + 1:] + f[:, None] * (p - m[r, col + 1:].astype(np.int64))]
+        # a pivot row takes no further part
+        m[r, col + 1:] = 0
+        if len(rows) == m.shape[0]:
+            break
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+
+
 class _Echelon:
     """A reduced echelon basis over F_p, extended by blocks of rows: pivots[i]
     is the pivot column of row i, and rest holds the rows in the free columns
@@ -719,15 +752,9 @@ def commutator_word(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     return word_inverse(u) + word_inverse(v) + tuple(u) + tuple(v)
 
 
-def magnus_embed(word: Sequence[int], d: int, p: int, degree_cap: int) -> dict[tuple[int, ...], int]:
-    """Image of (word - 1) under x_i -> 1 + X_i in the noncommutative
-    power series over F_p, truncated above the degree cap: the nonzero
-    terms, keyed by monomials (tuples of 1-based variable indices).  The
-    empty word maps to {}.
-
-    The product is taken run by run: a maximal run x_i^m maps to
-    (1 + X_i)^m = sum_j C(m, j) X_i^j, with the generalized binomial
-    C(m, j) = m (m - 1) ... (m - j + 1) / j!, so m may be negative."""
+def _runs(word: Sequence[int], d: int) -> list[list[int]]:
+    """The maximal runs x_i^m of a word, as [i, m] in order; each letter is
+    checked against the d generators."""
     runs: list[list[int]] = []
     for letter in word:
         i = abs(letter)
@@ -737,8 +764,28 @@ def magnus_embed(word: Sequence[int], d: int, p: int, degree_cap: int) -> dict[t
             runs[-1][1] += 1 if letter > 0 else -1
         else:
             runs.append([i, 1 if letter > 0 else -1])
+    return runs
+
+
+def _p_part(m: int, p: int) -> int:
+    """p^v for the largest v with p^v dividing m != 0."""
+    q = 1
+    while m % (q * p) == 0:
+        q *= p
+    return q
+
+
+def magnus_embed(word: Sequence[int], d: int, p: int, degree_cap: int) -> dict[tuple[int, ...], int]:
+    """Image of (word - 1) under x_i -> 1 + X_i in the noncommutative
+    power series over F_p, truncated above the degree cap: the nonzero
+    terms, keyed by monomials (tuples of 1-based variable indices).  The
+    empty word maps to {}.
+
+    The product is taken run by run: a maximal run x_i^m maps to
+    (1 + X_i)^m = sum_j C(m, j) X_i^j, with the generalized binomial
+    C(m, j) = m (m - 1) ... (m - j + 1) / j!, so m may be negative."""
     acc = {(): 1}
-    for i, m in runs:
+    for i, m in _runs(word, d):
         series, binom = [], 1  # the nonzero (j, C(m, j) mod p)
         for j in range(degree_cap + 1):
             if binom % p:
@@ -759,19 +806,25 @@ def magnus_embed(word: Sequence[int], d: int, p: int, degree_cap: int) -> dict[t
 
 def word_level(word: Sequence[int], d: int, p: int) -> int:
     """Filtration level of (word - 1): the least total degree appearing in
-    its expansion.  Freely trivial words are rejected.  The cap starts at 1
-    and doubles until the level is detected."""
+    its expansion.  Freely trivial words are rejected.
+
+    Modulo p, a run x_i^m gives (1 + X_i)^m - 1, which starts in degree
+    p^v with p^v the p-part of m, so w - 1 starts no lower than the least
+    of these over the runs of w.  The cap starts there and doubles until
+    the level is detected; it stops at MAX_LEVEL_CAP, past which the level
+    is refused."""
     reduced = free_reduce(word)
     if not reduced:
         raise PresentationError("word is freely trivial; its level is unbounded")
-    cap = 1
+    # a freely reduced word has no empty run
+    cap = min(min(_p_part(m, p) for _, m in _runs(reduced, d)), MAX_LEVEL_CAP)
     while True:
         terms = magnus_embed(reduced, d, p, cap)
         if terms:
             return min(map(len, terms))
         if cap >= MAX_LEVEL_CAP:
             raise PresentationError(f"level of {format_word(word)} exceeds cap {MAX_LEVEL_CAP}")
-        cap *= 2
+        cap = min(2 * cap, MAX_LEVEL_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -896,38 +949,35 @@ def defects_direct(pres: PresentationData, horizon: int) -> tuple[int, ...]:
 
     With columns ordered (b, j), b-major, and rows (i, a) ordered by the
     step n at which they enter (the first n with a < c_(n - level_i)),
-    every J_n is a leading submatrix of one fixed matrix.  Its rank is the
-    number of pivots left of column d c_(n-1) in the reduced echelon form
-    of the rows entered so far, which grows by one elimination per step
-    (the rank profile, as in Dumas, Pernet and Sultan, ISSAC 2015).
+    every J_n is a leading submatrix of one fixed matrix, the Jacobian with
+    its rows in entry order.  One forward elimination of that matrix gives
+    its rank profile (`_rank_profile`), and rank(J_n) is the number of its
+    pivots in rows entered by step n and left of column d c_(n-1): every
+    defect comes from one count over the pivots.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     G = pres.target
     p, size, d = G.prime, G.order, pres.d
-    c = augmentation_powers(G)
+    c = np.array(augmentation_powers(G))
     T, T_inv = G.flag_basis()
     W = _fox_images(pres)
     T_inv = T_inv.astype(np.float64)  # the right factor of every block
     left = G.mul[G.inv]  # left[y, x] = y^-1 x
-    rows = np.zeros((pres.r * size, size * d), dtype=np.int16)  # entries below p
-    for i, j in zip(*np.nonzero(W.any(axis=2))):
-        # row (i, a), column (b, j) holds A_ij[a, b]
-        rows[i * size:(i + 1) * size, j::d] = _fp_matmul(_fp_matmul(T, W[i, j][left], p), T_inv, p)
     levels = np.array(pres.levels, dtype=np.int64).reshape(-1, 1)
     entry = (levels + np.searchsorted(c, np.arange(size), side="right")).ravel()
     order = np.argsort(entry)
-    entry = entry[order]
-    echelon = _Echelon(size * d, p)
-    defects, done = [], 0
-    for n in range(1, horizon + 1):
-        entered = int(np.searchsorted(entry, n, side="right"))
-        if entered > done:
-            echelon.extend(rows[order[done:entered]].astype(np.int64))
-            done = entered
-        rank = int(np.count_nonzero(echelon.pivots < d * c[min(n - 1, len(c) - 1)]))
-        defects.append(entered - rank)
-    return tuple(defects)
+    place = np.argsort(order)  # row (i, a) sits at place[i |G| + a]
+    rows = np.zeros((pres.r * size, size * d), dtype=np.int16)  # entries below p
+    for i, j in zip(*np.nonzero(W.any(axis=2))):
+        # row (i, a), column (b, j) holds A_ij[a, b]
+        rows[place[i * size:(i + 1) * size], j::d] = _fp_matmul(_fp_matmul(T, W[i, j][left], p), T_inv, p)
+    steps = np.arange(1, horizon + 1)
+    entered = np.searchsorted(entry[order], steps, side="right")
+    width = d * c[np.minimum(steps - 1, len(c) - 1)]
+    pivot_rows, pivot_cols = _rank_profile(rows, p, _residue_table(p))
+    rank = ((pivot_rows < entered[:, None]) & (pivot_cols < width[:, None])).sum(axis=1)
+    return tuple((entered - rank).tolist())
 
 
 def e_n_direct(pres: PresentationData, n: int) -> int:

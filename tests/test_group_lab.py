@@ -7,6 +7,7 @@ against each other.  The filtration built from the annihilator series is
 checked against `_filtration_by_rref`, one row reduction per power of the
 augmentation ideal.
 """
+import itertools
 import time
 import warnings
 from fractions import Fraction
@@ -26,6 +27,7 @@ from gstower.group_lab import (
     _fox_images,
     _fp_matmul,
     _Echelon,
+    _rank_profile,
     _residue_table,
     _rref_in_place,
     augmentation_powers,
@@ -482,6 +484,24 @@ class TestRowReduction:
             assert echelon.pivots[order].tolist() == want_pivots
             assert np.array_equal(_echelon_rows(echelon)[order], want_rows)
             assert echelon.free.tolist() == sorted(set(range(m.shape[1])) - set(want_pivots))
+
+
+class TestRankProfile:
+    @settings(max_examples=300)
+    @given(_matrices())
+    def test_leading_block_ranks_match_gauss_jordan(self, case):
+        # stored as int16, as defects_direct stores the Jacobian: at p = 331
+        # an update taken in int16 would wrap
+        p, m = case
+        m = m % p
+        profile_rows, profile_cols = _rank_profile(m.astype(np.int16), p, _residue_table(p))
+        for i in range(m.shape[0] + 1):
+            for k in range(m.shape[1] + 1):
+                count = np.count_nonzero((profile_rows < i) & (profile_cols < k))
+                assert count == len(_gauss_jordan(m[:i, :k].tolist(), p)[1]), (i, k)
+        assert profile_cols.tolist() == _rref(m, p)[1]
+        # each row holds at most one pivot, as each column does
+        assert len(set(profile_rows.tolist())) == len(profile_rows)
 
 
 def _echelon_rows(echelon):
@@ -992,6 +1012,33 @@ class TestMagnus:
         with pytest.raises(PresentationError, match="exceeds cap"):
             word_level((1,) * 729, 1, 3)
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.sampled_from([2, 3, 5, 7]), st.data())
+    def test_level_search_starts_at_the_least_run_degree(self, p, data):
+        # modulo p a run x_i^m gives (1 + X_i)^m - 1, which starts in degree
+        # p^v_p(m): nothing survives one below the least of these, and the
+        # search starts there
+        d = data.draw(st.integers(1, 3))
+        word = free_reduce(data.draw(_words_with_runs(d)))
+        assume(word)
+        degrees = []
+        for _, run in itertools.groupby(word, key=abs):
+            m = sum(1 if letter > 0 else -1 for letter in run)
+            q = 1
+            while m % (q * p) == 0:
+                q *= p
+            degrees.append(q)
+        start = min(min(degrees), group_lab.MAX_LEVEL_CAP)
+        assert magnus_embed(word, d, p, start - 1) == {}
+        caps = []
+        embed = group_lab.magnus_embed
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(group_lab, "magnus_embed",
+                       lambda w, d_, p_, cap: caps.append(cap) or embed(w, d_, p_, cap))
+            level = word_level(word, d, p)
+        assert caps[0] == start
+        assert level == _level_from_cap_8(word, d, p)
+
     def test_empty_word_maps_to_zero(self):
         assert magnus_embed((), 1, 3, 4) == {}
 
@@ -1321,6 +1368,63 @@ class TestDefectsAgainstStepJacobians:
     def test_trivial_group(self):
         G = FiniteGroupTable(3, np.zeros((1, 1), dtype=np.int64), generators=())
         _assert_defects_match_jacobians(make_presentation(G, (0,), [(1, 1, 1)]))
+
+
+def _defects_by_echelon_steps(pres, horizon):
+    """defects_direct as first written on the flag basis: the Jacobian's
+    rows enter one reduced echelon basis step by step, and rank(J_n) is the
+    number of its pivots left of column d c_(n-1)."""
+    G = pres.target
+    p, size, d = G.prime, G.order, pres.d
+    c = augmentation_powers(G)
+    T, T_inv = G.flag_basis()
+    W = _fox_images(pres)
+    left = G.mul[G.inv]
+    rows = np.zeros((pres.r * size, size * d), dtype=np.int64)
+    for i, j in zip(*np.nonzero(W.any(axis=2))):
+        rows[i * size:(i + 1) * size, j::d] = _fp_matmul(_fp_matmul(T, W[i, j][left], p), T_inv, p)
+    levels = np.array(pres.levels, dtype=np.int64).reshape(-1, 1)
+    entry = (levels + np.searchsorted(c, np.arange(size), side="right")).ravel()
+    order = np.argsort(entry)
+    entry = entry[order]
+    echelon = _Echelon(size * d, p)
+    defects, done = [], 0
+    for n in range(1, horizon + 1):
+        entered = int(np.searchsorted(entry, n, side="right"))
+        if entered > done:
+            echelon.extend(rows[order[done:entered]])
+            done = entered
+        rank = int(np.count_nonzero(echelon.pivots < d * c[min(n - 1, len(c) - 1)]))
+        defects.append(entered - rank)
+    return tuple(defects)
+
+
+def _assert_defects_match_echelon_steps(pres):
+    horizon = verify_recursion(pres).horizon
+    assert defects_direct(pres, horizon) == _defects_by_echelon_steps(pres, horizon)
+
+
+class TestDefectsAgainstEchelonSteps:
+    """The rank profile of the entry-sorted Jacobian against the reduced
+    echelon basis it replaced, extended at every step at which rows enter."""
+
+    @pytest.mark.parametrize("kind, p", ORACLE_CASES)
+    def test_builtins(self, kind, p):
+        _assert_defects_match_echelon_steps(builtin_presentation(kind, p))
+
+    @settings(deadline=None, max_examples=15)
+    @given(st.sampled_from(RELABEL_GROUPS), st.randoms(use_true_random=False))
+    def test_relabelled_tables(self, case, rnd):
+        kind, p = case
+        _assert_defects_match_echelon_steps(_relabelled(builtin_presentation(kind, p), rnd))
+
+    @pytest.mark.parametrize("kind, p", [
+        pytest.param(kind, p, id=f"{kind}-{p}") for kind in ("cyclic:1", "elemab:1") for p in (191, 331)])
+    def test_primes_past_int16_products(self, kind, p):
+        # (p - 1)^2 passes 2^15 and the residue table has p^2 entries; the
+        # Jacobian of an order-p group has rank one, so wrapped int16
+        # updates are left to TestRankProfile, whose primes include 331
+        _assert_defects_match_echelon_steps(builtin_presentation(kind, p))
 
 
 def _per_element_block(G, T, w):
